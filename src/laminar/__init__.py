@@ -3,11 +3,17 @@
 from .arboricity import (
     ArboricityResult,
     compute_arboricity,
-    fractional_arboricity,
     global_directed_min_cut,
     t_bar_mincut,
 )
-from .densecore import FindStarResult, find_star, find_star_full, probe, verify_core
+from .densecore import (
+    FindStarResult,
+    find_star,
+    find_star_full,
+    max_density_search,
+    probe,
+    verify_core,
+)
 from .dircut import (
     Arborescence,
     ArborescencePacking,
@@ -35,7 +41,6 @@ from .goldberg import (
     ModifiedNetwork,
     build_goldberg,
     build_modified,
-    build_rooted,
     goldberg_min_cut_side,
 )
 from .graph import (
@@ -45,7 +50,6 @@ from .graph import (
     WeightedGraph,
     connected_components,
     contract,
-    cut_ratio,
     induced_subgraph,
     parse_edge_list,
     rank,

@@ -1,12 +1,10 @@
-"""Arboricity via binary search over density networks and a rooted min cut.
+"""Arboricity as the ceiling of the maximum skew-density.
 
 The fractional arboricity is the maximum skew-density over all vertex sets;
-the (integer) arboricity is its ceiling.  Each binary-search probe asks
-whether the current threshold is below the maximum density: either the
-density network's s-t max flow already falls short of scale*c(E), or the
-shortcut network has a t-excluded cut below scale*tau.  The final bracket is
-narrower than the minimum gap between densities with denominator < n, so the
-exact fractional value snaps to the unique rational in it.
+the (integer) arboricity is its ceiling.  The exact densest-set search in
+densecore finds it with a few threshold probes, each one a density-network
+max flow and, when that saturates, a rooted min-cut scan of the shortcut
+network.
 """
 
 from __future__ import annotations
@@ -15,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .densecore import max_density_search
 from .flow import (
     INF,
     DirectedNetwork,
@@ -23,7 +22,6 @@ from .flow import (
     min_source_side,
     t_mincut_exhaustive,
 )
-from .goldberg import build_goldberg, build_modified
 from .graph import GraphError, WeightedGraph
 
 
@@ -35,7 +33,6 @@ class ArboricityError(ValueError):
 class ArboricityResult:
     arboricity: int
     fractional: Fraction
-    bracket: tuple[Fraction, Fraction]
     probes: tuple[tuple[Fraction, bool], ...]  # (threshold, went below max density)
 
 
@@ -74,7 +71,6 @@ def t_bar_mincut(
     t: int,
     *,
     limit: int | None = None,
-    first_hit: bool = False,
     sources=None,
 ) -> STCut | None:
     """Minimum d+(S) over all nonempty S excluding t.
@@ -84,24 +80,21 @@ def t_bar_mincut(
     infinite); since the augmentation pins t to the sink side, the pivot-based
     global scan degenerates to min-cut-per-source against the fixed sink, and
     that is what runs here.  The equivalence with augment-plus-global is
-    property-tested.  `limit`/`first_hit`/`sources` behave as in the
-    exhaustive scan.
+    property-tested.  `limit`/`sources` behave as in the exhaustive scan.
     """
     if net.n < 2:
         raise ArboricityError("t-bar mincut needs at least 2 nodes")
     if not 0 <= t < net.n:
         raise ArboricityError("t out of range")
-    return t_mincut_exhaustive(
-        net, t, limit=limit, first_hit=first_hit, sources=sources
-    )
+    return t_mincut_exhaustive(net, t, limit=limit, sources=sources)
 
 
 def compute_arboricity(graph: WeightedGraph) -> ArboricityResult:
-    """Binary search the maximum skew-density and round it up.
+    """The maximum skew-density, exactly, and its ceiling.
 
-    Deterministic: the per-probe cut subroutines are exact, so each probe
-    lands on the correct side of the maximum density.  Requires a connected
-    graph; a single vertex has arboricity 0 by convention.
+    Deterministic: the search runs in exact mode, so its last probe fails at
+    exactly the maximum density.  Requires a connected graph; a single vertex
+    has arboricity 0 by convention.
     """
     if graph.n == 0:
         raise GraphError("arboricity of the empty graph is undefined")
@@ -110,90 +103,9 @@ def compute_arboricity(graph: WeightedGraph) -> ArboricityResult:
             "arboricity core routine needs a connected graph; split into "
             "components and take the maximum"
         )
-    if graph.m == 0:
-        zero = Fraction(0)
-        return ArboricityResult(0, zero, (zero, zero), ())
-    n = graph.n
-    tau_low = Fraction(0)
-    tau_high = Fraction(graph.total_weight())
-    width_limit = Fraction(1, n**3)
-    probes: list[tuple[Fraction, bool]] = []
-    while tau_high - tau_low >= width_limit:
-        tau = (tau_low + tau_high) / 2
-        below = _probe_below_max_density(graph, tau)
-        probes.append((tau, below))
-        if below:
-            tau_low = tau
-        else:
-            tau_high = tau
-    fractional = _snap_to_bracket(tau_low, tau_high, n)
-    arboricity = math.ceil(tau_low)
-    if arboricity != math.ceil(fractional):
-        raise ArboricityError("bracket rounding disagrees with the snapped value")
+    search = max_density_search(graph, graph.n)
     return ArboricityResult(
-        arboricity=arboricity,
-        fractional=fractional,
-        bracket=(tau_low, tau_high),
-        probes=tuple(probes),
+        arboricity=math.ceil(search.tau_star),
+        fractional=search.tau_star,
+        probes=search.probes,
     )
-
-
-def _probe_below_max_density(graph: WeightedGraph, tau: Fraction) -> bool:
-    h = build_goldberg(graph, tau)
-    target = h.saturation_target()
-    flow = max_flow(h.network, h.s, h.t, limit=target)
-    if flow.value < target:
-        return True
-    shortcut = build_modified(h, flow)
-    threshold = shortcut.tau.numerator  # scale * tau
-    cut = t_bar_mincut(
-        shortcut.network,
-        shortcut.t,
-        limit=threshold,
-        first_hit=True,
-        sources=dense_side_sources(graph, tau),
-    )
-    return cut is not None
-
-
-def dense_side_sources(graph: WeightedGraph, tau: Fraction) -> list[int]:
-    """Vertices whose weighted degree exceeds tau.
-
-    Any U with density above tau has average internal weighted degree
-    2*c(E[U])/|U| > 2*tau*(|U|-1)/|U| >= tau, so U contains such a vertex.
-    Scanning only these sources still meets every cut below scale*tau.
-    """
-    degree = [0] * graph.n
-    for u, v, w in graph.edges:
-        degree[u] += w
-        degree[v] += w
-    heavy = [v for v in range(graph.n) if degree[v] > tau]
-    heavy.sort(key=lambda v: -degree[v])  # denser vertices hit qualifying cuts sooner
-    return heavy
-
-
-def _snap_to_bracket(tau_low: Fraction, tau_high: Fraction, n: int) -> Fraction:
-    """The unique rational with denominator <= n-1 in (tau_low, tau_high].
-
-    Distinct densities with such denominators differ by more than the final
-    bracket width, so zero or multiple candidates indicate an arithmetic bug.
-    """
-    candidates: set[Fraction] = set()
-    for q in range(1, n):
-        first = math.floor(tau_low * q) + 1
-        last = math.floor(tau_high * q)
-        for p in range(first, last + 1):
-            value = Fraction(p, q)
-            if tau_low < value <= tau_high:
-                candidates.add(value)
-    if len(candidates) != 1:
-        raise ArboricityError(
-            f"expected exactly one density candidate in {(tau_low, tau_high)}, "
-            f"found {sorted(candidates)}"
-        )
-    return candidates.pop()
-
-
-def fractional_arboricity(graph: WeightedGraph) -> Fraction:
-    """Maximum skew-density over all vertex sets, as an exact rational."""
-    return compute_arboricity(graph).fractional

@@ -64,52 +64,103 @@ def hierarchy_to_json(tree: HierarchyTree) -> dict:
         data: dict = {"vertices": sorted(node.vertex_set)}
         if node.sigma is not None:
             data["sigma"] = rational(node.sigma)
-        data["children"] = [encode(c) for c in node.children]
+        data["children"] = []
         return data
 
-    return encode(tree.root)
+    top = encode(tree.root)
+    stack = [(tree.root, top)]
+    while stack:
+        node, data = stack.pop()
+        for child in node.children:
+            child_data = encode(child)
+            data["children"].append(child_data)
+            stack.append((child, child_data))
+    return top
 
 
 def hierarchy_from_json(data: dict, graph: WeightedGraph) -> HierarchyTree:
-    def decode(entry: dict) -> HierarchyNode:
-        children = tuple(decode(c) for c in entry.get("children", []))
+    # Nodes are immutable, so each is built after its children: an entry is
+    # pushed once to expand it and once more to build it.
+    built: dict[int, HierarchyNode] = {}
+    stack = [(data, False)]
+    while stack:
+        entry, expanded = stack.pop()
+        children = entry.get("children", [])
+        if not expanded:
+            stack.append((entry, True))
+            stack.extend((child, False) for child in children)
+            continue
         sigma = parse_rational(entry["sigma"]) if "sigma" in entry else None
-        return HierarchyNode(frozenset(entry["vertices"]), children, sigma)
+        built[id(entry)] = HierarchyNode(
+            frozenset(entry["vertices"]),
+            tuple(built[id(child)] for child in children),
+            sigma,
+        )
+    return HierarchyTree(root=built[id(data)], graph=graph)
 
-    return HierarchyTree(root=decode(data), graph=graph)
+
+def hierarchy_json_text(tree: HierarchyTree) -> str:
+    """json.dumps(hierarchy_to_json(tree), indent=2), without recursion.
+
+    The standard encoder recurses once per nesting level and fails on
+    hierarchies a few hundred levels deep; this writes the same bytes.
+    """
+    out: list[str] = []
+    # Entries are (value, level) to encode, or (text, None) to copy.
+    stack: list[tuple[object, int | None]] = [(hierarchy_to_json(tree), 0)]
+    while stack:
+        item, level = stack.pop()
+        if level is None:
+            out.append(item)
+        elif isinstance(item, (dict, list)) and item:
+            pairs = item.items() if isinstance(item, dict) else ((None, v) for v in item)
+            inner = "\n" + "  " * (level + 1)
+            todo: list[tuple[object, int | None]] = []
+            for i, (key, value) in enumerate(pairs):
+                key_text = "" if key is None else json.dumps(key) + ": "
+                todo.append(("," * (i > 0) + inner + key_text, None))
+                todo.append((value, level + 1))
+            closing = "}" if isinstance(item, dict) else "]"
+            todo.append(("\n" + "  " * level + closing, None))
+            out.append("{" if isinstance(item, dict) else "[")
+            stack.extend(reversed(todo))
+        else:
+            out.append(json.dumps(item))
+    return "".join(out)
 
 
 def hierarchy_to_text(tree: HierarchyTree) -> str:
     lines: list[str] = []
-
-    def walk(node: HierarchyNode, depth: int):
+    stack = [(tree.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         label = "{" + vertex_list(node.vertex_set) + "}"
         if node.sigma is not None:
             label += f" sigma={rational(node.sigma)}"
         lines.append("  " * depth + "- " + label)
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(tree.root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)
 
 
 def hierarchy_to_dot(tree: HierarchyTree) -> str:
     lines = ["digraph hierarchy {"]
     ids: dict[frozenset, int] = {}
-
-    def walk(node: HierarchyNode) -> int:
+    # (node, None) visits a node; (node, parent id) writes the parent's arc
+    # to it, and is popped after the node's whole subtree was written.
+    stack: list[tuple[HierarchyNode, int | None]] = [(tree.root, None)]
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            lines.append(f"  n{parent} -> n{ids[node.vertex_set]};")
+            continue
         nid = ids.setdefault(node.vertex_set, len(ids))
         label = "{" + vertex_list(node.vertex_set) + "}"
         if node.sigma is not None:
             label += f"\\nsigma={rational(node.sigma)}"
         lines.append(f'  n{nid} [label="{label}"];')
-        for child in node.children:
-            cid = walk(child)
-            lines.append(f"  n{nid} -> n{cid};")
-        return nid
-
-    walk(tree.root)
+        for child in reversed(node.children):
+            stack.append((child, nid))
+            stack.append((child, None))
     lines.append("}")
     return "\n".join(lines)
 
@@ -254,7 +305,7 @@ def _cmd_hierarchy(args) -> int:
     if args.format == "dot":
         print(hierarchy_to_dot(tree))
     elif args.format == "json":
-        print(json.dumps(hierarchy_to_json(tree), indent=2))
+        print(hierarchy_json_text(tree))
     else:
         print(hierarchy_to_text(tree))
     return EXIT_OK
@@ -374,7 +425,7 @@ def _cmd_oracle(args) -> int:
         _require_connected(graph, "hierarchy oracle")
         tree = brute_hierarchy(graph)
         if args.format == "json":
-            print(json.dumps(hierarchy_to_json(tree), indent=2))
+            print(hierarchy_json_text(tree))
         elif args.format == "dot":
             print(hierarchy_to_dot(tree))
         else:

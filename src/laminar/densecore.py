@@ -1,11 +1,12 @@
 """Finding the maximum skew-densest set and verifying dense cores.
 
-A probe at threshold tau succeeds exactly when some vertex set is
-skew-denser than tau; binary-searching tau to within n^-3 brackets the
-maximum density tightly enough that the t-mincut of the shortcut network at
-the bracket's left end is the maximum skew-densest set.  All bracket
-arithmetic is exact rational: the correctness window is narrower than the
-minimum gap between distinct densities, so floats would break it.
+The maximum skew-density tau* = max c(E[X])/(|X|-1) is found by Dinkelbach's
+iteration, Newton's method for this fractional program.  A probe at tau
+returns, when one exists, a set X with c(E[X]) - tau(|X|-1) > 0, which is
+strictly denser than tau; its density becomes the next tau.  In exact mode
+the probe's set maximizes c(E[X]) - tau(|X|-1), so each step is a Newton
+step, and the first failing probe is at tau = tau* exactly.  All arithmetic
+is exact rational.
 
 A set S is a dense core when no subset is strictly denser and every proper
 superset is strictly sparser.  Subsets are checked on the induced subgraph's
@@ -30,17 +31,34 @@ from .graph import GraphError, WeightedGraph, contract, induced_subgraph, skew_d
 
 @dataclass(frozen=True)
 class FindStarResult:
-    """Outcome of the density binary search.
+    """Outcome of the densest-set search.
 
-    Every probe recorded with True succeeded and drove tau_low up; the final
-    bracket is narrower than n^-3, and candidate is the t-mincut of the
-    shortcut network at tau_low.
+    probes holds each threshold tried and whether it succeeded: thresholds
+    strictly increase, every probe but the last succeeded, and the last one
+    failed at tau_star.  In exact mode tau_star is the maximum skew-density
+    and candidate a set attaining it; in randomized mode a probe can miss, so
+    the search may stop below the maximum.
     """
 
     candidate: frozenset[int]
-    tau_low: Fraction
-    tau_high: Fraction
+    tau_star: Fraction
     probes: tuple[tuple[Fraction, bool], ...]
+
+
+def dense_side_sources(graph: WeightedGraph, tau: Fraction) -> list[int]:
+    """Vertices whose weighted degree exceeds tau.
+
+    Any U with density above tau has average internal weighted degree
+    2*c(E[U])/|U| > 2*tau*(|U|-1)/|U| >= tau, so U contains such a vertex.
+    Scanning only these sources still meets every cut below scale*tau.
+    """
+    degree = [0] * graph.n
+    for u, v, w in graph.edges:
+        degree[u] += w
+        degree[v] += w
+    heavy = [v for v in range(graph.n) if degree[v] > tau]
+    heavy.sort(key=lambda v: -degree[v])  # denser vertices hit qualifying cuts sooner
+    return heavy
 
 
 def probe(
@@ -59,7 +77,10 @@ def probe(
     exact mode (b) is decided by the exhaustive scan and the answer is
     exactly [tau < max density]; in randomized mode (b) uses the sampling
     pipeline and can only err toward failure, which the callers absorb.
-    Returns a witness set alongside success when one is available.
+    On success the witness is strictly denser than tau: in case (a) the
+    largest maximizer of c(E[X]) - tau|X|, in case (b) the source side of a
+    cut below scale*tau, which in exact mode is the minimum t-cut and so
+    maximizes c(E[X]) - tau(|X|-1).
     """
     if graph.n == 0 or not graph.is_connected():
         raise GraphError("probe needs a connected, nonempty graph")
@@ -74,13 +95,10 @@ def probe(
     shortcut = build_modified(h, flow)
     threshold = shortcut.tau.numerator  # scale * tau
     if mode == "exact":
-        from .arboricity import dense_side_sources
-
         cut = t_mincut_exhaustive(
             shortcut.network,
             shortcut.t,
             limit=threshold,
-            first_hit=True,
             sources=dense_side_sources(graph, tau),
         )
     elif mode == "randomized":
@@ -96,6 +114,39 @@ def probe(
     return False, None
 
 
+def max_density_search(
+    graph: WeightedGraph,
+    k: int,
+    *,
+    mode: str = "exact",
+    rng: random.Random | None = None,
+    config: PipelineConfig | None = None,
+) -> FindStarResult:
+    """Dinkelbach iteration for the maximum skew-density.
+
+    Starts at the heaviest merged edge, whose endpoints have density equal to
+    its weight, and moves to each successful probe's witness until a probe
+    fails.  The candidate is the last witness, the densest one seen.
+    """
+    if graph.n == 0 or not graph.is_connected():
+        raise GraphError("the densest-set search needs a connected, nonempty graph")
+    if graph.n == 1:
+        return FindStarResult(frozenset({0}), Fraction(0), ())
+    (u, v), weight = max(graph.merged_edges().items(), key=lambda item: item[1])
+    witness = frozenset((u, v))
+    tau = Fraction(weight)
+    probes: list[tuple[Fraction, bool]] = []
+    while True:
+        ok, found = probe(graph, tau, k, mode=mode, rng=rng, config=config)
+        probes.append((tau, ok))
+        if not ok:
+            return FindStarResult(witness, tau, tuple(probes))
+        density = skew_density(graph, found)
+        if density <= tau:
+            raise RuntimeError(f"probe witness at {tau} has density {density}, not above it")
+        witness, tau = found, density
+
+
 def find_star_full(
     graph: WeightedGraph,
     k: int,
@@ -104,41 +155,28 @@ def find_star_full(
     rng: random.Random | None = None,
     config: PipelineConfig | None = None,
 ) -> FindStarResult:
-    """Binary search for the maximum skew-density, then extract its witness.
+    """Search the maximum skew-density, then extract the largest set attaining it.
 
-    With k at least the size of the maximum skew-densest set, the candidate
-    equals that set (always in exact mode, w.h.p. in randomized mode).
+    Extraction runs at tau* - 1/(2n^3): distinct densities have denominators
+    below n and differ by more than that, so only the densest sets beat the
+    threshold there, and the minimum t-cut picks the largest of them.  With k
+    at least the size of the maximum skew-densest set, the candidate equals
+    that set (always in exact mode, w.h.p. in randomized mode).
     """
-    if graph.n == 0 or not graph.is_connected():
-        raise GraphError("find-star needs a connected, nonempty graph")
     if k < 1:
         raise GraphError("k must be at least 1")
-    if graph.n == 1:
-        return FindStarResult(frozenset({0}), Fraction(0), Fraction(0), ())
     if rng is None:
         rng = random.Random(0)
-    tau_low = Fraction(0)
-    tau_high = Fraction(graph.total_weight())
-    width_limit = Fraction(1, graph.n**3)
-    probes: list[tuple[Fraction, bool]] = []
-    while tau_high - tau_low >= width_limit:
-        tau = (tau_low + tau_high) / 2
-        ok, _ = probe(graph, tau, k, mode=mode, rng=rng, config=config)
-        probes.append((tau, ok))
-        if ok:
-            tau_low = tau
-        else:
-            tau_high = tau
-    if tau_low == 0:
-        # Only reachable when randomized probes failed throughout; an empty
-        # candidate is rejected by the caller's size check.
-        return FindStarResult(frozenset(), tau_low, tau_high, tuple(probes))
+    search = max_density_search(graph, k, mode=mode, rng=rng, config=config)
+    if graph.n == 1:
+        return search
+    tau_low = search.tau_star - Fraction(1, 2 * graph.n**3)
     h = build_goldberg(graph, tau_low)
     target = h.saturation_target()
     flow = max_flow(h.network, h.s, h.t, limit=target)
     if flow.value < target:
-        # Mislabeled bracket (randomized mode): the density network's own min
-        # cut still carries a denser-than-tau_low witness.
+        # Only reachable when a randomized search stopped below the maximum:
+        # the density network's own min cut still carries a denser witness.
         candidate = min_cut_vertex_side(h, flow)
     else:
         shortcut = build_modified(h, flow)
@@ -151,7 +189,11 @@ def find_star_full(
             mode=mode if mode == "randomized" else "exact",
         )
         candidate = frozenset(cut.source_side)
-    return FindStarResult(candidate, tau_low, tau_high, tuple(probes))
+    if mode == "randomized" and (
+        not candidate or skew_density(graph, candidate) < search.tau_star
+    ):
+        candidate = search.candidate
+    return FindStarResult(candidate, search.tau_star, search.probes)
 
 
 def find_star(

@@ -343,16 +343,14 @@ def t_mincut_exhaustive(
     t: int,
     *,
     limit: int | None = None,
-    first_hit: bool = False,
     sources: Iterable[int] | None = None,
 ) -> STCut | None:
     """Minimum over all sources s != t of the min s-t cut.
 
     Covers every t-cut (source side excluding t) exactly.  With `limit`,
-    returns None unless some t-cut is strictly below it; first_hit
-    additionally returns the first such cut found instead of the minimum,
-    which is all a threshold comparison needs.  `sources`, when given, must
-    be guaranteed by the caller to intersect every t-cut below the limit.
+    returns None unless some t-cut is strictly below it.  `sources`, when
+    given, must be guaranteed by the caller to intersect every t-cut below
+    the limit.
     An all-infinite answer is reported with value INF.
     """
     if net.n < 2:
@@ -388,8 +386,6 @@ def t_mincut_exhaustive(
                     source_side=min_source_side(scan, flow, s),
                     value=_as_cut_value(net, flow.value),
                 )
-                if first_hit and limit is not None:
-                    return best
                 bound = flow.value if limit is None else min(limit, flow.value)
         engine.base_cap[pin_arc[s]] = engine.big
     return best

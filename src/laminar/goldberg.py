@@ -111,11 +111,6 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = No
     )
 
 
-def build_rooted(h: GoldbergNetwork, root: int) -> GoldbergNetwork:
-    """Variant of h with an INF arc s->root, fixing root in the source side."""
-    return build_goldberg(h.graph, h.tau, root=root)
-
-
 def expected_cut_value(h: GoldbergNetwork, side_vertices, side_edges) -> int | float:
     """Closed-form cut value of source side {s} + side_edges + side_vertices.
 

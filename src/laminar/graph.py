@@ -172,10 +172,6 @@ def skew_density(graph: WeightedGraph, s: Iterable[int]) -> Fraction:
     return Fraction(graph.weight_inside(inside), len(inside) - 1)
 
 
-def cut_ratio(graph: WeightedGraph, cut: MultiwayCut) -> Fraction:
-    return cut.ratio
-
-
 def contract(graph: WeightedGraph, s: Iterable[int]) -> tuple[WeightedGraph, ContractionMap]:
     """Contract vertex set s into a single node.
 

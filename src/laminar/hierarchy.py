@@ -35,9 +35,12 @@ class HierarchyNode:
         return not self.children
 
     def walk(self) -> Iterator["HierarchyNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This node and its descendants in preorder, without recursion."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,8 @@ def test_criterion_03_arboricity_oracle_equivalence():
         result = compute_arboricity(g)
         assert result.fractional == best, (trial, g.edges)
         assert result.arboricity == math.ceil(best)
+        thresholds = [tau for tau, _ in result.probes]
+        assert thresholds == sorted(set(thresholds)), (trial, g.edges)
         for tau, went_left in result.probes:
             assert went_left == (tau < best)
     elapsed = time.perf_counter() - start

@@ -1,4 +1,4 @@
-"""Arboricity binary search and the rooted global min-cut reduction."""
+"""Arboricity by the exact densest-set search, and the rooted global min-cut reduction."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from laminar import (
     build_hierarchy,
     build_modified,
     compute_arboricity,
-    fractional_arboricity,
     global_directed_min_cut,
     ideal_loads,
     min_max_loads,
@@ -113,7 +112,7 @@ class TestComputeArboricity:
         assert result.arboricity == 7 and result.fractional == Fr(7)
 
     def test_unit_k4(self, unit_k4):
-        assert fractional_arboricity(unit_k4) == Fr(2)
+        assert compute_arboricity(unit_k4).fractional == Fr(2)
 
     def test_single_vertex_convention(self):
         g = WeightedGraph.from_edges(1, [])
@@ -156,10 +155,14 @@ class TestComputeArboricity:
         rng = random.Random(97)
         for _ in range(15):
             g = random_connected_graph(rng, rng.randint(2, 7))
+            best, _ = brute_max_skew_density(g)
             result = compute_arboricity(g)
-            low, high = result.bracket
-            assert high - low < Fr(1, g.n**3)
-            assert low < result.fractional <= high
+            thresholds = [tau for tau, _ in result.probes]
+            assert thresholds == sorted(set(thresholds))
+            assert result.probes[-1] == (result.fractional, False)
+            assert result.fractional == best
+            for tau, went_left in result.probes[:-1]:
+                assert went_left and tau < best
 
     def test_consistent_with_hierarchy_loads(self):
         # Arboricity is the reciprocal ceiling of the minimum unit load, and

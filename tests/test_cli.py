@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction as Fr
 
 import pytest
 
-from laminar import WeightedGraph, build_hierarchy
-from laminar.cli import hierarchy_from_json, hierarchy_to_json, main
+from laminar import HierarchyNode, HierarchyTree, WeightedGraph, build_hierarchy
+from laminar.cli import (
+    hierarchy_from_json,
+    hierarchy_json_text,
+    hierarchy_to_dot,
+    hierarchy_to_json,
+    hierarchy_to_text,
+    main,
+)
 from laminar.graph import format_edge_list
 
 from .conftest import random_connected_graph
@@ -108,6 +116,18 @@ class TestJsonRoundTrip:
             rebuilt = hierarchy_from_json(hierarchy_to_json(tree), g)
             assert rebuilt.root == tree.root
 
+    def test_json_text_matches_the_standard_encoder(self):
+        import random
+
+        trees = [build_hierarchy(WeightedGraph.from_edges(1, []))]
+        for trial in range(8):
+            g = random_connected_graph(random.Random(trial), 7)
+            trees.append(build_hierarchy(g))
+        trees.append(chain_tree(300))
+        for tree in trees:
+            expected = json.dumps(hierarchy_to_json(tree), indent=2)
+            assert hierarchy_json_text(tree) == expected
+
     def test_byte_identical_given_seed(self, capsys, path_file):
         first = run_cli(capsys, "hierarchy", path_file, "--seed", "3", "--format", "json")
         second = run_cli(capsys, "hierarchy", path_file, "--seed", "3", "--format", "json")
@@ -116,6 +136,54 @@ class TestJsonRoundTrip:
     def test_byte_identical_randomized_mode(self, capsys, path_file):
         args = ("densest", path_file, "--mode", "randomized", "--seed", "7")
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
+
+def chain_tree(depth: int) -> HierarchyTree:
+    """A hierarchy with `depth` internal nodes, each the parent of the next.
+
+    Internal node i has children leaf {i} and internal node i+1.  The index
+    and the renderers do not check that children partition their parent, so
+    each internal node carries one fresh label, which keeps the tree linear
+    in size instead of quadratic.
+    """
+    node = HierarchyNode(frozenset({depth}), (), None)
+    for level in reversed(range(depth)):
+        leaf = HierarchyNode(frozenset({level}), (), None)
+        node = HierarchyNode(frozenset({depth + 1 + level}), (leaf, node), Fr(level + 1))
+    n = 2 * depth + 1
+    graph = WeightedGraph.from_edges(n, [(v, v + 1, 1) for v in range(n - 1)])
+    return HierarchyTree(root=node, graph=graph)
+
+
+class TestDeepHierarchy:
+    DEPTH = 5000
+
+    def test_tree_and_renderers_handle_depth_5000(self):
+        depth = self.DEPTH
+        tree = chain_tree(depth)
+        assert len(tree.node_by_set) == 2 * depth + 1
+        assert sum(1 for _ in tree.internal_nodes()) == depth
+
+        text = hierarchy_to_text(tree).split("\n")
+        assert len(text) == 2 * depth + 1
+        assert text[0] == f"- {{{depth + 1}}} sigma=1/1"
+        assert text[-1] == "  " * depth + f"- {{{depth}}}"
+
+        dot = hierarchy_to_dot(tree).split("\n")
+        assert len(dot) == 2 + (2 * depth + 1) + 2 * depth
+        assert dot[-2] == "  n0 -> n2;"  # the root's arc to its deep child comes last
+
+        data = hierarchy_to_json(tree)
+        rebuilt = hierarchy_from_json(data, tree.graph)
+        assert hierarchy_to_text(rebuilt) == "\n".join(text)
+
+    def test_json_text_past_the_standard_encoder_depth(self):
+        # json.dumps fails near 500 levels; the indented text of a chain grows
+        # with the square of its depth, so 1000 levels keep it near 30 MB.
+        depth = 1000
+        lines = hierarchy_json_text(chain_tree(depth)).split("\n")
+        assert lines[-1] == "}"
+        assert sum(line.strip() == '"children": []' for line in lines) == depth + 1
 
 
 class TestErrors:

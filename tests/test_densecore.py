@@ -87,12 +87,19 @@ class TestFindStar:
         assert find_star(g, 2) == {0}
 
     def test_bracket_invariants(self, trubin_path):
-        result = find_star_full(trubin_path, 2)
-        n = trubin_path.n
-        assert result.tau_high - result.tau_low < Fr(1, n**3)
-        assert result.tau_low < Fr(100) <= result.tau_high
-        for tau, ok in result.probes:
-            assert ok == (tau < Fr(100))
+        rng = random.Random(89)
+        graphs = [trubin_path] + [
+            random_connected_graph(rng, rng.randint(2, 8)) for _ in range(15)
+        ]
+        for g in graphs:
+            best, _ = brute_max_skew_density(g)
+            result = find_star_full(g, g.n)
+            thresholds = [tau for tau, _ in result.probes]
+            assert thresholds == sorted(set(thresholds))
+            assert result.probes[-1] == (best, False)
+            assert result.tau_star == best
+            for tau, ok in result.probes[:-1]:
+                assert ok and tau < best
 
     def test_matches_brute_densest_exact_mode(self):
         rng = random.Random(21)
@@ -149,6 +156,45 @@ class TestFindStar:
                     assert ok
                 else:
                     assert not ok
+
+
+class TestPastTheOracleGuards:
+    def test_max_density_against_networkx_rooted_cuts(self):
+        # An independent rooted density network, built on networkx, has min
+        # cut scale*(c(E) - max over X containing the root of (c(E[X]) -
+        # tau|X|)).  At tau = tau* no X beats tau*(|X|-1), so every such cut
+        # is at least scale*c(E) + scale*tau*, with equality at the smallest
+        # vertex of the returned candidate.  Once a root is checked, sets
+        # containing it are covered, so it leaves the network with its edges.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2507)
+        for n in (50, 100, 150):
+            g = random_connected_graph(rng, n, extra_edges=n)
+            result = find_star_full(g, g.n)
+            tau = result.tau_star
+            assert skew_density(g, result.candidate) == tau
+            scale, sink_cap = tau.denominator, tau.numerator
+            net = nx.DiGraph()
+            for idx, (u, v, w) in enumerate(g.edges):
+                net.add_edge("s", ("e", idx), capacity=scale * w)
+                net.add_edge(("e", idx), u)  # no capacity: infinite
+                net.add_edge(("e", idx), v)
+            for v in range(g.n):
+                net.add_edge(v, "t", capacity=sink_cap)
+            remaining = g.total_weight()
+            for root in range(g.n):
+                net.add_edge("s", root)
+                value = nx.minimum_cut_value(net, "s", "t")
+                floor = scale * remaining + sink_cap
+                if root == min(result.candidate):
+                    assert value == floor, (n, root)
+                else:
+                    assert value >= floor, (n, root)
+                net.remove_node(root)
+                for idx, (u, v, w) in enumerate(g.edges):
+                    if root in (u, v) and net.has_node(("e", idx)):
+                        net.remove_node(("e", idx))
+                        remaining -= w
 
 
 class TestVerifyCore:

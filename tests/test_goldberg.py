@@ -11,7 +11,6 @@ import pytest
 from laminar import INF, WeightedGraph, build_goldberg, build_modified, max_flow
 from laminar.goldberg import (
     GoldbergError,
-    build_rooted,
     expected_cut_value,
     expected_modified_cut_value,
     goldberg_min_cut_side,
@@ -117,7 +116,7 @@ class TestMinCutSide:
 
 class TestRooted:
     def test_path_rooted_at_heavy_vertex(self, trubin_path):
-        h = build_rooted(build_goldberg(trubin_path, Fr(50)), 2)
+        h = build_goldberg(trubin_path, Fr(50), root=2)
         flow = max_flow(h.network, h.s, h.t)
         assert min_cut_vertex_side(h, flow) == {2, 3}
 
@@ -130,7 +129,7 @@ class TestRooted:
     def test_path_rooted_at_light_vertex(self, trubin_path):
         # Over sets containing a, both {a} and {a,c,d} reach the maximum -50;
         # the extraction takes the larger.
-        h = build_rooted(build_goldberg(trubin_path, Fr(50)), 0)
+        h = build_goldberg(trubin_path, Fr(50), root=0)
         flow = max_flow(h.network, h.s, h.t)
         assert min_cut_vertex_side(h, flow) == {0, 2, 3}
 

@@ -11,6 +11,7 @@ from laminar import (
     HierarchyNode,
     HierarchyTree,
     WeightedGraph,
+    brute_dense_core,
     brute_hierarchy,
     brute_min_ratio_cut,
     build_hierarchy,
@@ -18,6 +19,7 @@ from laminar import (
     node_sigma,
     strength,
     validate_hierarchy,
+    verify_core,
 )
 from laminar.graph import GraphError
 
@@ -156,6 +158,60 @@ class TestOracleEquivalence:
             g = random_connected_graph(random.Random(400 + trial), 5)
             tree = build_hierarchy(g, mode="randomized", rng=random.Random(trial))
             assert tree_shape(tree) == tree_shape(brute_hierarchy(g))
+
+    def test_randomized_search_stopping_early_is_caught(self, monkeypatch):
+        # The sampler finds a real sub-threshold cut (the first one the scan
+        # meets, not the minimum) once per find_star and misses afterwards,
+        # so the density search can stop below the maximum.  Its candidate
+        # may then be a smaller dense core, which is a correct star set, or
+        # no dense core at all; the size bound and verify_core must tell the
+        # two apart, and the tree must come out exact.
+        import laminar.densecore as dc
+        from laminar import compute_arboricity, min_st_cut
+
+        fresh = [True]
+        searches = []
+
+        def first_call_only(net, t, threshold, k, rng, *, config=None):
+            if not fresh[0]:
+                return None
+            fresh[0] = False
+            for s in range(net.n):
+                cut = None if s == t else min_st_cut(net, s, t, limit=threshold)
+                if cut is not None:
+                    return cut
+            return None
+
+        original = dc.find_star_full
+
+        def per_find_star(graph, k, **kwargs):
+            fresh[0] = True
+            result = original(graph, k, **kwargs)
+            if kwargs["mode"] == "randomized":
+                searches.append((graph, k, result))
+            return result
+
+        monkeypatch.setattr(dc, "find_small_cut", first_call_only)
+        monkeypatch.setattr(dc, "find_star_full", per_find_star)
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = random_connected_graph(rng, rng.randint(5, 8))
+            tree = build_hierarchy(g, mode="randomized", rng=random.Random(seed))
+            assert tree_shape(tree) == tree_shape(build_hierarchy(g)), g.edges
+        early = [
+            (graph, k, result)
+            for graph, k, result in searches
+            if result.tau_star < compute_arboricity(graph).fractional
+        ]
+        assert early
+        for graph, _, result in early:
+            assert verify_core(graph, graph.n, result.candidate) == brute_dense_core(
+                graph, result.candidate
+            )
+        assert any(
+            not (k // 2 < len(result.candidate) <= k and verify_core(graph, k, result.candidate))
+            for graph, k, result in early
+        )
 
 
 class TestContractionSafety:
