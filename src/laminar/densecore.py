@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .dircut import PipelineConfig, find_small_cut, size_bounded_t_mincut
 from .flow import max_flow, t_mincut_exhaustive
-from .goldberg import build_goldberg, build_modified, min_cut_vertex_side
+from .goldberg import ModifiedNetwork, build_goldberg, build_modified, min_cut_vertex_side
 from .graph import GraphError, WeightedGraph, contract, induced_subgraph, skew_density
 
 
@@ -61,6 +61,24 @@ def dense_side_sources(graph: WeightedGraph, tau: Fraction) -> list[int]:
     return heavy
 
 
+def _saturate(
+    graph: WeightedGraph, tau: Fraction
+) -> tuple[frozenset[int] | None, ModifiedNetwork | None]:
+    """The density network's max flow at tau, read one of two ways.
+
+    When the flow falls short of scale*c(E), returns the largest maximizer of
+    c(E[X]) - tau|X| (positive, so denser than tau) and no shortcut network;
+    otherwise no side and the shortcut network.  Neither the density network
+    nor its flow outlives the call.
+    """
+    h = build_goldberg(graph, tau)
+    target = h.saturation_target()
+    flow = max_flow(h.network, h.s, h.t, limit=target)
+    if flow.value < target:
+        return min_cut_vertex_side(h, flow), None
+    return None, build_modified(h, flow)
+
+
 def probe(
     graph: WeightedGraph,
     tau: Fraction,
@@ -87,12 +105,9 @@ def probe(
     tau = Fraction(tau)
     if tau <= 0:
         raise GraphError("tau must be positive")
-    h = build_goldberg(graph, tau)
-    target = h.saturation_target()
-    flow = max_flow(h.network, h.s, h.t, limit=target)
-    if flow.value < target:
-        return True, min_cut_vertex_side(h, flow)
-    shortcut = build_modified(h, flow)
+    side, shortcut = _saturate(graph, tau)
+    if shortcut is None:
+        return True, side
     threshold = shortcut.tau.numerator  # scale * tau
     if mode == "exact":
         cut = t_mincut_exhaustive(
@@ -171,23 +186,27 @@ def find_star_full(
     if graph.n == 1:
         return search
     tau_low = search.tau_star - Fraction(1, 2 * graph.n**3)
-    h = build_goldberg(graph, tau_low)
-    target = h.saturation_target()
-    flow = max_flow(h.network, h.s, h.t, limit=target)
-    if flow.value < target:
-        # Only reachable when a randomized search stopped below the maximum:
-        # the density network's own min cut still carries a denser witness.
-        candidate = min_cut_vertex_side(h, flow)
-    else:
-        shortcut = build_modified(h, flow)
-        cut = size_bounded_t_mincut(
-            shortcut.network,
-            shortcut.t,
-            k,
-            rng=rng,
-            config=config,
-            mode=mode if mode == "randomized" else "exact",
-        )
+    # No shortcut network only when a randomized search stopped below the
+    # maximum: the density network's own min cut then carries a denser set.
+    candidate, shortcut = _saturate(graph, tau_low)
+    if shortcut is not None:
+        if mode == "randomized":
+            cut = size_bounded_t_mincut(
+                shortcut.network, shortcut.t, k, rng=rng, config=config, mode=mode
+            )
+        else:
+            # The densest sets beat tau_low, so the minimum t-cut is below
+            # scale*tau_low.  Each vertex of a densest set has weighted degree
+            # at least tau* (removing it must not raise the density), so in
+            # index order these sources reach the same first minimizing
+            # source, and the same side, as a scan over every vertex.
+            cut = t_mincut_exhaustive(
+                shortcut.network,
+                shortcut.t,
+                limit=shortcut.tau.numerator,
+                sources=sorted(dense_side_sources(graph, tau_low)),
+            )
+            assert cut is not None, "no set beats tau* - 1/(2n^3)"
         candidate = frozenset(cut.source_side)
     if mode == "randomized" and (
         not candidate or skew_density(graph, candidate) < search.tau_star
@@ -226,12 +245,9 @@ def verify_core_explain(
             return True, None
         return False, "a proper superset is at least as dense"
     sub, _ = induced_subgraph(graph, s_set)
-    h1 = build_goldberg(sub, rho)
-    target = h1.saturation_target()
-    f1 = max_flow(h1.network, h1.s, h1.t, limit=target)
-    if f1.value < target:
+    _, shortcut = _saturate(sub, rho)
+    if shortcut is None:
         return False, "a subset is denser (density network not saturated)"
-    shortcut = build_modified(h1, f1)
     threshold = shortcut.tau.numerator  # scale * rho
     bad = t_mincut_exhaustive(shortcut.network, shortcut.t, limit=threshold)
     if bad is not None:

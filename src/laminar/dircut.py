@@ -126,8 +126,8 @@ def sparsify(net: DirectedNetwork, t: int, params: SparsifierParams) -> Directed
         raise DircutError("t out of range")
     rng = random.Random(params.rng_seed)
     mu = params.mu
-    out = DirectedNetwork(net.n)
-    for u, v, c in net.arcs():
+    caps = []
+    for c in net.caps:
         if c == INF:
             raise DircutError("sparsifier requires finite integer capacities")
         ratio = Fraction(c) / mu
@@ -137,12 +137,12 @@ def sparsify(net: DirectedNetwork, t: int, params: SparsifierParams) -> Directed
             rounded = base
         else:
             rounded = base + (1 if rng.randrange(frac.denominator) < frac.numerator else 0)
-        out.add_arc(u, v, rounded)
-    backbone = int(params.backbone_cap / mu)
-    for v in range(net.n):
-        if v != t:
-            out.add_arc(v, t, backbone)
-    return out
+        caps.append(rounded)
+    others = [v for v in range(net.n) if v != t]
+    caps += [int(params.backbone_cap / mu)] * len(others)
+    return DirectedNetwork.from_arcs(
+        net.n, net.tails + others, net.heads + [t] * len(others), caps
+    )
 
 
 @dataclass(frozen=True)
@@ -383,23 +383,26 @@ def pack_arborescences(
 def one_respecting_mincut(net: DirectedNetwork, tree: Arborescence, t: int) -> STCut:
     """Minimum t-cut whose boundary contains exactly one arborescence arc.
 
-    For each tree arc (u, parent(u)): adding infinite arcs v->parent(v) for
-    every other node forces min u-t cut source sides to be closed under tree
+    For each tree arc (u, parent(u)): infinite arcs v->parent(v) for every
+    other node force min u-t cut source sides to be closed under tree
     parents except at u, which makes them exactly the cuts 1-respecting the
     tree at that arc.  Minimizing over the n-1 designated arcs is exact.
+    One network carries an arc v->parent(v) per node, all infinite in its
+    engine; each designated arc is lowered to 0 for its flow and restored.
     """
     if tree.n != net.n or tree.t != t:
         raise DircutError("arborescence does not match the network")
+    nodes = [v for v in range(net.n) if v != t]
+    pinned = net.extended((v, tree.parent[v], 0) for v in nodes)
+    engine = pinned.engine()
+    first = net.arc_count
+    for i in range(len(nodes)):
+        engine.set_cap(first + i, INF)
     best: STCut | None = None
-    for u in range(net.n):
-        if u == t:
-            continue
-        extra = [
-            (v, tree.parent[v], INF)
-            for v in range(net.n)
-            if v != t and v != u
-        ]
-        cut = min_st_cut(net.extended(extra), u, t)
+    for i, u in enumerate(nodes):
+        engine.set_cap(first + i, 0)
+        cut = min_st_cut(pinned, u, t)
+        engine.set_cap(first + i, INF)
         assert cut is not None
         if best is None or cut.value < best.value:
             best = cut

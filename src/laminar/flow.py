@@ -5,6 +5,16 @@ engine INF arcs are replaced by 1 + (sum of all finite capacities), which
 exceeds every finite cut; a cut whose value comes out above the finite total
 is reported as infinite.
 
+Each network builds its engine once, on first use: residual arrays `to`,
+`base_cap` and `adj` in which arc 2i is network arc i and arc 2i+1 its
+reverse.  A flow is one array over those arcs: `FlowResult.residual` is what
+the engine's run left, so the flow on arc i is residual[2i+1].  Min-cut sides
+are read by walking `adj`/`to` over that array, and per-arc flows are sliced
+out only when asked.  `_Engine.set_cap` edits a capacity in place between
+runs, so one engine serves a family of networks that differ in a few arcs:
+the per-source scan retires sources by raising pin arcs to INF, and the
+1-respecting cut search in `dircut` lowers one tree arc at a time.
+
 The engine is blocking-flow based (shortest augmenting phases) with optional
 capacity scaling, and supports a `limit`: augmentation stops once the flow
 value reaches it, which lets callers ask "is the min cut below x?" without
@@ -51,6 +61,32 @@ class DirectedNetwork:
         self._engine = None
         return len(self.caps) - 1
 
+    @classmethod
+    def from_arcs(
+        cls,
+        n: int,
+        tails: Iterable[int],
+        heads: Iterable[int],
+        caps: Iterable[int | float],
+    ) -> "DirectedNetwork":
+        """Network whose arc i is (tails[i], heads[i], caps[i]).
+
+        Makes add_arc's checks on whole arrays instead of one arc at a time.
+        """
+        net = cls(n)
+        tails, heads, caps = list(tails), list(heads), list(caps)
+        if not len(tails) == len(heads) == len(caps):
+            raise FlowError("tails, heads and caps differ in length")
+        if not {*tails, *heads}.issubset(range(n)):
+            raise FlowError("arc endpoint out of range")
+        finite = [c for c in caps if c != INF]
+        kinds = set(map(type, finite))
+        if not all(issubclass(kind, int) for kind in kinds) or min(finite, default=0) < 0:
+            raise FlowError("capacity must be a nonnegative integer or INF")
+        net.tails, net.heads, net.caps = tails, heads, caps
+        net._finite_total = sum(finite)
+        return net
+
     @property
     def arc_count(self) -> int:
         return len(self.caps)
@@ -74,14 +110,13 @@ class DirectedNetwork:
 
     def extended(self, extra_arcs: Iterable[tuple[int, int, int | float]]) -> "DirectedNetwork":
         """Copy of this network with additional arcs appended."""
-        out = DirectedNetwork(self.n)
-        out.tails = list(self.tails)
-        out.heads = list(self.heads)
-        out.caps = list(self.caps)
-        out._finite_total = self._finite_total
-        for u, v, c in extra_arcs:
-            out.add_arc(u, v, c)
-        return out
+        extra = list(extra_arcs)
+        return DirectedNetwork.from_arcs(
+            self.n,
+            self.tails + [u for u, _, _ in extra],
+            self.heads + [v for _, v, _ in extra],
+            self.caps + [c for _, _, c in extra],
+        )
 
     def engine(self) -> "_Engine":
         if self._engine is None:
@@ -94,11 +129,19 @@ class DirectedNetwork:
 
 @dataclass(frozen=True)
 class FlowResult:
-    """An s-t flow: total value plus the per-arc flow amounts."""
+    """An s-t flow, as the residual capacities its engine run ended with.
+
+    residual[2i] is what network arc i can still carry and residual[2i+1] is
+    the flow on it; INF arcs carry the engine's finite substitute.
+    """
 
     value: int
-    flows: tuple[int, ...]
+    residual: list[int]
     reached_limit: bool = False
+
+    def arc_flows(self) -> list[int]:
+        """The flow on each network arc, in arc order."""
+        return self.residual[1::2]
 
 
 @dataclass(frozen=True)
@@ -110,27 +153,45 @@ class STCut:
 
 
 class _Engine:
-    """Reusable residual arrays for one network; arc 2i is forward, 2i+1 back."""
+    """Residual arrays for one network; arc 2i is forward, 2i+1 back.
 
-    __slots__ = ("n", "to", "base_cap", "adj", "big")
+    maxcap bounds every capacity from above; set_cap keeps it a bound.
+    """
+
+    __slots__ = ("n", "to", "base_cap", "adj", "big", "maxcap")
 
     def __init__(self, net: DirectedNetwork):
         big = net.finite_total() + 1
-        to: list[int] = []
-        base_cap: list[int] = []
+        arcs = 2 * net.arc_count
+        to = [0] * arcs
+        to[0::2] = net.heads
+        to[1::2] = net.tails
+        base_cap = [0] * arcs
+        base_cap[0::2] = [big if c == INF else c for c in net.caps]
+        owner = [0] * arcs  # the node each residual arc leaves
+        owner[0::2] = net.tails
+        owner[1::2] = net.heads
         adj: list[list[int]] = [[] for _ in range(net.n)]
-        for u, v, c in zip(net.tails, net.heads, net.caps):
-            adj[u].append(len(to))
-            to.append(v)
-            base_cap.append(big if c == INF else c)
-            adj[v].append(len(to))
-            to.append(u)
-            base_cap.append(0)
+        for a, u in enumerate(owner):
+            adj[u].append(a)
         self.n = net.n
         self.to = to
         self.base_cap = base_cap
         self.adj = adj
         self.big = big
+        self.maxcap = max(base_cap, default=0)
+
+    def set_cap(self, arc: int, cap: int | float) -> None:
+        """Give network arc `arc` capacity `cap` in every later run.
+
+        INF stands for the engine's substitute.  The network's own arc list
+        is left as it was, and a finite cap must not exceed the arc's
+        original one: a raise would make the substitute too small.
+        """
+        c = self.big if cap == INF else cap
+        self.base_cap[2 * arc] = c
+        if c > self.maxcap:
+            self.maxcap = c
 
     def run(
         self, s: int, t: int, limit: int | None, scaling: bool | None
@@ -140,7 +201,7 @@ class _Engine:
         to = self.to
         adj = self.adj
         cap = self.base_cap.copy()
-        maxcap = max(cap, default=0)
+        maxcap = self.maxcap
         if scaling is None:
             scaling = maxcap >= 1 << 16
         delta = 1 << (maxcap.bit_length() - 1) if (scaling and maxcap > 0) else 1
@@ -148,12 +209,9 @@ class _Engine:
         value = 0
         if limit is not None and value >= limit:
             return value, cap, True
-        level = [-1] * n
-        it = [0] * n
         while True:
             # BFS level graph on arcs with residual >= delta.
-            for i in range(n):
-                level[i] = -1
+            level = [-1] * n
             level[s] = 0
             queue = [s]
             qi = 0
@@ -174,8 +232,7 @@ class _Engine:
                     delta >>= 1
                     continue
                 break
-            for i in range(n):
-                it[i] = 0
+            it = [0] * n
             # Extract augmenting paths from the level graph.
             while True:
                 path: list[int] = []
@@ -208,7 +265,7 @@ class _Engine:
                     v = to[a ^ 1]
                 if not found:
                     break
-                bottleneck = min(cap[a] for a in path)
+                bottleneck = min(map(cap.__getitem__, path))
                 for a in path:
                     cap[a] -= bottleneck
                     cap[a ^ 1] += bottleneck
@@ -238,15 +295,20 @@ def max_flow(
     if not (0 <= s < net.n and 0 <= t < net.n):
         raise FlowError("source or sink out of range")
     value, cap, reached = net.engine().run(s, t, limit, scaling)
-    flows = tuple(cap[2 * i + 1] for i in range(net.arc_count))
-    return FlowResult(value=value, flows=flows, reached_limit=reached)
+    return FlowResult(value=value, residual=cap, reached_limit=reached)
+
+
+def _residual_of(net: DirectedNetwork, flow: FlowResult) -> list[int]:
+    if len(flow.residual) != 2 * net.arc_count:
+        raise FlowError("the flow does not match the network's arcs")
+    return flow.residual
 
 
 def validate_flow(net: DirectedNetwork, flow: FlowResult, s: int, t: int) -> None:
     """Check capacity bounds and conservation; raises FlowError on violation."""
+    flows = _residual_of(net, flow)[1::2]
     balance = [0] * net.n
-    for i, (u, v, c) in enumerate(net.arcs()):
-        f = flow.flows[i]
+    for i, (u, v, c, f) in enumerate(zip(net.tails, net.heads, net.caps, flows)):
         if f < 0 or (c != INF and f > c):
             raise FlowError(f"arc {i} flow {f} violates capacity {c}")
         balance[u] -= f
@@ -262,52 +324,33 @@ def validate_flow(net: DirectedNetwork, flow: FlowResult, s: int, t: int) -> Non
             raise FlowError(f"node {v} violates flow conservation")
 
 
-def _residual_adj(net: DirectedNetwork, flow: FlowResult):
-    """Adjacency of arcs with positive residual capacity, as (node -> heads).
-
-    Uses the engine's substituted capacity for INF arcs so that side
-    extraction stays consistent even when the flow itself is "infinite".
-    """
-    big = net.finite_total() + 1
-    fwd: list[list[int]] = [[] for _ in range(net.n)]
-    for i, (u, v, c) in enumerate(zip(net.tails, net.heads, net.caps)):
-        f = flow.flows[i]
-        if (big if c == INF else c) - f > 0:
-            fwd[u].append(v)
-        if f > 0:
-            fwd[v].append(u)
-    return fwd
-
-
-def _reach(adjacency: list[list[int]], start: int) -> set[int]:
+def _reach(net: DirectedNetwork, flow: FlowResult, start: int, flip: int) -> set[int]:
+    """Nodes reachable from start on arcs with residual left (flip=0), or the
+    nodes that reach start that way (flip=1: arc a leaves v, so its reverse
+    a ^ 1 enters v from to[a])."""
+    res = _residual_of(net, flow)
+    engine = net.engine()
+    to, adj = engine.to, engine.adj
     seen = {start}
     stack = [start]
     while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+        for a in adj[stack.pop()]:
+            if res[a ^ flip] > 0:
+                w = to[a]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
     return seen
 
 
 def min_source_side(net: DirectedNetwork, flow: FlowResult, s: int) -> frozenset[int]:
     """Canonical minimal min-cut source side: residual reachability from s."""
-    return frozenset(_reach(_residual_adj(net, flow), s))
+    return frozenset(_reach(net, flow, s, 0))
 
 
 def max_source_side(net: DirectedNetwork, flow: FlowResult, t: int) -> frozenset[int]:
     """Maximal min-cut source side: complement of what reaches t residually."""
-    big = net.finite_total() + 1
-    rev: list[list[int]] = [[] for _ in range(net.n)]
-    for i, (u, v, c) in enumerate(zip(net.tails, net.heads, net.caps)):
-        f = flow.flows[i]
-        if (big if c == INF else c) - f > 0:
-            rev[v].append(u)
-        if f > 0:
-            rev[u].append(v)
-    to_sink = _reach(rev, t)
-    return frozenset(range(net.n)) - to_sink
+    return frozenset(range(net.n)).difference(_reach(net, flow, t, 1))
 
 
 def _as_cut_value(net: DirectedNetwork, value: int) -> int | float:
@@ -330,12 +373,18 @@ def min_st_cut(
 
 def residual(net: DirectedNetwork, flow: FlowResult) -> DirectedNetwork:
     """Residual network of a flow: per arc, forward c-f and backward f."""
-    out = DirectedNetwork(net.n)
-    for i, (u, v, c) in enumerate(zip(net.tails, net.heads, net.caps)):
-        f = flow.flows[i]
-        out.add_arc(u, v, INF if c == INF else c - f)
-        out.add_arc(v, u, f)
-    return out
+    flows = _residual_of(net, flow)[1::2]
+    arcs = 2 * net.arc_count
+    tails = [0] * arcs
+    tails[0::2] = net.tails
+    tails[1::2] = net.heads
+    heads = [0] * arcs
+    heads[0::2] = net.heads
+    heads[1::2] = net.tails
+    caps: list[int | float] = [0] * arcs
+    caps[0::2] = [INF if c == INF else c - f for c, f in zip(net.caps, flows)]
+    caps[1::2] = flows
+    return DirectedNetwork.from_arcs(net.n, tails, heads, caps)
 
 
 def t_mincut_exhaustive(
@@ -362,15 +411,11 @@ def t_mincut_exhaustive(
     # Scan on a copy with a zero-capacity pin arc per node.  After a source
     # is processed, every side containing it is accounted for (its minimum is
     # at least the running bound), so the source is retired into the sink
-    # side by raising its pin to the engine's infinite substitute; later
-    # flows then need not consider sides containing it, and terminate faster.
-    scan = net.extended((v, t, 0) for v in range(net.n) if v != t)
-    pin_arc = {}
-    next_arc = 2 * net.arc_count
-    for v in range(net.n):
-        if v != t:
-            pin_arc[v] = next_arc
-            next_arc += 2
+    # side by raising its pin to INF in the engine (set_cap); later flows
+    # then need not consider sides containing it, and terminate faster.
+    others = [v for v in range(net.n) if v != t]
+    scan = net.extended((v, t, 0) for v in others)
+    pin_arc = {v: net.arc_count + i for i, v in enumerate(others)}
     engine = scan.engine()
     best: STCut | None = None
     best_raw: int | None = None
@@ -387,5 +432,5 @@ def t_mincut_exhaustive(
                     value=_as_cut_value(net, flow.value),
                 )
                 bound = flow.value if limit is None else min(limit, flow.value)
-        engine.base_cap[pin_arc[s]] = engine.big
+        engine.set_cap(pin_arc[s], INF)
     return best

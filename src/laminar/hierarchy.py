@@ -30,6 +30,62 @@ class HierarchyNode:
     children: tuple["HierarchyNode", ...]
     sigma: Fraction | None
 
+    # Equality and repr are what the dataclass would generate, and the hash
+    # agrees with equality; all three walk the tree with a stack instead of
+    # recursing through the children.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                b.__class__ is not a.__class__
+                or a.vertex_set != b.vertex_set
+                or a.sigma != b.sigma
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        # Bottom up: a node hashes its vertex set, its children's hashes and
+        # its sigma, so equal trees hash equal.
+        hashes: dict[int, int] = {}
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                children = tuple(hashes[id(child)] for child in node.children)
+                hashes[id(node)] = hash((node.vertex_set, children, node.sigma))
+            elif id(node) not in hashes:
+                stack.append((node, True))
+                stack.extend((child, False) for child in node.children)
+        return hashes[id(self)]
+
+    def __repr__(self):
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(
+                f"{item.__class__.__qualname__}(vertex_set={item.vertex_set!r}, children=("
+            )
+            kids = item.children
+            stack.append(("," if len(kids) == 1 else "") + f"), sigma={item.sigma!r})")
+            for i in reversed(range(len(kids))):
+                stack.append(kids[i])
+                if i:
+                    stack.append(", ")
+        return "".join(parts)
+
     @property
     def is_leaf(self) -> bool:
         return not self.children

@@ -36,6 +36,24 @@ def unit_k4() -> WeightedGraph:
     )
 
 
+@pytest.fixture
+def engine_builds(monkeypatch) -> list[DirectedNetwork]:
+    """The networks that build a flow engine while the test runs, in order."""
+    from laminar import flow
+
+    built: list[DirectedNetwork] = []
+
+    class CountingEngine(flow._Engine):
+        __slots__ = ()
+
+        def __init__(self, net):
+            built.append(net)
+            super().__init__(net)
+
+    monkeypatch.setattr(flow, "_Engine", CountingEngine)
+    return built
+
+
 def random_connected_graph(
     rng: random.Random, n: int, max_weight: int = 9, extra_edges: int | None = None
 ) -> WeightedGraph:

@@ -177,6 +177,51 @@ class TestDeepHierarchy:
         rebuilt = hierarchy_from_json(data, tree.graph)
         assert hierarchy_to_text(rebuilt) == "\n".join(text)
 
+    def test_node_equality_hash_and_repr_at_depth_5000(self):
+        depth = self.DEPTH
+
+        def chain_root(deepest_sigma):
+            node = HierarchyNode(frozenset({depth}), (), None)
+            for level in reversed(range(depth)):
+                leaf = HierarchyNode(frozenset({level}), (), None)
+                sigma = deepest_sigma if level == depth - 1 else Fr(level + 1)
+                node = HierarchyNode(frozenset({depth + 1 + level}), (leaf, node), sigma)
+            return node
+
+        tree = chain_tree(depth)
+        same = chain_root(Fr(depth))
+        other = chain_root(Fr(1, 2))  # differs only in the deepest internal node
+        assert same is not tree.root
+        assert same == tree.root and not same != tree.root
+        assert other != tree.root and not other == tree.root
+        assert tree == chain_tree(depth)
+        assert hash(same) == hash(tree.root)
+        assert {same: 1}[tree.root] == 1
+        text = repr(same)
+        assert text == repr(tree.root)
+        assert text.count("HierarchyNode(") == 2 * depth + 1
+        assert text.startswith(
+            f"HierarchyNode(vertex_set=frozenset({{{depth + 1}}}), children="
+            "(HierarchyNode(vertex_set=frozenset({0}), children=(), sigma=None), "
+        )
+        assert text.endswith("), sigma=Fraction(2, 1))), sigma=Fraction(1, 1))")
+        assert repr(other) != text
+
+    def test_node_repr_matches_the_generated_form(self):
+        leaf = HierarchyNode(frozenset({3}), (), None)
+        only = HierarchyNode(frozenset({3, 4}), (leaf,), Fr(5, 3))
+        pair = HierarchyNode(frozenset({0, 3}), (only, leaf), None)
+        assert repr(only) == (
+            "HierarchyNode(vertex_set=frozenset({3, 4}), children=(HierarchyNode("
+            "vertex_set=frozenset({3}), children=(), sigma=None),), sigma=Fraction(5, 3))"
+        )
+        assert repr(pair) == (
+            f"HierarchyNode(vertex_set=frozenset({{0, 3}}), children=({only!r}, "
+            f"{leaf!r}), sigma=None)"
+        )
+        assert pair != leaf and pair == HierarchyNode(frozenset({0, 3}), (only, leaf), None)
+        assert (leaf == 3) is False
+
     def test_json_text_past_the_standard_encoder_depth(self):
         # json.dumps fails near 500 levels; the indented text of a chain grows
         # with the square of its depth, so 1000 levels keep it near 30 MB.

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 from laminar import (
+    INF,
     DirectedNetwork,
     SparsifierParams,
     brute_one_respecting,
@@ -270,6 +271,39 @@ class TestOneRespecting:
             assert fast.value == brute.value
             checked += 1
         assert checked >= 30
+
+    def test_random_trees_match_brute_force(self):
+        # Arbitrary trees (not min-cost ones) over networks with INF and zero
+        # arcs: every 1-respecting cut the shared engine reports must be the
+        # enumerated minimum, cross exactly one tree arc, and have its value.
+        rng = random.Random(44)
+        for _ in range(60):
+            n = rng.randint(2, 8)
+            t = rng.randrange(n)
+            net = random_digraph(rng, n, arc_prob=0.4)
+            extra = [(rng.randrange(n), rng.randrange(n), rng.choice([0, INF])) for _ in range(2)]
+            net = net.extended((u, v, c) for u, v, c in extra if u != v)
+            order = [v for v in range(n) if v != t]
+            rng.shuffle(order)
+            parent = [-1] * n
+            for i, v in enumerate(order):
+                parent[v] = rng.choice([t, *order[:i]])
+            tree = Arborescence(t=t, parent=tuple(parent), arc_ids=tuple(parent))
+            fast = one_respecting_mincut(net, tree, t)
+            brute = brute_one_respecting(net, {v: parent[v] for v in order}, t)
+            assert fast.value == brute.value
+            crossing = [
+                v for v in fast.source_side if parent[v] not in fast.source_side
+            ]
+            assert len(crossing) == 1 and t not in fast.source_side
+            if fast.value != INF:
+                assert net.cut_value(fast.source_side) == fast.value
+
+    def test_one_network_and_engine_per_call(self, engine_builds):
+        net = random_digraph(random.Random(45), 7, ensure_sink_path=6)
+        tree = min_cost_arborescence(net, 6, [1.0] * net.arc_count)
+        one_respecting_mincut(net, tree, 6)
+        assert len(engine_builds) == 1
 
 
 class TestFindSmallCut:

@@ -37,7 +37,8 @@ class TestMaxFlow:
         net = network_from_arcs(2, [(0, 1, 5)])
         flow = max_flow(net, 0, 1)
         assert flow.value == 5
-        assert flow.flows == (5,)
+        assert flow.arc_flows() == [5]
+        assert flow.residual == [0, 5]
         cut = min_st_cut(net, 0, 1)
         assert cut.source_side == {0} and cut.value == 5
 
@@ -61,11 +62,13 @@ class TestMaxFlow:
         for _ in range(30):
             net = random_digraph(rng, rng.randint(3, 8))
             flow = max_flow(net, 0, net.n - 1)
+            flows = flow.arc_flows()
             balance = [0] * net.n
             for i, (u, v, c) in enumerate(net.arcs()):
-                assert 0 <= flow.flows[i] <= c
-                balance[u] -= flow.flows[i]
-                balance[v] += flow.flows[i]
+                assert 0 <= flows[i] <= c
+                assert flow.residual[2 * i] == c - flows[i]
+                balance[u] -= flows[i]
+                balance[v] += flows[i]
             for v in range(net.n):
                 if v == 0:
                     assert balance[v] == -flow.value
@@ -152,10 +155,13 @@ class TestResidual:
         net = network_from_arcs(3, [(0, 1, 2), (1, 2, 2)])
         good = max_flow(net, 0, 2)
         validate_flow(net, good, 0, 2)
-        with pytest.raises(FlowError):
-            validate_flow(net, FlowResult(2, (2, 1)), 0, 2)  # conservation
-        with pytest.raises(FlowError):
-            validate_flow(net, FlowResult(3, (3, 3)), 0, 2)  # capacity
+        # residual = [left on arc 0, flow on arc 0, left on arc 1, flow on arc 1]
+        with pytest.raises(FlowError, match="conservation"):
+            validate_flow(net, FlowResult(2, [0, 2, 1, 1]), 0, 2)
+        with pytest.raises(FlowError, match="capacity"):
+            validate_flow(net, FlowResult(3, [-1, 3, -1, 3]), 0, 2)
+        with pytest.raises(FlowError, match="arcs"):
+            validate_flow(net, FlowResult(2, [0, 2]), 0, 2)
 
     def test_residual_cut_identity(self):
         # d+_residual(S) = d+(S) - flow value for any side S with s, not t.
@@ -210,3 +216,199 @@ class TestTMincutExhaustive:
     def test_single_node_rejected(self):
         with pytest.raises(FlowError):
             t_mincut_exhaustive(DirectedNetwork(1), 0)
+
+
+def big_random_network(rng: random.Random, n: int, arcs_per_node: int = 3) -> DirectedNetwork:
+    """Sparse random network with parallel arcs, zero arcs and a few INF arcs."""
+    tails, heads, caps = [], [], []
+    for _ in range(arcs_per_node * n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v:
+            continue
+        roll = rng.random()
+        cap = INF if roll < 0.04 else 0 if roll < 0.08 else rng.randint(1, 60)
+        tails.append(u)
+        heads.append(v)
+        caps.append(cap)
+    return DirectedNetwork.from_arcs(n, tails, heads, caps)
+
+
+def to_networkx(net: DirectedNetwork):
+    """The network as a networkx DiGraph; parallel arcs merge, INF arcs have no capacity."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(net.n))
+    for u, v, c in net.arcs():
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v, capacity=0)
+        data = graph[u][v]
+        if c == INF or "capacity" not in data:
+            data.pop("capacity", None)
+        else:
+            data["capacity"] += c
+    return graph
+
+
+def networkx_cut(net: DirectedNetwork, s: int, t: int):
+    """(max flow value, minimal source side, maximal source side) by preflow_push.
+
+    The value is INF when networkx reports an infinite-capacity s-t path.
+    """
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.flow import preflow_push
+
+    try:
+        res = preflow_push(to_networkx(net), s, t)
+    except nx.NetworkXUnbounded:
+        return INF, None, None
+    open_arcs = [(u, v) for u, v, d in res.edges(data=True) if d["capacity"] > d["flow"]]
+    forward = nx.DiGraph(open_arcs)
+    forward.add_nodes_from(range(net.n))
+    from_s = nx.descendants(forward, s) | {s}
+    to_t = nx.ancestors(forward, t) | {t}
+    return res.graph["flow_value"], frozenset(from_s), frozenset(range(net.n)) - to_t
+
+
+class TestPastTheOracleGuards:
+    """networkx preflow_push as a second max-flow implementation, n up to 300."""
+
+    def test_values_and_both_sides(self):
+        rng = random.Random(71)
+        for n in (20, 60, 150, 300, 300):
+            net = big_random_network(rng, n)
+            for _ in range(3):
+                s, t = rng.sample(range(n), 2)
+                value, low, high = networkx_cut(net, s, t)
+                flow = max_flow(net, s, t)
+                cut = min_st_cut(net, s, t)
+                if value == INF:
+                    assert cut.value == INF and flow.value > net.finite_total()
+                    continue
+                assert flow.value == cut.value == value
+                assert min_source_side(net, flow, s) == cut.source_side == low
+                assert max_source_side(net, flow, t) == high
+                assert net.cut_value(low) == net.cut_value(high) == value
+            unbounded = net.extended([(s, t, INF)])
+            assert networkx_cut(unbounded, s, t)[0] == INF
+            assert min_st_cut(unbounded, s, t).value == INF
+
+    def test_limit_runs(self):
+        rng = random.Random(72)
+        checked = 0
+        for n in (40, 120, 250):
+            net = big_random_network(rng, n, arcs_per_node=4)
+            for _ in range(4):
+                s, t = rng.sample(range(n), 2)
+                value, low, _ = networkx_cut(net, s, t)
+                if value == INF or value == 0:
+                    continue
+                checked += 1
+                for limit in (value // 2, value, value + 1):
+                    capped = max_flow(net, s, t, limit=limit)
+                    assert capped.reached_limit == (limit <= value)
+                    if capped.reached_limit:
+                        assert limit <= capped.value <= value
+                        assert min_st_cut(net, s, t, limit=limit) is None
+                    else:
+                        assert capped.value == value
+                        cut = min_st_cut(net, s, t, limit=limit)
+                        assert cut.value == value and cut.source_side == low
+        assert checked >= 6
+
+    def test_t_mincut_scan(self):
+        rng = random.Random(73)
+        for n in (25, 40):
+            net = big_random_network(rng, n)
+            t = rng.randrange(n)
+            values = {s: networkx_cut(net, s, t)[0] for s in range(n) if s != t}
+            best = min(values.values())
+            cut = t_mincut_exhaustive(net, t)
+            assert cut.value == best
+            if best != INF:
+                assert net.cut_value(cut.source_side) == best and t not in cut.source_side
+                assert t_mincut_exhaustive(net, t, limit=best) is None
+                assert t_mincut_exhaustive(net, t, limit=best + 1).value == best
+                hits = [s for s in values if values[s] == best]
+                sources = [s for s in range(n) if s not in hits] + hits[:1]
+                assert t_mincut_exhaustive(net, t, sources=sources).value == best
+
+
+class TestEngineReuse:
+    def test_from_arcs_matches_add_arc(self):
+        rng = random.Random(74)
+        net = big_random_network(rng, 30)
+        rebuilt = network_from_arcs(30, list(net.arcs()))
+        assert list(rebuilt.arcs()) == list(net.arcs())
+        assert rebuilt.finite_total() == net.finite_total()
+        for s, t in ((0, 29), (5, 7), (13, 2)):
+            assert max_flow(rebuilt, s, t).residual == max_flow(net, s, t).residual
+
+    @pytest.mark.parametrize(
+        "tails, heads, caps",
+        [
+            ([0], [2], [1]),
+            ([-1], [0], [1]),
+            ([0], [1], [-1]),
+            ([0], [1], [1.5]),
+            ([0], [1], ["1"]),
+            ([0, 1], [1], [1, 1]),
+        ],
+    )
+    def test_from_arcs_rejects_what_add_arc_rejects(self, tails, heads, caps):
+        with pytest.raises(FlowError):
+            DirectedNetwork.from_arcs(2, tails, heads, caps)
+
+    def test_set_cap_equals_a_fresh_network(self):
+        rng = random.Random(75)
+        for _ in range(30):
+            n = rng.randint(3, 9)
+            net = random_digraph(rng, n)
+            if not net.arc_count:
+                continue
+            engine = net.engine()
+            edited = list(net.caps)
+            for _ in range(3):
+                arc = rng.randrange(net.arc_count)
+                edited[arc] = rng.choice([0, INF, rng.randint(0, net.caps[arc])])
+                engine.set_cap(arc, edited[arc])
+                fresh = network_from_arcs(n, list(zip(net.tails, net.heads, edited)))
+                s, t = rng.sample(range(n), 2)
+                # The substitute for INF differs (fresh totals are smaller), so
+                # compare finite answers and sides only.
+                got, want = max_flow(net, s, t), max_flow(fresh, s, t)
+                if want.value <= fresh.finite_total():
+                    assert got.value == want.value
+                    assert min_source_side(net, got, s) == min_source_side(fresh, want, s)
+                    assert max_source_side(net, got, t) == max_source_side(fresh, want, t)
+
+    def test_pinned_scan_equals_fresh_per_source_cuts(self):
+        rng = random.Random(76)
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            net = random_digraph(rng, n, arc_prob=0.45)
+            if rng.random() < 0.3 and net.arc_count:
+                net.caps[rng.randrange(net.arc_count)] = INF
+                net = network_from_arcs(n, list(net.arcs()))
+            t = rng.randrange(n)
+            sources = [v for v in range(n) if v != t]
+            if rng.random() < 0.5:
+                sources = rng.sample(sources, rng.randint(1, len(sources)))
+            # Fresh: one min_st_cut per source on a network nothing edits.
+            fresh = network_from_arcs(n, list(net.arcs()))
+            cuts = [(min_st_cut(fresh, s, t), s) for s in sources]
+            first = min(cuts, key=lambda item: (item[0].value, sources.index(item[1])))[0]
+            limit = rng.choice([None, first.value, first.value + 1, first.value + 5])
+            if limit == INF:
+                limit = None
+            got = t_mincut_exhaustive(net, t, limit=limit, sources=sources)
+            if limit is not None and first.value >= limit:
+                assert got is None
+                continue
+            assert got.value == first.value
+            if first.value != INF:
+                assert got.source_side == first.source_side
+
+    def test_scan_builds_one_engine(self, engine_builds):
+        net = random_digraph(random.Random(77), 8)
+        t_mincut_exhaustive(net, 7)
+        assert len(engine_builds) == 1
