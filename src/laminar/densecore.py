@@ -46,7 +46,7 @@ class FindStarResult:
 
 
 def dense_side_sources(graph: WeightedGraph, tau: Fraction) -> list[int]:
-    """Vertices whose weighted degree exceeds tau.
+    """Vertices whose weighted degree exceeds tau, in index order.
 
     Any U with density above tau has average internal weighted degree
     2*c(E[U])/|U| > 2*tau*(|U|-1)/|U| >= tau, so U contains such a vertex.
@@ -56,9 +56,7 @@ def dense_side_sources(graph: WeightedGraph, tau: Fraction) -> list[int]:
     for u, v, w in graph.edges:
         degree[u] += w
         degree[v] += w
-    heavy = [v for v in range(graph.n) if degree[v] > tau]
-    heavy.sort(key=lambda v: -degree[v])  # denser vertices hit qualifying cuts sooner
-    return heavy
+    return [v for v in range(graph.n) if degree[v] > tau]
 
 
 def _saturate(
@@ -197,14 +195,14 @@ def find_star_full(
         else:
             # The densest sets beat tau_low, so the minimum t-cut is below
             # scale*tau_low.  Each vertex of a densest set has weighted degree
-            # at least tau* (removing it must not raise the density), so in
-            # index order these sources reach the same first minimizing
-            # source, and the same side, as a scan over every vertex.
+            # at least tau* (removing it must not raise the density), so these
+            # sources, in index order, reach the same first minimizing source,
+            # and the same side, as a scan over every vertex.
             cut = t_mincut_exhaustive(
                 shortcut.network,
                 shortcut.t,
                 limit=shortcut.tau.numerator,
-                sources=sorted(dense_side_sources(graph, tau_low)),
+                sources=dense_side_sources(graph, tau_low),
             )
             assert cut is not None, "no set beats tau* - 1/(2n^3)"
         candidate = frozenset(cut.source_side)

@@ -126,8 +126,8 @@ def sparsify(net: DirectedNetwork, t: int, params: SparsifierParams) -> Directed
         raise DircutError("t out of range")
     rng = random.Random(params.rng_seed)
     mu = params.mu
-    caps = []
-    for c in net.caps:
+    out = DirectedNetwork(net.n)
+    for u, v, c in net.arcs():
         if c == INF:
             raise DircutError("sparsifier requires finite integer capacities")
         ratio = Fraction(c) / mu
@@ -137,12 +137,12 @@ def sparsify(net: DirectedNetwork, t: int, params: SparsifierParams) -> Directed
             rounded = base
         else:
             rounded = base + (1 if rng.randrange(frac.denominator) < frac.numerator else 0)
-        caps.append(rounded)
-    others = [v for v in range(net.n) if v != t]
-    caps += [int(params.backbone_cap / mu)] * len(others)
-    return DirectedNetwork.from_arcs(
-        net.n, net.tails + others, net.heads + [t] * len(others), caps
-    )
+        out.add_arc(u, v, rounded)
+    backbone = int(params.backbone_cap / mu)
+    for v in range(net.n):
+        if v != t:
+            out.add_arc(v, t, backbone)
+    return out
 
 
 @dataclass(frozen=True)

@@ -61,32 +61,6 @@ class DirectedNetwork:
         self._engine = None
         return len(self.caps) - 1
 
-    @classmethod
-    def from_arcs(
-        cls,
-        n: int,
-        tails: Iterable[int],
-        heads: Iterable[int],
-        caps: Iterable[int | float],
-    ) -> "DirectedNetwork":
-        """Network whose arc i is (tails[i], heads[i], caps[i]).
-
-        Makes add_arc's checks on whole arrays instead of one arc at a time.
-        """
-        net = cls(n)
-        tails, heads, caps = list(tails), list(heads), list(caps)
-        if not len(tails) == len(heads) == len(caps):
-            raise FlowError("tails, heads and caps differ in length")
-        if not {*tails, *heads}.issubset(range(n)):
-            raise FlowError("arc endpoint out of range")
-        finite = [c for c in caps if c != INF]
-        kinds = set(map(type, finite))
-        if not all(issubclass(kind, int) for kind in kinds) or min(finite, default=0) < 0:
-            raise FlowError("capacity must be a nonnegative integer or INF")
-        net.tails, net.heads, net.caps = tails, heads, caps
-        net._finite_total = sum(finite)
-        return net
-
     @property
     def arc_count(self) -> int:
         return len(self.caps)
@@ -110,13 +84,14 @@ class DirectedNetwork:
 
     def extended(self, extra_arcs: Iterable[tuple[int, int, int | float]]) -> "DirectedNetwork":
         """Copy of this network with additional arcs appended."""
-        extra = list(extra_arcs)
-        return DirectedNetwork.from_arcs(
-            self.n,
-            self.tails + [u for u, _, _ in extra],
-            self.heads + [v for _, v, _ in extra],
-            self.caps + [c for _, _, c in extra],
-        )
+        out = DirectedNetwork(self.n)
+        out.tails = list(self.tails)
+        out.heads = list(self.heads)
+        out.caps = list(self.caps)
+        out._finite_total = self._finite_total
+        for u, v, c in extra_arcs:
+            out.add_arc(u, v, c)
+        return out
 
     def engine(self) -> "_Engine":
         if self._engine is None:
@@ -127,12 +102,13 @@ class DirectedNetwork:
         return f"DirectedNetwork(n={self.n}, arcs={self.arc_count})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowResult:
     """An s-t flow, as the residual capacities its engine run ended with.
 
     residual[2i] is what network arc i can still carry and residual[2i+1] is
-    the flow on it; INF arcs carry the engine's finite substitute.
+    the flow on it; INF arcs carry the engine's finite substitute.  The array
+    is the run's own, not a copy, so results compare and hash by identity.
     """
 
     value: int
@@ -184,11 +160,17 @@ class _Engine:
     def set_cap(self, arc: int, cap: int | float) -> None:
         """Give network arc `arc` capacity `cap` in every later run.
 
-        INF stands for the engine's substitute.  The network's own arc list
-        is left as it was, and a finite cap must not exceed the arc's
-        original one: a raise would make the substitute too small.
+        INF stands for the engine's substitute.  A finite cap may not exceed
+        the arc's current one: a raise could lift a finite cut above the
+        substitute.  The network's own arcs, caps and finite total are left
+        as they were, so edit only engines of networks private to the caller.
         """
-        c = self.big if cap == INF else cap
+        if cap == INF:
+            c = self.big
+        elif not 0 <= cap <= self.base_cap[2 * arc]:
+            raise FlowError("a finite capacity can only be lowered, to 0 at least")
+        else:
+            c = cap
         self.base_cap[2 * arc] = c
         if c > self.maxcap:
             self.maxcap = c
@@ -374,17 +356,11 @@ def min_st_cut(
 def residual(net: DirectedNetwork, flow: FlowResult) -> DirectedNetwork:
     """Residual network of a flow: per arc, forward c-f and backward f."""
     flows = _residual_of(net, flow)[1::2]
-    arcs = 2 * net.arc_count
-    tails = [0] * arcs
-    tails[0::2] = net.tails
-    tails[1::2] = net.heads
-    heads = [0] * arcs
-    heads[0::2] = net.heads
-    heads[1::2] = net.tails
-    caps: list[int | float] = [0] * arcs
-    caps[0::2] = [INF if c == INF else c - f for c, f in zip(net.caps, flows)]
-    caps[1::2] = flows
-    return DirectedNetwork.from_arcs(net.n, tails, heads, caps)
+    out = DirectedNetwork(net.n)
+    for u, v, c, f in zip(net.tails, net.heads, net.caps, flows):
+        out.add_arc(u, v, INF if c == INF else c - f)
+        out.add_arc(v, u, f)
+    return out
 
 
 def t_mincut_exhaustive(

@@ -81,29 +81,22 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = No
     scale = tau.denominator
     sink_cap = tau.numerator  # scale * tau
     n, m = graph.n, graph.m
-    if root is not None and not 0 <= root < n:
-        raise GoldbergError("root vertex out of range")
+    net = DirectedNetwork(n + m + 2)
     s = n + m
     t = n + m + 1
-    # Per edge e: arcs 3e (s -> e), 3e+1 (e -> u), 3e+2 (e -> v); then v -> t.
-    edge_nodes = range(n, n + m)
-    tails = [s] * (3 * m)
-    tails[1::3] = edge_nodes
-    tails[2::3] = edge_nodes
-    heads = [0] * (3 * m)
-    heads[0::3] = edge_nodes
-    heads[1::3] = [u for u, _, _ in graph.edges]
-    heads[2::3] = [v for _, v, _ in graph.edges]
-    caps: list[int | float] = [INF] * (3 * m)
-    caps[0::3] = [scale * w for _, _, w in graph.edges]
-    tails += range(n)
-    heads += [t] * n
-    caps += [sink_cap] * n
+    source_arcs = []
+    endpoint_arcs = []
+    sink_arcs = []
+    for idx, (u, v, w) in enumerate(graph.edges):
+        e = n + idx
+        source_arcs.append(net.add_arc(s, e, scale * w))
+        endpoint_arcs.append((net.add_arc(e, u, INF), net.add_arc(e, v, INF)))
+    for v in range(n):
+        sink_arcs.append(net.add_arc(v, t, sink_cap))
     if root is not None:
-        tails.append(s)
-        heads.append(root)
-        caps.append(INF)
-    net = DirectedNetwork.from_arcs(n + m + 2, tails, heads, caps)
+        if not 0 <= root < n:
+            raise GoldbergError("root vertex out of range")
+        net.add_arc(s, root, INF)
     return GoldbergNetwork(
         graph=graph,
         network=net,
@@ -111,9 +104,9 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = No
         t=t,
         tau=tau,
         scale=scale,
-        source_arcs=tuple(range(0, 3 * m, 3)),
-        endpoint_arcs=tuple((3 * e + 1, 3 * e + 2) for e in range(m)),
-        sink_arcs=tuple(range(3 * m, 3 * m + n)),
+        source_arcs=tuple(source_arcs),
+        endpoint_arcs=tuple(endpoint_arcs),
+        sink_arcs=tuple(sink_arcs),
         root=root,
     )
 
@@ -178,32 +171,30 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult | None = None) -> Modifi
             "shortcut network is undefined"
         )
     graph = h.graph
-    n, m = graph.n, graph.m
+    n = graph.n
     flows = flow.arc_flows()
-    # Residual of the reverse of e->u is the flow pushed into u; splicing
-    # u->e->v therefore carries capacity flow(e->u), and symmetrically.
-    # Arcs 2e (u -> v) and 2e+1 (v -> u) per edge e, then v -> t at 2m + v.
-    tails = [0] * (2 * m)
-    tails[0::2] = [u for u, _, _ in graph.edges]
-    tails[1::2] = [v for _, v, _ in graph.edges]
-    heads = [0] * (2 * m)
-    heads[0::2] = tails[1::2]
-    heads[1::2] = tails[0::2]
-    caps = [0] * (2 * m)
-    caps[0::2] = [flows[to_u] for to_u, _ in h.endpoint_arcs]
-    caps[1::2] = [flows[to_v] for _, to_v in h.endpoint_arcs]
+    net = DirectedNetwork(n + 1)
+    t = n
+    edge_arcs = []
+    sink_arcs = []
+    for idx, (u, v, _) in enumerate(graph.edges):
+        arc_to_u, arc_to_v = h.endpoint_arcs[idx]
+        # Residual of the reverse of e->u is the flow pushed into u; splicing
+        # u->e->v therefore carries capacity flow(e->u), and symmetrically.
+        uv = net.add_arc(u, v, flows[arc_to_u])
+        vu = net.add_arc(v, u, flows[arc_to_v])
+        edge_arcs.append((uv, vu))
     sink_cap = h.tau.numerator
-    tails += range(n)
-    heads += [n] * n
-    caps += [sink_cap - flows[a] for a in h.sink_arcs]
+    for v in range(n):
+        sink_arcs.append(net.add_arc(v, t, sink_cap - flows[h.sink_arcs[v]]))
     return ModifiedNetwork(
         graph=graph,
-        network=DirectedNetwork.from_arcs(n + 1, tails, heads, caps),
-        t=n,
+        network=net,
+        t=t,
         tau=h.tau,
         scale=h.scale,
-        edge_arcs=tuple((2 * e, 2 * e + 1) for e in range(m)),
-        sink_arcs=tuple(range(2 * m, 2 * m + n)),
+        edge_arcs=tuple(edge_arcs),
+        sink_arcs=tuple(sink_arcs),
     )
 
 
