@@ -163,16 +163,22 @@ class Arborescence:
             raise DircutError("root out of range")
         if self.parent[self.t] != -1 or self.arc_ids[self.t] != -1:
             raise DircutError("root must have no parent")
+        # Each node is walked once: a walk stops at the first node already
+        # known to reach t, and revisiting its own nodes means a cycle.
+        parent = self.parent
+        state = [0] * n  # 1: on the current walk, 2: reaches the root
+        state[self.t] = 2
         for v in range(n):
-            if v == self.t:
-                continue
-            hops = 0
+            walk = []
             w = v
-            while w != self.t:
-                w = self.parent[w]
-                hops += 1
-                if w < 0 or hops > n:
+            while state[w] == 0:
+                state[w] = 1
+                walk.append(w)
+                w = parent[w]
+                if not 0 <= w < n or state[w] == 1:
                     raise DircutError(f"node {v} does not reach the root")
+            for u in walk:
+                state[u] = 2
 
     @property
     def n(self) -> int:
@@ -204,23 +210,23 @@ def min_cost_arborescence(
     costs: Sequence[float | Fraction],
     *,
     usable: Iterable[int] | None = None,
+    arcs: Sequence[tuple[int, int, int]] | None = None,
 ) -> Arborescence:
     """Exact minimum-cost t-arborescence (cycle-contraction algorithm).
 
     costs are indexed by arc id; `usable` restricts the candidate arcs.
-    Raises when some node cannot reach t through candidate arcs.
+    A caller solving many cost vectors on one network may instead pass
+    `arcs`, the candidate list `_reversed_arcs` builds, so that only the
+    costs are attached per call.  Raises when some node cannot reach t
+    through candidate arcs.
     """
     if not 0 <= t < net.n:
         raise DircutError("t out of range")
-    arc_ids = range(net.arc_count) if usable is None else usable
-    # Work on reversed arcs: choosing one in-arc per node in the reversal,
-    # rooted at t, is choosing one out-arc per node toward t here.
-    arcs = [
-        (net.heads[i], net.tails[i], costs[i], i)
-        for i in arc_ids
-        if net.tails[i] != net.heads[i] and net.tails[i] != t
-    ]
-    chosen = _min_in_arborescence(frozenset(range(net.n)), arcs, t)
+    if arcs is None:
+        arcs = _reversed_arcs(net, t, usable)
+    chosen = _min_in_arborescence(
+        frozenset(range(net.n)), [(u, v, costs[i], i) for u, v, i in arcs], t
+    )
     parent = [-1] * net.n
     arc_of = [-1] * net.n
     for i in chosen:
@@ -229,25 +235,81 @@ def min_cost_arborescence(
     return Arborescence(t=t, parent=tuple(parent), arc_ids=tuple(arc_of))
 
 
+def _reversed_arcs(
+    net: DirectedNetwork, t: int, usable: Iterable[int] | None
+) -> list[tuple[int, int, int]]:
+    """(head, tail, id) of each usable arc that is no loop and leaves no t.
+
+    Edmonds works on the reversal: choosing one in-arc per node there,
+    rooted at t, is choosing one out-arc per node toward t here.
+    """
+    tails, heads = net.tails, net.heads
+    arc_ids = range(net.arc_count) if usable is None else usable
+    return [
+        (heads[i], tails[i], i) for i in arc_ids if tails[i] != heads[i] and tails[i] != t
+    ]
+
+
 def _min_in_arborescence(nodes: frozenset[int], arcs, root: int) -> list[int]:
     """Edmonds on (tail, head, cost, token) arcs; one in-arc per non-root node.
 
-    Returns the original tokens of the chosen arcs.
+    Returns the original tokens of the chosen arcs.  A cycle among the
+    cheapest in-arcs is contracted into a fresh node, with reduced costs on
+    the arcs entering it, until none is left; the contractions are then
+    undone in reverse order.  Up to n of them can nest, so they are kept on
+    a stack rather than in recursion.
     """
-    best: dict[int, tuple] = {}
-    for a in arcs:
-        u, v, c, _tok = a
-        if v == root or u == v:
-            continue
-        cur = best.get(v)
-        if cur is None or c < cur[2]:
-            best[v] = a
-    for v in nodes:
-        if v != root and v not in best:
-            raise DircutError("no t-arborescence exists: a node cannot reach t")
-    # Detect a cycle among the chosen arcs.
+    contracted: list[tuple[list[int], dict[int, tuple]]] = []
+    while True:
+        best: dict[int, tuple] = {}
+        for a in arcs:
+            u, v, c, _tok = a
+            if v == root or u == v:
+                continue
+            cur = best.get(v)
+            if cur is None or c < cur[2]:
+                best[v] = a
+        for v in nodes:
+            if v != root and v not in best:
+                raise DircutError("no t-arborescence exists: a node cannot reach t")
+        cycle = _chosen_cycle(nodes, best, root)
+        if cycle is None:
+            break
+        cyc = set(cycle)
+        super_node = max(nodes) + 1
+        mapped = []
+        for u, v, c, tok in arcs:
+            mu = super_node if u in cyc else u
+            mv = super_node if v in cyc else v
+            if mu == mv:
+                continue
+            if mv == super_node:
+                mapped.append((mu, mv, c - best[v][2], (tok, v)))
+            else:
+                mapped.append((mu, mv, c, (tok, None)))
+        contracted.append((cycle, best))
+        nodes = frozenset((nodes - cyc) | {super_node})
+        arcs = mapped
+    chosen = [best[v][3] for v in nodes if v != root]
+    while contracted:
+        cycle, best = contracted.pop()
+        result = []
+        entry_node = None
+        for tok, enters in chosen:
+            result.append(tok)
+            if enters is not None:
+                entry_node = enters
+        assert entry_node is not None, "contracted node must receive an in-arc"
+        for v in cycle:
+            if v != entry_node:
+                result.append(best[v][3])
+        chosen = result
+    return chosen
+
+
+def _chosen_cycle(nodes: frozenset[int], best: dict[int, tuple], root: int) -> list[int] | None:
+    """A cycle among the chosen in-arcs `best`, or None when they form a tree."""
     color = {v: 0 for v in nodes}
-    cycle: list[int] | None = None
     for start in nodes:
         if color[start] != 0:
             continue
@@ -258,38 +320,10 @@ def _min_in_arborescence(nodes: frozenset[int], arcs, root: int) -> list[int]:
             path.append(v)
             v = best[v][0]
         if v != root and color[v] == 1:  # fresh cycle
-            cycle = path[path.index(v):]
-            break
+            return path[path.index(v):]
         for w in path:
             color[w] = 2
-    if cycle is None:
-        return [best[v][3] for v in nodes if v != root]
-    # Contract the cycle into a fresh node and recurse with reduced costs.
-    cyc = set(cycle)
-    super_node = max(nodes) + 1
-    mapped = []
-    for u, v, c, tok in arcs:
-        mu = super_node if u in cyc else u
-        mv = super_node if v in cyc else v
-        if mu == mv:
-            continue
-        if mv == super_node:
-            mapped.append((mu, mv, c - best[v][2], (tok, v)))
-        else:
-            mapped.append((mu, mv, c, (tok, None)))
-    sub_nodes = (nodes - cyc) | {super_node}
-    sub_chosen = _min_in_arborescence(frozenset(sub_nodes), mapped, root)
-    result = []
-    entry_node = None
-    for tok, enters in sub_chosen:
-        result.append(tok)
-        if enters is not None:
-            entry_node = enters
-    assert entry_node is not None, "contracted node must receive an in-arc"
-    for v in cycle:
-        if v != entry_node:
-            result.append(best[v][3])
-    return result
+    return None
 
 
 def _young_iterations(epsilon: float, arcs: int, k: int) -> int:
@@ -343,14 +377,14 @@ def pack_arborescences(
     omega = 1.0 / wmin
     y = [1.0] * net.arc_count
     counts: Counter[Arborescence] = Counter()
-    candidate_ids = usable + zero_arcs
+    arcs = _reversed_arcs(net, t, usable + zero_arcs)
     costs: list[float] = [0.0] * net.arc_count
     for _ in range(iterations):
         for i in usable:
             costs[i] = y[i] / caps[i]
         for i in zero_arcs:
             costs[i] = math.inf
-        tree = min_cost_arborescence(net, t, costs, usable=candidate_ids)
+        tree = min_cost_arborescence(net, t, costs, arcs=arcs)
         counts[tree] += 1
         top = 1.0
         for a in tree.arc_ids:
@@ -429,9 +463,11 @@ def find_small_cut(
     """Look for a t-cut of value strictly below threshold.
 
     Randomized mode runs the sparsify/pack/sample pipeline and evaluates
-    every candidate against the original network, returning the first hit;
-    an empty result is legal (the caller retries or falls back).  Exact mode
-    delegates to the exhaustive scan and is never wrong.
+    every candidate against the original network, returning the first hit,
+    which need not be the smallest cut below threshold; an empty result is
+    legal (the caller retries, descends no further, or falls back).  Exact
+    mode returns the minimum cut below threshold by the exhaustive scan and
+    is never wrong.
     """
     cfg = config or PipelineConfig()
     if mode == "exact":
@@ -483,10 +519,13 @@ def size_bounded_t_mincut(
 ) -> STCut:
     """Minimum t-cut; exact by default, with a randomized pipeline behind a flag.
 
-    The randomized path binary-searches the cut value, calling the small-cut
-    finder at each step; it is correct w.h.p. when some t-mincut source side
-    has at most k nodes, and is intended for exercising the pipeline
-    end-to-end rather than as the correctness path.
+    The randomized path descends from the trivial cut (every node but t):
+    it asks the small-cut finder for a cut below the best value so far,
+    steps to each hit's value and stops at the first miss, so each call
+    either lowers the value or ends the search.  It is correct w.h.p. when
+    some t-mincut source side has at most k nodes, can only miss (return a
+    cut that is not minimum, never an invalid one), and is intended for
+    exercising the pipeline end-to-end rather than as the correctness path.
     """
     if mode == "exact":
         cut = t_mincut_exhaustive(net, t)
@@ -500,15 +539,9 @@ def size_bounded_t_mincut(
         raise DircutError("randomized mode requires finite capacities")
     everything = frozenset(v for v in range(net.n) if v != t)
     best = STCut(source_side=everything, value=net.cut_value(everything))
-    lo = 0
-    hi = int(best.value) + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        cut = find_small_cut(net, t, mid, k, rng, config=config)
-        if cut is not None and cut.value < mid:
-            if cut.value < best.value:
-                best = cut
-            hi = int(cut.value) + 1
-        else:
-            lo = mid
+    while best.value > 0:
+        cut = find_small_cut(net, t, best.value, k, rng, config=config)
+        if cut is None:
+            break
+        best = cut
     return best

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as Fr
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from laminar import (
     INF,
     DirectedNetwork,
+    STCut,
     SparsifierParams,
     brute_one_respecting,
     brute_t_mincut,
@@ -23,6 +24,7 @@ from laminar import (
     sparsify,
     t_mincut_exhaustive,
 )
+from laminar import dircut
 from laminar.dircut import Arborescence, DircutError, PipelineConfig, _log2_ceil
 
 from .conftest import network_from_arcs, random_digraph
@@ -133,6 +135,23 @@ class TestSparsify:
         assert abs(float(mean) - 5.0) <= 3 * stderr
 
 
+class TestArborescence:
+    def test_cycle_that_avoids_the_root_is_rejected(self):
+        # 3 reaches t=4, but 0 -> 1 -> 2 -> 0 never does.
+        with pytest.raises(DircutError, match="node 0 does not reach the root"):
+            Arborescence(t=4, parent=(1, 2, 0, 4, -1), arc_ids=(0, 1, 2, 3, -1))
+
+    def test_missing_parent_is_rejected(self):
+        with pytest.raises(DircutError, match="node 1 does not reach the root"):
+            Arborescence(t=0, parent=(-1, -1, 1), arc_ids=(-1, 0, 1))
+
+    def test_long_path_validates(self):
+        n = 5000
+        parent = tuple(range(1, n)) + (-1,)
+        tree = Arborescence(t=n - 1, parent=parent, arc_ids=parent)
+        assert tree.arcs()[0] == (0, 1) and len(tree.arcs()) == n - 1
+
+
 class TestMinCostArborescence:
     def test_directed_path_is_unique(self):
         net = network_from_arcs(3, [(0, 1, 1), (1, 2, 1)])
@@ -163,6 +182,20 @@ class TestMinCostArborescence:
         net = network_from_arcs(3, [(0, 1, 1), (1, 0, 1)])
         with pytest.raises(DircutError, match="no t-arborescence"):
             min_cost_arborescence(net, 2, [1.0, 1.0])
+
+    def test_nested_contractions_do_not_recurse(self):
+        # Toward t, arc k -> k-1 is free and k-1 -> k costs 1; only 0 reaches
+        # t, at a price above every reduced cost.  In Edmonds' reversal each
+        # node's cheapest in-arc closes a 2-cycle with the node contracted
+        # just before it: 0 and 1 first, then that node and 2, and so on,
+        # n - 2 nested contractions in all.
+        n = 1102
+        arcs, costs = [(0, n, 1)], [10 * n]
+        for k in range(1, n):
+            arcs += [(k, k - 1, 1), (k - 1, k, 1)]
+            costs += [0, 1]
+        tree = min_cost_arborescence(network_from_arcs(n + 1, arcs), n, costs)
+        assert tree.parent == (n, *range(n - 1), -1)
 
     def test_matches_enumeration_on_random_instances(self):
         rng = random.Random(7)
@@ -369,7 +402,7 @@ class TestSizeBounded:
             t = n - 1
             assert size_bounded_t_mincut(net, t, 2).value == t_mincut_exhaustive(net, t).value
 
-    def test_randomized_binary_search(self):
+    def test_randomized_descent(self):
         rng = random.Random(0)
         hits = 0
         for seed in range(20):
@@ -383,6 +416,92 @@ class TestSizeBounded:
             if got.value == truth:
                 hits += 1
         assert hits >= 18
+
+    @staticmethod
+    def record_thresholds(monkeypatch, finder):
+        """Route the search's find_small_cut calls through finder, logging them."""
+        calls: list[tuple[Fr, STCut | None]] = []
+
+        def recording(net, t, threshold, *args, **kwargs):
+            cut = finder(net, t, threshold, *args, **kwargs)
+            calls.append((threshold, cut))
+            return cut
+
+        monkeypatch.setattr(dircut, "find_small_cut", recording)
+        return calls
+
+    @staticmethod
+    def check_descent(net, t, calls, got):
+        """The first threshold is the trivial cut's value, each later one the
+        previous hit's value, and the search returns its last hit after a
+        miss or a hit of value 0."""
+        everything = frozenset(v for v in range(net.n) if v != t)
+        best = STCut(everything, net.cut_value(everything))
+        assert calls[0][0] == best.value
+        for threshold, cut in calls[:-1]:
+            assert cut is not None and cut.value < threshold
+        for (_, cut), (next_threshold, _) in zip(calls, calls[1:]):
+            assert next_threshold == cut.value
+        last = calls[-1][1]
+        assert last is None or last.value == 0
+        hits = [cut for _, cut in calls if cut is not None]
+        assert got == (hits[-1] if hits else best)
+
+    def test_descent_steps_to_each_hit(self, monkeypatch):
+        calls = self.record_thresholds(monkeypatch, dircut.find_small_cut)
+        rng = random.Random(1)
+        for _ in range(10):
+            n = rng.randint(4, 7)
+            net = random_digraph(rng, n, ensure_sink_path=n - 1)
+            calls.clear()
+            got = size_bounded_t_mincut(
+                net, n - 1, n - 1, random.Random(rng.getrandbits(64)), mode="randomized"
+            )
+            self.check_descent(net, n - 1, calls, got)
+
+    def test_descent_through_every_cut_value(self, monkeypatch):
+        # A finder that returns the largest cut below the threshold makes the
+        # descent visit every cut value below the trivial one, in order.
+        def all_cuts(net, t):
+            others = [v for v in range(net.n) if v != t]
+            return [
+                STCut(side, net.cut_value(side))
+                for r in range(1, len(others) + 1)
+                for side in map(frozenset, combinations(others, r))
+            ]
+
+        def largest_below(net, t, threshold, *args, **kwargs):
+            below = [cut for cut in all_cuts(net, t) if cut.value < threshold]
+            return max(below, key=lambda cut: cut.value, default=None)
+
+        calls = self.record_thresholds(monkeypatch, largest_below)
+        rng = random.Random(2)
+        for _ in range(10):
+            n = rng.randint(4, 6)
+            net = random_digraph(rng, n, ensure_sink_path=n - 1)
+            calls.clear()
+            got = size_bounded_t_mincut(net, n - 1, n - 1, random.Random(0), mode="randomized")
+            self.check_descent(net, n - 1, calls, got)
+            trivial = calls[0][0]
+            below = sorted({c.value for c in all_cuts(net, n - 1) if c.value < trivial})
+            assert [threshold for threshold, _ in calls] == [trivial, *reversed(below)]
+            assert got.value == below[0] == t_mincut_exhaustive(net, n - 1).value
+
+    def test_descent_is_exact_with_few_calls(self, monkeypatch):
+        # Bisecting the cut value took about 4.3 find_small_cut calls per
+        # search on these graphs; stepping to each hit takes about 2.
+        calls = self.record_thresholds(monkeypatch, dircut.find_small_cut)
+        rng = random.Random(0)
+        searches = 100
+        for _ in range(searches):
+            n = rng.randint(5, 8)
+            net = random_digraph(rng, n, ensure_sink_path=n - 1)
+            truth = t_mincut_exhaustive(net, n - 1).value
+            got = size_bounded_t_mincut(
+                net, n - 1, n - 1, random.Random(rng.getrandbits(64)), mode="randomized"
+            )
+            assert got.value == truth
+        assert len(calls) <= 3 * searches
 
     def test_randomized_needs_rng(self):
         net = network_from_arcs(2, [(0, 1, 3)])
