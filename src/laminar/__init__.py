@@ -17,7 +17,6 @@ from .densecore import (
 from .dircut import (
     Arborescence,
     ArborescencePacking,
-    PipelineConfig,
     SparsifierParams,
     find_small_cut,
     min_cost_arborescence,

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .arboricity import ArboricityError, compute_arboricity
 from .densecore import find_star_full, verify_core_explain
-from .dircut import PipelineConfig
 from .graph import (
     EdgeListError,
     GraphError,
@@ -49,10 +48,6 @@ class CliError(Exception):
 
 def rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def vertex_list(vertices) -> str:
@@ -90,7 +85,7 @@ def hierarchy_from_json(data: dict, graph: WeightedGraph) -> HierarchyTree:
             stack.append((entry, True))
             stack.extend((child, False) for child in children)
             continue
-        sigma = parse_rational(entry["sigma"]) if "sigma" in entry else None
+        sigma = Fraction(entry["sigma"]) if "sigma" in entry else None
         built[id(entry)] = HierarchyNode(
             frozenset(entry["vertices"]),
             tuple(built[id(child)] for child in children),
@@ -200,11 +195,6 @@ def _parse_set(text: str, n: int) -> frozenset[int]:
     return vertices
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    eps = Fraction(args.epsilon)
-    return PipelineConfig(epsilon=eps)
-
-
 def _emit(args, text_value: str, json_value) -> None:
     if args.format == "json":
         print(json.dumps(json_value, indent=2, sort_keys=False))
@@ -261,7 +251,7 @@ def _cmd_arboricity(args) -> int:
 def _build_tree(args, graph: WeightedGraph) -> HierarchyTree:
     rng = random.Random(args.seed)
     return build_hierarchy(
-        graph, mode=args.mode, rng=rng, config=_pipeline_config(args)
+        graph, mode=args.mode, rng=rng, epsilon=Fraction(args.epsilon)
     )
 
 
@@ -344,7 +334,7 @@ def _cmd_densest(args) -> int:
     k = args.k if args.k is not None else max(1, graph.n)
     rng = random.Random(args.seed)
     result = find_star_full(
-        graph, k, mode=args.mode, rng=rng, config=_pipeline_config(args)
+        graph, k, mode=args.mode, rng=rng, epsilon=Fraction(args.epsilon)
     )
     density = skew_density(graph, result.candidate)
     _emit(

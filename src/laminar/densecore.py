@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dircut import PipelineConfig, find_small_cut, size_bounded_t_mincut
+from .dircut import EPSILON, find_small_cut, size_bounded_t_mincut
 from .flow import max_flow, t_mincut_exhaustive
 from .goldberg import ModifiedNetwork, build_goldberg, build_modified, min_cut_vertex_side
 from .graph import GraphError, WeightedGraph, contract, induced_subgraph, skew_density
@@ -84,7 +84,7 @@ def probe(
     *,
     mode: str = "exact",
     rng: random.Random | None = None,
-    config: PipelineConfig | None = None,
+    epsilon: Fraction = EPSILON,
 ) -> tuple[bool, frozenset[int] | None]:
     """Is some vertex set skew-denser than tau?
 
@@ -118,7 +118,7 @@ def probe(
         if rng is None:
             raise GraphError("randomized mode needs an RNG stream")
         cut = find_small_cut(
-            shortcut.network, shortcut.t, threshold, k, rng, config=config
+            shortcut.network, shortcut.t, threshold, k, rng, epsilon=epsilon
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -133,7 +133,7 @@ def max_density_search(
     *,
     mode: str = "exact",
     rng: random.Random | None = None,
-    config: PipelineConfig | None = None,
+    epsilon: Fraction = EPSILON,
 ) -> FindStarResult:
     """Dinkelbach iteration for the maximum skew-density.
 
@@ -150,7 +150,7 @@ def max_density_search(
     tau = Fraction(weight)
     probes: list[tuple[Fraction, bool]] = []
     while True:
-        ok, found = probe(graph, tau, k, mode=mode, rng=rng, config=config)
+        ok, found = probe(graph, tau, k, mode=mode, rng=rng, epsilon=epsilon)
         probes.append((tau, ok))
         if not ok:
             return FindStarResult(witness, tau, tuple(probes))
@@ -166,7 +166,7 @@ def find_star_full(
     *,
     mode: str = "exact",
     rng: random.Random | None = None,
-    config: PipelineConfig | None = None,
+    epsilon: Fraction = EPSILON,
 ) -> FindStarResult:
     """Search the maximum skew-density, then extract the largest set attaining it.
 
@@ -180,7 +180,7 @@ def find_star_full(
         raise GraphError("k must be at least 1")
     if rng is None:
         rng = random.Random(0)
-    search = max_density_search(graph, k, mode=mode, rng=rng, config=config)
+    search = max_density_search(graph, k, mode=mode, rng=rng, epsilon=epsilon)
     if graph.n == 1:
         return search
     tau_low = search.tau_star - Fraction(1, 2 * graph.n**3)
@@ -190,7 +190,7 @@ def find_star_full(
     if shortcut is not None:
         if mode == "randomized":
             cut = size_bounded_t_mincut(
-                shortcut.network, shortcut.t, k, rng=rng, config=config, mode=mode
+                shortcut.network, shortcut.t, k, rng, epsilon=epsilon
             )
         else:
             # The densest sets beat tau_low, so the minimum t-cut is below
@@ -219,9 +219,9 @@ def find_star(
     *,
     mode: str = "exact",
     rng: random.Random | None = None,
-    config: PipelineConfig | None = None,
+    epsilon: Fraction = EPSILON,
 ) -> frozenset[int]:
-    return find_star_full(graph, k, mode=mode, rng=rng, config=config).candidate
+    return find_star_full(graph, k, mode=mode, rng=rng, epsilon=epsilon).candidate
 
 
 def verify_core_explain(

@@ -6,7 +6,8 @@ t-arborescences fractionally by multiplicative weights, sample a few trees
 from the packing, and take the best cut that crosses a sampled tree on
 exactly one tree arc.  Every candidate is evaluated against the original
 capacities; a miss is a legal outcome and the caller retries or falls back
-to the exhaustive scan.
+to the exhaustive scan, `flow.t_mincut_exhaustive`, which is the only exact
+t-cut search.
 
 Randomness is explicit everywhere: operations take a `random.Random` stream
 or a 64-bit seed, and substreams are derived with getrandbits(64).
@@ -22,34 +23,24 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .flow import INF, DirectedNetwork, STCut, min_st_cut, t_mincut_exhaustive
+from .flow import INF, DirectedNetwork, STCut, min_st_cut
 
+#: default accuracy parameter of the pipeline
+EPSILON = Fraction(1, 10)
 #: default multiplier in the packing iteration count C * k * log2(n)
 PACKING_CONSTANT = 64
-#: granularity factor for capacity rounding; 1/(2*c_mu) is the union-bound
+#: the desk-scale multiplier find_small_cut packs with instead, without the
+#: worst-case iteration bound the standalone default honors
+PIPELINE_PACKING_CONSTANT = 8
+#: trees drawn per find_small_cut call: SAMPLE_CONSTANT * log2(n)
+SAMPLE_CONSTANT = 8
+#: granularity factor for capacity rounding; 1/(2*C_MU) is the union-bound
 #: exponent, and 1/8 is the largest power of two keeping it >= 3
 C_MU = Fraction(1, 8)
 
 
 class DircutError(ValueError):
     """Invalid input to the directed-cut pipeline."""
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Tunables for the randomized small-cut pipeline.
-
-    epsilon and c_mu default to the analysis constants (0.1 and 1/8).
-    packing_constant here is the desk-scale budget multiplier used when
-    packing inside the pipeline (the standalone packing default is
-    PACKING_CONSTANT, which additionally honors the worst-case iteration
-    bound); sample_constant scales the number of trees drawn per call.
-    """
-
-    epsilon: Fraction = Fraction(1, 10)
-    c_mu: Fraction = C_MU
-    packing_constant: int = 8
-    sample_constant: int = 8
 
 
 def _log2_ceil(n: int) -> int:
@@ -92,17 +83,15 @@ class SparsifierParams:
         epsilon: Fraction,
         n: int,
         rng_seed: int,
-        *,
-        c_mu: Fraction = C_MU,
     ) -> "SparsifierParams":
-        """Pick mu ~ c_mu*eps^2*tau/(k log n), rounded down so that tau and
+        """Pick mu ~ C_MU*eps^2*tau/(k log n), rounded down so that tau and
         eps*tau/(2k) are exact integer multiples of it."""
         tau = Fraction(tau)
         epsilon = Fraction(epsilon)
         if tau <= 0 or k < 1 or not 0 < epsilon < 1:
             raise DircutError("invalid sparsifier parameters")
         level = _log2_ceil(n)
-        mu_target = c_mu * epsilon * epsilon * tau / (k * level)
+        mu_target = C_MU * epsilon * epsilon * tau / (k * level)
         backbone = epsilon * tau / (2 * k)
         j0 = max(1, math.ceil(backbone / mu_target))
         p, q = epsilon.numerator, epsilon.denominator
@@ -209,21 +198,20 @@ def min_cost_arborescence(
     t: int,
     costs: Sequence[float | Fraction],
     *,
-    usable: Iterable[int] | None = None,
     arcs: Sequence[tuple[int, int, int]] | None = None,
 ) -> Arborescence:
     """Exact minimum-cost t-arborescence (cycle-contraction algorithm).
 
-    costs are indexed by arc id; `usable` restricts the candidate arcs.
-    A caller solving many cost vectors on one network may instead pass
-    `arcs`, the candidate list `_reversed_arcs` builds, so that only the
-    costs are attached per call.  Raises when some node cannot reach t
-    through candidate arcs.
+    costs are indexed by arc id.  Every arc is a candidate unless `arcs`,
+    a list `_reversed_arcs` builds, restricts them; a caller solving many
+    cost vectors on one network builds it once, so that only the costs are
+    attached per call.  Raises when some node cannot reach t through
+    candidate arcs.
     """
     if not 0 <= t < net.n:
         raise DircutError("t out of range")
     if arcs is None:
-        arcs = _reversed_arcs(net, t, usable)
+        arcs = _reversed_arcs(net, t, range(net.arc_count))
     chosen = _min_in_arborescence(
         frozenset(range(net.n)), [(u, v, costs[i], i) for u, v, i in arcs], t
     )
@@ -236,15 +224,14 @@ def min_cost_arborescence(
 
 
 def _reversed_arcs(
-    net: DirectedNetwork, t: int, usable: Iterable[int] | None
+    net: DirectedNetwork, t: int, arc_ids: Iterable[int]
 ) -> list[tuple[int, int, int]]:
-    """(head, tail, id) of each usable arc that is no loop and leaves no t.
+    """(head, tail, id) of each of arc_ids that is no loop and leaves no t.
 
     Edmonds works on the reversal: choosing one in-arc per node there,
     rooted at t, is choosing one out-arc per node toward t here.
     """
     tails, heads = net.tails, net.heads
-    arc_ids = range(net.arc_count) if usable is None else usable
     return [
         (heads[i], tails[i], i) for i in arc_ids if tails[i] != heads[i] and tails[i] != t
     ]
@@ -339,7 +326,6 @@ def pack_arborescences(
     epsilon: float | Fraction,
     *,
     iterations: int | None = None,
-    include_zero_capacity: bool = False,
 ) -> ArborescencePacking:
     """Fractional t-arborescence packing by multiplicative weights.
 
@@ -348,10 +334,7 @@ def pack_arborescences(
     per-arc feasibility, is the packing.  With the default iteration budget
     (C*k*log2 n, raised to the worst-case bound when that is larger) the
     value is at least (1-eps) times the t-mincut when that mincut is <= k.
-
-    Zero-capacity arcs are dropped from the candidate set by default; with
-    include_zero_capacity they stay as infinitely-expensive candidates, which
-    yields the same packing whenever they are avoidable.
+    Zero-capacity arcs are never candidates.
     """
     if net.n < 2:
         raise DircutError("packing needs at least 2 nodes")
@@ -364,9 +347,6 @@ def pack_arborescences(
     if any(c == INF for c in caps):
         raise DircutError("packing requires finite integer capacities")
     usable = [i for i in range(net.arc_count) if caps[i] >= 1]
-    zero_arcs = []
-    if include_zero_capacity:
-        zero_arcs = [i for i in range(net.arc_count) if caps[i] == 0]
     if iterations is None:
         level = _log2_ceil(net.n)
         iterations = max(
@@ -377,13 +357,11 @@ def pack_arborescences(
     omega = 1.0 / wmin
     y = [1.0] * net.arc_count
     counts: Counter[Arborescence] = Counter()
-    arcs = _reversed_arcs(net, t, usable + zero_arcs)
+    arcs = _reversed_arcs(net, t, usable)
     costs: list[float] = [0.0] * net.arc_count
     for _ in range(iterations):
         for i in usable:
             costs[i] = y[i] / caps[i]
-        for i in zero_arcs:
-            costs[i] = math.inf
         tree = min_cost_arborescence(net, t, costs, arcs=arcs)
         counts[tree] += 1
         top = 1.0
@@ -400,8 +378,6 @@ def pack_arborescences(
         for a in tree.arc_ids:
             if a >= 0:
                 arc_counts[a] += cnt
-    if any(caps[a] == 0 for a in arc_counts):
-        raise DircutError("packing was forced through a zero-capacity arc")
     gamma_bar = max(
         (Fraction(cnt, iterations * caps[a]) for a, cnt in arc_counts.items()),
         default=Fraction(0),
@@ -444,12 +420,6 @@ def one_respecting_mincut(net: DirectedNetwork, tree: Arborescence, t: int) -> S
     return best
 
 
-def _strict_limit(threshold: Fraction | int) -> int:
-    """Smallest integer limit L with: integer d < threshold  iff  d < L."""
-    threshold = Fraction(threshold)
-    return int(threshold) if threshold.denominator == 1 else math.floor(threshold) + 1
-
-
 def find_small_cut(
     net: DirectedNetwork,
     t: int,
@@ -457,45 +427,28 @@ def find_small_cut(
     k: int,
     rng: random.Random,
     *,
-    config: PipelineConfig | None = None,
-    mode: str = "randomized",
+    epsilon: Fraction = EPSILON,
 ) -> STCut | None:
     """Look for a t-cut of value strictly below threshold.
 
-    Randomized mode runs the sparsify/pack/sample pipeline and evaluates
-    every candidate against the original network, returning the first hit,
-    which need not be the smallest cut below threshold; an empty result is
-    legal (the caller retries, descends no further, or falls back).  Exact
-    mode returns the minimum cut below threshold by the exhaustive scan and
-    is never wrong.
+    Runs the sparsify/pack/sample pipeline and evaluates every candidate
+    against the original network, returning the first hit, which need not
+    be the smallest cut below threshold; an empty result is legal (the
+    caller retries, descends no further, or falls back).
     """
-    cfg = config or PipelineConfig()
-    if mode == "exact":
-        return t_mincut_exhaustive(net, t, limit=_strict_limit(threshold))
-    if mode != "randomized":
-        raise ValueError(f"unknown mode {mode!r}")
     if net.n < 2:
         raise DircutError("need at least 2 nodes")
     params = SparsifierParams.derive(
-        Fraction(threshold),
-        k,
-        cfg.epsilon,
-        net.n,
-        rng.getrandbits(64),
-        c_mu=cfg.c_mu,
+        Fraction(threshold), k, epsilon, net.n, rng.getrandbits(64)
     )
     sparse = sparsify(net, t, params)
     level = _log2_ceil(net.n)
     packing = pack_arborescences(
-        sparse,
-        t,
-        k,
-        cfg.epsilon,
-        iterations=math.ceil(cfg.packing_constant * k * level),
+        sparse, t, k, epsilon, iterations=PIPELINE_PACKING_CONSTANT * k * level
     )
     trees = [tree for tree, _ in packing.items]
     weights = [float(w) for _, w in packing.items]
-    samples = math.ceil(cfg.sample_constant * level)
+    samples = SAMPLE_CONSTANT * level
     drawn = rng.choices(trees, weights=weights, k=samples)
     seen: set[Arborescence] = set()
     for tree in drawn:
@@ -512,35 +465,25 @@ def size_bounded_t_mincut(
     net: DirectedNetwork,
     t: int,
     k: int,
-    rng: random.Random | None = None,
+    rng: random.Random,
     *,
-    config: PipelineConfig | None = None,
-    mode: str = "exact",
+    epsilon: Fraction = EPSILON,
 ) -> STCut:
-    """Minimum t-cut; exact by default, with a randomized pipeline behind a flag.
+    """Minimum t-cut by the sampling pipeline, descending from the trivial cut.
 
-    The randomized path descends from the trivial cut (every node but t):
-    it asks the small-cut finder for a cut below the best value so far,
-    steps to each hit's value and stops at the first miss, so each call
-    either lowers the value or ends the search.  It is correct w.h.p. when
-    some t-mincut source side has at most k nodes, can only miss (return a
-    cut that is not minimum, never an invalid one), and is intended for
-    exercising the pipeline end-to-end rather than as the correctness path.
+    Starting from every node but t, it asks the small-cut finder for a cut
+    below the best value so far, steps to each hit's value and stops at the
+    first miss, so each call either lowers the value or ends the search.  It
+    is correct w.h.p. when some t-mincut source side has at most k nodes,
+    and can only miss (return a cut that is not minimum, never an invalid
+    one); `flow.t_mincut_exhaustive` is the exact search.
     """
-    if mode == "exact":
-        cut = t_mincut_exhaustive(net, t)
-        assert cut is not None
-        return cut
-    if mode != "randomized":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise DircutError("randomized mode needs an RNG stream")
     if any(c == INF for c in net.caps):
-        raise DircutError("randomized mode requires finite capacities")
+        raise DircutError("the sampling pipeline requires finite capacities")
     everything = frozenset(v for v in range(net.n) if v != t)
     best = STCut(source_side=everything, value=net.cut_value(everything))
     while best.value > 0:
-        cut = find_small_cut(net, t, best.value, k, rng, config=config)
+        cut = find_small_cut(net, t, best.value, k, rng, epsilon=epsilon)
         if cut is None:
             break
         best = cut

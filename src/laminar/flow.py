@@ -15,8 +15,8 @@ runs, so one engine serves a family of networks that differ in a few arcs:
 the per-source scan retires sources by raising pin arcs to INF, and the
 1-respecting cut search in `dircut` lowers one tree arc at a time.
 
-The engine is blocking-flow based (shortest augmenting phases) with optional
-capacity scaling, and supports a `limit`: augmentation stops once the flow
+The engine is blocking-flow based (shortest augmenting phases), with
+capacity scaling once some capacity reaches 2^16, and supports a `limit`: augmentation stops once the flow
 value reaches it, which lets callers ask "is the min cut below x?" without
 paying for an exact answer when it is not.
 """
@@ -175,18 +175,14 @@ class _Engine:
         if c > self.maxcap:
             self.maxcap = c
 
-    def run(
-        self, s: int, t: int, limit: int | None, scaling: bool | None
-    ) -> tuple[int, list[int], bool]:
+    def run(self, s: int, t: int, limit: int | None) -> tuple[int, list[int], bool]:
         """Blocking-flow phases; returns (value, residual caps, reached_limit)."""
         n = self.n
         to = self.to
         adj = self.adj
         cap = self.base_cap.copy()
         maxcap = self.maxcap
-        if scaling is None:
-            scaling = maxcap >= 1 << 16
-        delta = 1 << (maxcap.bit_length() - 1) if (scaling and maxcap > 0) else 1
+        delta = 1 << (maxcap.bit_length() - 1) if maxcap >= 1 << 16 else 1
 
         value = 0
         if limit is not None and value >= limit:
@@ -263,20 +259,18 @@ def max_flow(
     t: int,
     *,
     limit: int | None = None,
-    scaling: bool | None = None,
 ) -> FlowResult:
-    """Exact integral max flow by blocking flows (Dinic), optionally scaled.
+    """Exact integral max flow by blocking flows (Dinic).
 
     With `limit`, augmentation stops once the flow value reaches it and the
     result is marked reached_limit; the caller then knows the min cut is at
-    least `limit`.  Capacity scaling is enabled automatically for large
-    capacities (scaling=None) or forced on/off.
+    least `limit`.  Capacity scaling is on when some capacity reaches 2^16.
     """
     if s == t:
         raise FlowError("source and sink must differ")
     if not (0 <= s < net.n and 0 <= t < net.n):
         raise FlowError("source or sink out of range")
-    value, cap, reached = net.engine().run(s, t, limit, scaling)
+    value, cap, reached = net.engine().run(s, t, limit)
     return FlowResult(value=value, residual=cap, reached_limit=reached)
 
 

@@ -47,9 +47,6 @@ class GoldbergNetwork:
     def edge_node(self, edge_index: int) -> int:
         return self.graph.n + edge_index
 
-    def vertex_node(self, vertex: int) -> int:
-        return vertex
-
     def saturation_target(self) -> int:
         """Flow value at which every s-arc is saturated: scale * c(E)."""
         return self.scale * self.graph.total_weight()

@@ -6,7 +6,7 @@ loads) are `fractions.Fraction`; nothing in this package rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,14 +38,10 @@ class WeightedGraph:
 
     n: int
     edges: tuple[Edge, ...]
-    _adj: tuple[tuple[tuple[int, int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.n < 0:
             raise GraphError("vertex count must be nonnegative")
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n)]
         for idx, (u, v, w) in enumerate(self.edges):
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"edge {idx} endpoint out of range")
@@ -53,9 +49,6 @@ class WeightedGraph:
                 raise GraphError(f"edge {idx} is a self-loop")
             if not isinstance(w, int) or w < 1:
                 raise GraphError(f"edge {idx} weight must be a positive integer")
-            adj[u].append((v, w, idx))
-            adj[v].append((u, w, idx))
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Sequence[int]]) -> "WeightedGraph":
@@ -71,10 +64,6 @@ class WeightedGraph:
 
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
-
-    def adjacency(self, v: int) -> tuple[tuple[int, int, int], ...]:
-        """Neighbors of v as (other endpoint, weight, edge index)."""
-        return self._adj[v]
 
     def weight_inside(self, s: Iterable[int]) -> int:
         """Total weight of edges with both endpoints in s."""

@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .densecore import PipelineConfig, find_star, verify_core
+from .densecore import find_star, verify_core
+from .dircut import EPSILON
 from .graph import GraphError, MultiwayCut, WeightedGraph, contract, skew_density
+
+#: full randomized size sweeps, each on fresh RNG streams, before the exact
+#: search takes over for one contraction
+MAX_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -127,15 +132,14 @@ def build_hierarchy(
     *,
     mode: str = "exact",
     rng: random.Random | None = None,
-    config: PipelineConfig | None = None,
-    max_restarts: int = 3,
+    epsilon: Fraction = EPSILON,
 ) -> HierarchyTree:
     """Build the canonical cut hierarchy by star-set contraction.
 
     mode "exact" wires every internal cut subroutine to the exhaustive exact
     implementations; "randomized" exercises the sparsify/pack/sample pipeline
-    and, if a full size sweep accepts nothing after max_restarts fresh RNG
-    streams, falls back to exact for that iteration rather than failing.
+    and, if MAX_RESTARTS full size sweeps accept nothing, falls back to exact
+    for that iteration rather than failing.
     """
     if graph.n == 0:
         raise GraphError("hierarchy of the empty graph is undefined")
@@ -148,7 +152,7 @@ def build_hierarchy(
     registry: dict[int, HierarchyNode] = {v: _leaf(v) for v in range(graph.n)}
     cur = graph
     while cur.n > 1:
-        accepted = _accept_star_set(cur, mode, rng, config, max_restarts)
+        accepted = _accept_star_set(cur, mode, rng, epsilon)
         sigma = skew_density(cur, accepted)
         children = tuple(
             sorted((registry[v] for v in accepted), key=lambda nd: min(nd.vertex_set))
@@ -180,30 +184,29 @@ def _sweep_sizes(n: int) -> list[int]:
 
 
 def _accept_star_set(
-    cur: WeightedGraph,
-    mode: str,
-    rng: random.Random,
-    config: PipelineConfig | None,
-    max_restarts: int,
+    cur: WeightedGraph, mode: str, rng: random.Random, epsilon: Fraction
 ) -> frozenset[int]:
-    """One outer iteration: sweep doubling sizes until a dense core verifies."""
-    attempts = max_restarts if mode == "randomized" else 1
-    for attempt in range(attempts + 1):
-        attempt_mode = mode if attempt < attempts else "exact"
-        cached: frozenset[int] | None = None
-        for k in _sweep_sizes(cur.n):
-            if attempt_mode == "exact" and cached is not None:
-                candidate = cached
-            else:
+    """One outer iteration: the dense core of cur to contract.
+
+    Randomized mode sweeps doubling sizes k, accepting a candidate of more
+    than k/2 and at most k vertices that verifies, for MAX_RESTARTS rounds.
+    The exact search, which is also the randomized fallback, ignores k and
+    runs once.
+    """
+    if mode == "randomized":
+        for _ in range(MAX_RESTARTS):
+            for k in _sweep_sizes(cur.n):
                 sub_rng = random.Random(rng.getrandbits(64))
                 candidate = find_star(
-                    cur, k, mode=attempt_mode, rng=sub_rng, config=config
+                    cur, k, mode="randomized", rng=sub_rng, epsilon=epsilon
                 )
-                if attempt_mode == "exact":
-                    cached = candidate
-            if k // 2 < len(candidate) <= k and verify_core(cur, k, candidate):
-                return candidate
-    raise RuntimeError("no star set accepted; exact sweep should always succeed")
+                if k // 2 < len(candidate) <= k and verify_core(cur, k, candidate):
+                    return candidate
+    sub_rng = random.Random(rng.getrandbits(64))
+    candidate = find_star(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon)
+    if verify_core(cur, cur.n, candidate):
+        return candidate
+    raise RuntimeError("no star set accepted; the exact search should always succeed")
 
 
 def node_sigma(tree: HierarchyTree, vertex_set) -> Fraction:

@@ -63,13 +63,16 @@ def _inside_weights(graph: WeightedGraph) -> list[int]:
     """inner[mask] = total weight of edges with both endpoints in mask."""
     n = graph.n
     inner = [0] * (1 << n)
-    adj = graph._adj  # (other, weight, edge index) per vertex
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (other, weight)
+    for u, v, w in graph.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
     for mask in range(1, 1 << n):
         low = mask & -mask
         v = low.bit_length() - 1
         rest = mask ^ low
         extra = 0
-        for u, w, _ in adj[v]:
+        for u, w in adj[v]:
             if rest >> u & 1:
                 extra += w
         inner[mask] = inner[rest] + extra

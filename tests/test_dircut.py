@@ -25,7 +25,7 @@ from laminar import (
     t_mincut_exhaustive,
 )
 from laminar import dircut
-from laminar.dircut import Arborescence, DircutError, PipelineConfig, _log2_ceil
+from laminar.dircut import Arborescence, DircutError, _log2_ceil
 
 from .conftest import network_from_arcs, random_digraph
 
@@ -265,14 +265,11 @@ class TestPacking:
 
     def test_zero_capacity_arcs_both_conventions(self):
         net = network_from_arcs(3, [(0, 1, 0), (0, 2, 2), (1, 2, 2)])
-        dropped = pack_arborescences(net, 2, k=2, epsilon=0.3, iterations=60)
-        kept = pack_arborescences(
-            net, 2, k=2, epsilon=0.3, iterations=60, include_zero_capacity=True
-        )
-        assert dropped.items == kept.items
-        for packing in (dropped, kept):
-            for arc, used in packing.arc_usage().items():
-                assert used <= net.caps[arc]
+        packing = pack_arborescences(net, 2, k=2, epsilon=0.3, iterations=60)
+        usage = packing.arc_usage()
+        assert 0 not in usage
+        for arc, used in usage.items():
+            assert used <= net.caps[arc]
 
 
 class TestOneRespecting:
@@ -362,17 +359,6 @@ class TestFindSmallCut:
         for seed in range(10):
             assert find_small_cut(net, 3, Fr(lam), 1, random.Random(seed)) is None
 
-    def test_exact_mode_is_exhaustive(self):
-        net = self.promise_net()
-        cut = find_small_cut(net, 3, Fr(2), 1, random.Random(0), mode="exact")
-        assert cut is not None and cut.value == 1 and cut.source_side == {0}
-        assert find_small_cut(net, 3, Fr(1), 1, random.Random(0), mode="exact") is None
-
-    def test_fractional_threshold(self):
-        net = self.promise_net()
-        cut = find_small_cut(net, 3, Fr(3, 2), 1, random.Random(5), mode="exact")
-        assert cut is not None and cut.value == 1
-
 
 def test_t_bar_equals_augmented_global_min_cut():
     # The direct source scan in t_bar_mincut must agree with the textbook
@@ -394,23 +380,13 @@ def test_t_bar_equals_augmented_global_min_cut():
 
 
 class TestSizeBounded:
-    def test_exact_matches_exhaustive(self):
-        rng = random.Random(3)
-        for _ in range(10):
-            n = rng.randint(3, 6)
-            net = random_digraph(rng, n, ensure_sink_path=n - 1)
-            t = n - 1
-            assert size_bounded_t_mincut(net, t, 2).value == t_mincut_exhaustive(net, t).value
-
     def test_randomized_descent(self):
         rng = random.Random(0)
         hits = 0
         for seed in range(20):
             net = random_digraph(random.Random(100 + seed), 5, ensure_sink_path=4)
             truth = t_mincut_exhaustive(net, 4).value
-            got = size_bounded_t_mincut(
-                net, 4, k=4, rng=random.Random(seed), mode="randomized"
-            )
+            got = size_bounded_t_mincut(net, 4, k=4, rng=random.Random(seed))
             assert got.value >= truth
             assert net.cut_value(got.source_side) == got.value
             if got.value == truth:
@@ -455,7 +431,7 @@ class TestSizeBounded:
             net = random_digraph(rng, n, ensure_sink_path=n - 1)
             calls.clear()
             got = size_bounded_t_mincut(
-                net, n - 1, n - 1, random.Random(rng.getrandbits(64)), mode="randomized"
+                net, n - 1, n - 1, random.Random(rng.getrandbits(64))
             )
             self.check_descent(net, n - 1, calls, got)
 
@@ -480,7 +456,7 @@ class TestSizeBounded:
             n = rng.randint(4, 6)
             net = random_digraph(rng, n, ensure_sink_path=n - 1)
             calls.clear()
-            got = size_bounded_t_mincut(net, n - 1, n - 1, random.Random(0), mode="randomized")
+            got = size_bounded_t_mincut(net, n - 1, n - 1, random.Random(0))
             self.check_descent(net, n - 1, calls, got)
             trivial = calls[0][0]
             below = sorted({c.value for c in all_cuts(net, n - 1) if c.value < trivial})
@@ -498,12 +474,7 @@ class TestSizeBounded:
             net = random_digraph(rng, n, ensure_sink_path=n - 1)
             truth = t_mincut_exhaustive(net, n - 1).value
             got = size_bounded_t_mincut(
-                net, n - 1, n - 1, random.Random(rng.getrandbits(64)), mode="randomized"
+                net, n - 1, n - 1, random.Random(rng.getrandbits(64))
             )
             assert got.value == truth
         assert len(calls) <= 3 * searches
-
-    def test_randomized_needs_rng(self):
-        net = network_from_arcs(2, [(0, 1, 3)])
-        with pytest.raises(DircutError):
-            size_bounded_t_mincut(net, 1, 1, mode="randomized")

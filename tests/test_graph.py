@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as Fr
 from itertools import combinations
 
@@ -204,6 +205,18 @@ class TestEdgeList:
         with pytest.raises(EdgeListError) as err:
             parse_edge_list(text)
         assert err.value.line == line
+
+    def test_header_alone_allocates_nothing_per_vertex(self):
+        # A graph keeps only its edge tuple, so a header announcing a million
+        # vertices costs no per-vertex storage before any edge is read.
+        tracemalloc.start()
+        try:
+            g = parse_edge_list("1000000 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == 1_000_000 and g.m == 0
+        assert peak < 1 << 20
 
     def test_graph_validation(self):
         with pytest.raises(GraphError):

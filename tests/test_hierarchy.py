@@ -172,7 +172,7 @@ class TestOracleEquivalence:
         fresh = [True]
         searches = []
 
-        def first_call_only(net, t, threshold, k, rng, *, config=None):
+        def first_call_only(net, t, threshold, k, rng, *, epsilon=None):
             if not fresh[0]:
                 return None
             fresh[0] = False
@@ -212,6 +212,85 @@ class TestOracleEquivalence:
             not (k // 2 < len(result.candidate) <= k and verify_core(graph, k, result.candidate))
             for graph, k, result in early
         )
+
+
+class TestAcceptStarSet:
+    @staticmethod
+    def record(monkeypatch):
+        """Log hierarchy's find_star calls and verify_core verdicts.
+
+        A find event carries the mode, which the wrapper accepts only as a
+        keyword, and the size of the graph searched.
+        """
+        import laminar.hierarchy as hz
+
+        events: list[tuple] = []
+        real_find, real_verify = hz.find_star, hz.verify_core
+
+        def finding(cur, k, **kwargs):
+            events.append(("find", kwargs["mode"], cur.n))
+            return real_find(cur, k, **kwargs)
+
+        def verifying(cur, k, candidate):
+            verdict = real_verify(cur, k, candidate)
+            events.append(("verify", verdict))
+            return verdict
+
+        monkeypatch.setattr(hz, "find_star", finding)
+        monkeypatch.setattr(hz, "verify_core", verifying)
+        return events
+
+    def test_exact_searches_and_verifies_once_per_node(self, monkeypatch):
+        events = self.record(monkeypatch)
+        rng = random.Random(71)
+        for _ in range(12):
+            g = random_connected_graph(rng, rng.randint(2, 8))
+            events.clear()
+            tree = build_hierarchy(g)
+            internal = sum(1 for _ in tree.internal_nodes())
+            assert [event[0] for event in events] == ["find", "verify"] * internal
+            assert all(
+                event[1] == "exact" if event[0] == "find" else event[1] is True
+                for event in events
+            )
+
+    def test_randomized_fallback_is_one_exact_search(self, monkeypatch):
+        # With the sampler always missing, a contraction either accepts a
+        # randomized candidate or, after every restart's full size sweep,
+        # runs one exact search and accepts its candidate.
+        import laminar.densecore as dc
+        import laminar.dircut as dircut
+        from laminar.hierarchy import MAX_RESTARTS, _sweep_sizes
+
+        monkeypatch.setattr(dc, "find_small_cut", lambda *args, **kwargs: None)
+        monkeypatch.setattr(dircut, "find_small_cut", lambda *args, **kwargs: None)
+        events = self.record(monkeypatch)
+        fallbacks = 0
+        for trial in range(6):
+            g = random_connected_graph(random.Random(500 + trial), 6)
+            expected = tree_shape(build_hierarchy(g))
+            events.clear()
+            tree = build_hierarchy(g, mode="randomized", rng=random.Random(trial))
+            assert tree_shape(tree) == expected
+            rounds: list[list[tuple]] = [[]]
+            for event in events:
+                rounds[-1].append(event)
+                if event == ("verify", True):
+                    rounds.append([])
+            assert rounds.pop() == []
+            assert len(rounds) == sum(1 for _ in tree.internal_nodes())
+            for events_of_round in rounds:
+                finds = [event for event in events_of_round if event[0] == "find"]
+                modes = [mode for _, mode, _ in finds]
+                if modes[-1] == "randomized":
+                    assert set(modes) == {"randomized"}
+                    continue
+                fallbacks += 1
+                n = finds[-1][2]
+                sweep = MAX_RESTARTS * len(_sweep_sizes(n))
+                assert modes == ["randomized"] * sweep + ["exact"]
+                assert events_of_round[-2:] == [finds[-1], ("verify", True)]
+        assert fallbacks > 0
 
 
 class TestContractionSafety:
