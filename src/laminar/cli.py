@@ -12,6 +12,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .arboricity import ArboricityError, compute_arboricity
 from .densecore import find_star_full, verify_core_explain
@@ -19,6 +20,7 @@ from .graph import (
     EdgeListError,
     GraphError,
     WeightedGraph,
+    _component_roots,
     connected_components,
     induced_subgraph,
     parse_edge_list,
@@ -173,13 +175,19 @@ def _read_graph(path: str) -> WeightedGraph:
 
 
 def _require_connected(graph: WeightedGraph, what: str):
-    components = connected_components(graph)
-    if len(components) > 1:
-        listed = "; ".join("{" + vertex_list(c) + "}" for c in sorted(components, key=min))
-        raise CliError(
-            f"{what} needs a connected graph; components: {listed} "
-            "(use --per-component where supported)"
-        )
+    """Refuse a disconnected graph, naming its first components by smallest vertex."""
+    if graph.is_connected():
+        return
+    roots, count = _component_roots(graph)
+    firsts = list(islice((v for v in range(graph.n) if v not in roots), 10))
+    listed = "; ".join(
+        "{" + vertex_list([r, *(v for v, root in roots.items() if root == r)]) + "}" for r in firsts
+    )
+    more = f"; ... ({count - len(firsts)} more)" if count > len(firsts) else ""
+    raise CliError(
+        f"{what} needs a connected graph; {count} components: {listed}{more} "
+        "(use --per-component where supported)"
+    )
 
 
 def _parse_set(text: str, n: int) -> frozenset[int]:

@@ -3,10 +3,14 @@
 The maximum skew-density tau* = max c(E[X])/(|X|-1) is found by Dinkelbach's
 iteration, Newton's method for this fractional program.  A probe at tau
 returns, when one exists, a set X with c(E[X]) - tau(|X|-1) > 0, which is
-strictly denser than tau; its density becomes the next tau.  In exact mode
-the probe's set maximizes c(E[X]) - tau(|X|-1), so each step is a Newton
-step, and the first failing probe is at tau = tau* exactly.  All arithmetic
+strictly denser than tau; its density becomes the next tau.  All arithmetic
 is exact rational.
+
+Exact mode probes just below tau = p/q, at tau - delta with delta = 1/(n q).
+Scores c(E[X]) - tau(|X|-1) are multiples of 1/q and the shift adds at most
+delta(n-1) < 1/q, so below tau* the maximizer is strictly denser than tau
+(also when the density network is unsaturated, as tau >= 1 >= delta n), and
+at tau* it is the largest densest set: the last Newton step is the extraction.
 
 A set S is a dense core when no subset is strictly denser and every proper
 superset is strictly sparser.  Subsets are checked on the induced subgraph's
@@ -33,11 +37,12 @@ from .graph import GraphError, WeightedGraph, contract, induced_subgraph, skew_d
 class FindStarResult:
     """Outcome of the densest-set search.
 
-    probes holds each threshold tried and whether it succeeded: thresholds
-    strictly increase, every probe but the last succeeded, and the last one
-    failed at tau_star.  In exact mode tau_star is the maximum skew-density
-    and candidate a set attaining it; in randomized mode a probe can miss, so
-    the search may stop below the maximum.
+    probes holds each iterate tau and whether its probe found a set strictly
+    denser than tau: thresholds strictly increase, and only the last one, at
+    tau_star, found none.  In exact mode tau_star is the maximum skew-density
+    and candidate the largest set attaining it, found by the last Newton step
+    at tau* - delta (see above); in randomized mode a probe can miss, so the
+    search may stop below the maximum.
     """
 
     candidate: frozenset[int]
@@ -57,6 +62,11 @@ def dense_side_sources(graph: WeightedGraph, tau: Fraction) -> list[int]:
         degree[u] += w
         degree[v] += w
     return [v for v in range(graph.n) if degree[v] > tau]
+
+
+def _below(tau: Fraction, n: int) -> Fraction:
+    """tau - 1/(n * den(tau)): only sets at least as dense as tau beat it."""
+    return tau - Fraction(1, n * tau.denominator)
 
 
 def _saturate(
@@ -138,8 +148,10 @@ def max_density_search(
     """Dinkelbach iteration for the maximum skew-density.
 
     Starts at the heaviest merged edge, whose endpoints have density equal to
-    its weight, and moves to each successful probe's witness until a probe
-    fails.  The candidate is the last witness, the densest one seen.
+    its weight, and moves to each probe's witness while it is strictly denser.
+    Exact mode probes at tau - delta and stops on a witness of density tau,
+    the largest densest set.  Randomized mode probes at tau and stops at the
+    first miss; the candidate is then the last witness, the densest seen.
     """
     if graph.n == 0 or not graph.is_connected():
         raise GraphError("the densest-set search needs a connected, nonempty graph")
@@ -150,13 +162,16 @@ def max_density_search(
     tau = Fraction(weight)
     probes: list[tuple[Fraction, bool]] = []
     while True:
-        ok, found = probe(graph, tau, k, mode=mode, rng=rng, epsilon=epsilon)
-        probes.append((tau, ok))
-        if not ok:
-            return FindStarResult(witness, tau, tuple(probes))
-        density = skew_density(graph, found)
-        if density <= tau:
-            raise RuntimeError(f"probe witness at {tau} has density {density}, not above it")
+        threshold = _below(tau, graph.n) if mode == "exact" else tau
+        ok, found = probe(graph, threshold, k, mode=mode, rng=rng, epsilon=epsilon)
+        if not ok and threshold < tau:  # an exact probe below the witness cannot miss
+            raise RuntimeError(f"probe at {threshold} missed a witness of density {tau}")
+        density = skew_density(graph, found) if ok else tau  # a miss finds nothing denser
+        if ok and density <= threshold:
+            raise RuntimeError(f"probe witness at {threshold} has density {density}, not above it")
+        probes.append((tau, density > tau))
+        if density == tau:
+            return FindStarResult(found or witness, tau, tuple(probes))
         witness, tau = found, density
 
 
@@ -168,47 +183,29 @@ def find_star_full(
     rng: random.Random | None = None,
     epsilon: Fraction = EPSILON,
 ) -> FindStarResult:
-    """Search the maximum skew-density, then extract the largest set attaining it.
+    """The maximum skew-density and the largest set attaining it.
 
-    Extraction runs at tau* - 1/(2n^3): distinct densities have denominators
-    below n and differ by more than that, so only the densest sets beat the
-    threshold there, and the minimum t-cut picks the largest of them.  With k
-    at least the size of the maximum skew-densest set, the candidate equals
-    that set (always in exact mode, w.h.p. in randomized mode).
+    Only the densest sets beat tau* - delta, delta = 1/(n den(tau*)), and the
+    minimum t-cut there is the largest of them.  Exact mode finds it on the
+    search's last Newton step; randomized mode extracts at the same threshold
+    with the size-bounded sampler, falling back to the search's witness.  With
+    k at least the size of the largest densest set, the candidate is that set
+    (always in exact mode, w.h.p. in randomized mode).
     """
     if k < 1:
         raise GraphError("k must be at least 1")
     if rng is None:
         rng = random.Random(0)
     search = max_density_search(graph, k, mode=mode, rng=rng, epsilon=epsilon)
-    if graph.n == 1:
+    if mode == "exact" or graph.n == 1:
         return search
-    tau_low = search.tau_star - Fraction(1, 2 * graph.n**3)
-    # No shortcut network only when a randomized search stopped below the
-    # maximum: the density network's own min cut then carries a denser set.
-    candidate, shortcut = _saturate(graph, tau_low)
+    # No shortcut network only when the search stopped below the maximum:
+    # the density network's own min cut then carries a denser set.
+    candidate, shortcut = _saturate(graph, _below(search.tau_star, graph.n))
     if shortcut is not None:
-        if mode == "randomized":
-            cut = size_bounded_t_mincut(
-                shortcut.network, shortcut.t, k, rng, epsilon=epsilon
-            )
-        else:
-            # The densest sets beat tau_low, so the minimum t-cut is below
-            # scale*tau_low.  Each vertex of a densest set has weighted degree
-            # at least tau* (removing it must not raise the density), so these
-            # sources, in index order, reach the same first minimizing source,
-            # and the same side, as a scan over every vertex.
-            cut = t_mincut_exhaustive(
-                shortcut.network,
-                shortcut.t,
-                limit=shortcut.tau.numerator,
-                sources=dense_side_sources(graph, tau_low),
-            )
-            assert cut is not None, "no set beats tau* - 1/(2n^3)"
+        cut = size_bounded_t_mincut(shortcut.network, shortcut.t, k, rng, epsilon=epsilon)
         candidate = frozenset(cut.source_side)
-    if mode == "randomized" and (
-        not candidate or skew_density(graph, candidate) < search.tau_star
-    ):
+    if not candidate or skew_density(graph, candidate) < search.tau_star:
         candidate = search.candidate
     return FindStarResult(candidate, search.tau_star, search.probes)
 
@@ -247,7 +244,8 @@ def verify_core_explain(
     if shortcut is None:
         return False, "a subset is denser (density network not saturated)"
     threshold = shortcut.tau.numerator  # scale * rho
-    bad = t_mincut_exhaustive(shortcut.network, shortcut.t, limit=threshold)
+    sources = dense_side_sources(sub, rho)  # a denser subset contains one
+    bad = t_mincut_exhaustive(shortcut.network, shortcut.t, limit=threshold, sources=sources)
     if bad is not None:
         return False, "a subset is denser (shortcut network has a small cut)"
     contracted, cmap = contract(graph, s_set)

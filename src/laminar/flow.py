@@ -15,8 +15,8 @@ runs, so one engine serves a family of networks that differ in a few arcs:
 the per-source scan retires sources by raising pin arcs to INF, and the
 1-respecting cut search in `dircut` lowers one tree arc at a time.
 
-The engine is blocking-flow based (shortest augmenting phases), with
-capacity scaling once some capacity reaches 2^16, and supports a `limit`: augmentation stops once the flow
+The engine is plain Dinic (blocking flows along shortest augmenting paths,
+strongly polynomial) and supports a `limit`: augmentation stops once the flow
 value reaches it, which lets callers ask "is the min cut below x?" without
 paying for an exact answer when it is not.
 """
@@ -129,12 +129,9 @@ class STCut:
 
 
 class _Engine:
-    """Residual arrays for one network; arc 2i is forward, 2i+1 back.
+    """Residual arrays for one network; arc 2i is forward, 2i+1 back."""
 
-    maxcap bounds every capacity from above; set_cap keeps it a bound.
-    """
-
-    __slots__ = ("n", "to", "base_cap", "adj", "big", "maxcap")
+    __slots__ = ("n", "to", "base_cap", "adj", "big")
 
     def __init__(self, net: DirectedNetwork):
         big = net.finite_total() + 1
@@ -155,7 +152,6 @@ class _Engine:
         self.base_cap = base_cap
         self.adj = adj
         self.big = big
-        self.maxcap = max(base_cap, default=0)
 
     def set_cap(self, arc: int, cap: int | float) -> None:
         """Give network arc `arc` capacity `cap` in every later run.
@@ -172,8 +168,6 @@ class _Engine:
         else:
             c = cap
         self.base_cap[2 * arc] = c
-        if c > self.maxcap:
-            self.maxcap = c
 
     def run(self, s: int, t: int, limit: int | None) -> tuple[int, list[int], bool]:
         """Blocking-flow phases; returns (value, residual caps, reached_limit)."""
@@ -181,14 +175,12 @@ class _Engine:
         to = self.to
         adj = self.adj
         cap = self.base_cap.copy()
-        maxcap = self.maxcap
-        delta = 1 << (maxcap.bit_length() - 1) if maxcap >= 1 << 16 else 1
 
         value = 0
         if limit is not None and value >= limit:
             return value, cap, True
         while True:
-            # BFS level graph on arcs with residual >= delta.
+            # BFS level graph on arcs with residual left.
             level = [-1] * n
             level[s] = 0
             queue = [s]
@@ -200,15 +192,12 @@ class _Engine:
                 if level[t] >= 0 and lv > level[t]:
                     break  # deeper nodes cannot lie on a shortest path
                 for a in adj[v]:
-                    if cap[a] >= delta:
+                    if cap[a]:
                         w = to[a]
                         if level[w] < 0:
                             level[w] = lv
                             queue.append(w)
             if level[t] < 0:
-                if delta > 1:
-                    delta >>= 1
-                    continue
                 break
             it = [0] * n
             # Extract augmenting paths from the level graph.
@@ -227,7 +216,7 @@ class _Engine:
                     lv1 = level[v] + 1
                     while itv < la:
                         a = adj_v[itv]
-                        if cap[a] >= delta and level[to[a]] == lv1:
+                        if cap[a] and level[to[a]] == lv1:
                             advanced = True
                             break
                         itv += 1
@@ -264,7 +253,7 @@ def max_flow(
 
     With `limit`, augmentation stops once the flow value reaches it and the
     result is marked reached_limit; the caller then knows the min cut is at
-    least `limit`.  Capacity scaling is on when some capacity reaches 2^16.
+    least `limit`.
     """
     if s == t:
         raise FlowError("source and sink must differ")

@@ -84,7 +84,7 @@ class WeightedGraph:
         return merged
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(connected_components(self)) == 1
+        return self.n <= 1 or (self.m >= self.n - 1 and _component_roots(self)[1] == 1)
 
 
 @dataclass(frozen=True)
@@ -214,41 +214,45 @@ def induced_subgraph(graph: WeightedGraph, s: Iterable[int]) -> tuple[WeightedGr
     return WeightedGraph(len(sub_to_orig), tuple(new_edges)), sub_to_orig
 
 
+def _component_roots(
+    graph: WeightedGraph, edge_subset: Iterable[int] | None = None
+) -> tuple[dict[int, int], int]:
+    """Union-find over the edges F (default: all edges), in O(|F|) memory.
+
+    Returns the component count of (V, F) and a map from each vertex to the
+    smallest vertex of its component, which leaves out those smallest ones.
+    """
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while parent.get(v, v) != v:
+            parent[v] = v = parent.get(parent[v], parent[v])  # path halving
+        return v
+
+    merges = 0
+    for idx in range(graph.m) if edge_subset is None else set(edge_subset):
+        u, v, _ = graph.edges[idx]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+            merges += 1
+    return {v: find(v) for v in parent}, graph.n - merges
+
+
 def connected_components(
     graph: WeightedGraph, edge_subset: Iterable[int] | None = None
 ) -> list[frozenset[int]]:
-    """Partition of V by connectivity in (V, F); F defaults to all edges."""
-    if edge_subset is None:
-        allowed = range(graph.m)
-    else:
-        allowed = sorted(set(edge_subset))
-    neighbors: list[list[int]] = [[] for _ in range(graph.n)]
-    for idx in allowed:
-        u, v, _ = graph.edges[idx]
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = [False] * graph.n
-    components: list[frozenset[int]] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        components.append(frozenset(comp))
-    return components
+    """Partition of V by connectivity in (V, F), ordered by smallest vertex."""
+    roots, _ = _component_roots(graph, edge_subset)
+    members: dict[int, list[int]] = {}
+    for v in range(graph.n):
+        members.setdefault(roots.get(v, v), []).append(v)
+    return [frozenset(c) for c in members.values()]
 
 
 def rank(graph: WeightedGraph, edge_subset: Iterable[int] | None = None) -> int:
     """Graphic-matroid rank of an edge subset: |V| minus component count."""
-    return graph.n - len(connected_components(graph, edge_subset))
+    return graph.n - _component_roots(graph, edge_subset)[1]
 
 
 def parse_edge_list(text: str) -> WeightedGraph:

@@ -132,8 +132,8 @@ class TestComputeArboricity:
             assert result.fractional == best
             assert result.arboricity == math.ceil(best)
 
-    def test_huge_weights_exercise_scaling(self):
-        # Capacity scaling kicks in above 2^16; answers stay exact rationals.
+    def test_huge_weights_stay_exact(self):
+        # Weights up to 10^7: answers stay exact rationals.
         rng = random.Random(7)
         for _ in range(5):
             g = random_connected_graph(rng, rng.randint(2, 5), max_weight=10**7)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
@@ -16,7 +17,7 @@ from laminar.cli import (
     hierarchy_to_text,
     main,
 )
-from laminar.graph import format_edge_list
+from laminar.graph import format_edge_list, parse_edge_list
 
 from .conftest import random_connected_graph
 
@@ -249,6 +250,26 @@ class TestErrors:
         code, _, err = run_cli(capsys, "strength", str(target))
         assert code == 2
         assert "{0,1}" in err and "{2,3}" in err
+
+    def test_disconnected_refusal_stays_small(self, capsys, tmp_path):
+        # A one-edge file announcing a million vertices: the refusal names
+        # ten components and the total, and per-vertex storage stays bounded.
+        target = tmp_path / "sparse.txt"
+        target.write_text("1000000 1\n0 1 1\n")
+        graph = parse_edge_list(target.read_text())
+        tracemalloc.start()
+        try:
+            assert not graph.is_connected()
+            _, connected_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            code, _, err = run_cli(capsys, "arboricity", str(target))
+            _, cli_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert connected_peak < 50 << 20 and cli_peak < 50 << 20
+        assert code == 2
+        assert "999999 components: {0,1}; {2};" in err and "{10}; ... (999989 more)" in err
+        assert "{11}" not in err
 
     def test_size_guard_exit_code(self, capsys, tmp_path):
         g = random_connected_graph(__import__("random").Random(1), 11)

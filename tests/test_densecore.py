@@ -142,6 +142,56 @@ class TestFindStar:
         result = find_star_full(trubin_path, 2, mode="randomized", rng=random.Random(0))
         assert result.candidate == {2, 3}
 
+    def test_exact_search_scans_once_per_probe(self, monkeypatch, trubin_path):
+        # Each exact Newton step is one density-network flow and, when that
+        # saturates, one exhaustive scan; the last step is the extraction, so
+        # no further flow or scan runs.
+        import laminar.densecore as dc
+
+        saturated: list[bool] = []
+        scans = []
+        saturate, scan = dc._saturate, dc.t_mincut_exhaustive
+
+        def counting_saturate(*args):
+            side, shortcut = saturate(*args)
+            saturated.append(shortcut is not None)
+            return side, shortcut
+
+        def counting_scan(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(dc, "_saturate", counting_saturate)
+        monkeypatch.setattr(dc, "t_mincut_exhaustive", counting_scan)
+        rng = random.Random(61)
+        graphs = [trubin_path] + [
+            random_connected_graph(rng, rng.randint(2, 9), extra_edges=rng.randint(0, 6))
+            for _ in range(30)
+        ]
+        all_saturated = 0
+        for g in graphs:
+            saturated.clear()
+            scans.clear()
+            result = find_star_full(g, g.n)
+            assert len(saturated) == len(result.probes)
+            assert len(scans) == sum(saturated)
+            if all(saturated):
+                all_saturated += 1
+                assert len(scans) == len(result.probes)
+        assert all_saturated >= 10
+
+    def test_exact_search_rejects_a_missing_or_sparse_witness(self, monkeypatch, trubin_path):
+        import laminar.densecore as dc
+
+        monkeypatch.setattr(dc, "probe", lambda *args, **kwargs: (False, None))
+        with pytest.raises(RuntimeError, match="missed"):
+            find_star_full(trubin_path, 4)
+        # {0, 1} has density 2, below the heavy pair's 100 that the search
+        # starts from.
+        monkeypatch.setattr(dc, "probe", lambda *args, **kwargs: (True, frozenset({0, 1})))
+        with pytest.raises(RuntimeError, match="not above"):
+            find_star_full(trubin_path, 4)
+
     def test_probe_successes_are_downward_closed(self):
         # Along any binary search, the succeeding thresholds form a prefix of
         # the sorted probe sequence.
@@ -195,6 +245,9 @@ class TestPastTheOracleGuards:
                     if root in (u, v) and net.has_node(("e", idx)):
                         net.remove_node(("e", idx))
                         remaining -= w
+            # The floor held at every root, so tau is the maximum density.
+            assert skew_density(g, result.candidate) == tau
+            assert verify_core(g, g.n, result.candidate)
 
 
 class TestVerifyCore:

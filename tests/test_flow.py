@@ -94,12 +94,11 @@ class TestMaxFlow:
             assert max_flow(net, s, t).value == enumerate_min_st_cut(net, s, t)
 
     def test_scaling_paths_agree(self):
-        # Capacities up to 10^7 put every network past the 2^16 scaling
-        # threshold, so the scaled phases must still reach the exact max flow.
+        # Capacities up to 10^7: plain blocking flows still reach the exact
+        # max flow.
         rng = random.Random(23)
         for _ in range(20):
             net = random_digraph(rng, rng.randint(3, 7), max_cap=10**7)
-            assert net.engine().maxcap >= 1 << 16
             s, t = 0, net.n - 1
             assert max_flow(net, s, t).value == enumerate_min_st_cut(net, s, t)
 
@@ -220,7 +219,9 @@ class TestTMincutExhaustive:
             t_mincut_exhaustive(DirectedNetwork(1), 0)
 
 
-def big_random_network(rng: random.Random, n: int, arcs_per_node: int = 3) -> DirectedNetwork:
+def big_random_network(
+    rng: random.Random, n: int, arcs_per_node: int = 3, max_cap: int = 60
+) -> DirectedNetwork:
     """Sparse random network with parallel arcs, zero arcs and a few INF arcs."""
     net = DirectedNetwork(n)
     for _ in range(arcs_per_node * n):
@@ -228,7 +229,7 @@ def big_random_network(rng: random.Random, n: int, arcs_per_node: int = 3) -> Di
         if u == v:
             continue
         roll = rng.random()
-        net.add_arc(u, v, INF if roll < 0.04 else 0 if roll < 0.08 else rng.randint(1, 60))
+        net.add_arc(u, v, INF if roll < 0.04 else 0 if roll < 0.08 else rng.randint(1, max_cap))
     return net
 
 
@@ -272,9 +273,12 @@ class TestPastTheOracleGuards:
     """networkx preflow_push as a second max-flow implementation, n up to 300."""
 
     def test_values_and_both_sides(self):
+        # The last network's capacities mostly exceed 2^40: the densest-set
+        # probes scale edge weights by n*den(tau), up to n^2, so heavy
+        # weights reach that range.
         rng = random.Random(71)
-        for n in (20, 60, 150, 300, 300):
-            net = big_random_network(rng, n)
+        for n, max_cap in ((20, 60), (60, 60), (150, 60), (300, 60), (300, 60), (150, 1 << 45)):
+            net = big_random_network(rng, n, max_cap=max_cap)
             for _ in range(3):
                 s, t = rng.sample(range(n), 2)
                 value, low, high = networkx_cut(net, s, t)
@@ -368,7 +372,6 @@ class TestEngineReuse:
         engine.set_cap(0, INF)
         engine.set_cap(0, 4)
         assert max_flow(net, 0, 2).value == 3
-        assert engine.maxcap >= engine.big
 
     def test_flow_results_compare_by_identity(self):
         net = network_from_arcs(2, [(0, 1, 5)])
