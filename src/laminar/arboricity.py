@@ -14,14 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .densecore import max_density_search
-from .flow import (
-    INF,
-    DirectedNetwork,
-    STCut,
-    max_flow,
-    min_source_side,
-    t_mincut_exhaustive,
-)
+from .flow import INF, DirectedNetwork, STCut, t_mincut_exhaustive
+from .flow import max_flow  # noqa: F401  (bench/test_bench.py looks it up here)
 from .graph import GraphError, WeightedGraph
 
 
@@ -41,28 +35,23 @@ def global_directed_min_cut(
 ) -> STCut | None:
     """Minimum d+(S) over all nonempty proper node sets.
 
-    Realized with 2(n-1) capped s-t flows against a pivot node: sides
-    containing the pivot are covered by flows out of it, sides avoiding it by
-    flows into it (equivalently, flows out of it in the arc reversal).  With
-    `limit`, returns None unless some cut is strictly below it.
+    Two per-source scans against a pivot node: one covers the sides avoiding
+    the pivot, and one on the arc reversal covers their complements, the
+    sides containing it.  With `limit`, returns None unless some cut is
+    strictly below it.
     """
     if net.n < 2:
         raise ArboricityError("global min cut needs at least 2 nodes")
     pivot = 0
-    best: STCut | None = None
-    best_raw: int | None = None
-    bound = limit
-    for other in range(1, net.n):
-        for s, t in ((pivot, other), (other, pivot)):
-            flow = max_flow(net, s, t, limit=bound)
-            if flow.reached_limit:
-                continue
-            if best_raw is None or flow.value < best_raw:
-                best_raw = flow.value
-                side = min_source_side(net, flow, s)
-                value = INF if flow.value > net.finite_total() else flow.value
-                best = STCut(source_side=side, value=value)
-                bound = flow.value if limit is None else min(limit, flow.value)
+    best = t_mincut_exhaustive(net, pivot, limit=limit)
+    if best is not None and best.value != INF:
+        limit = best.value
+    reversal = DirectedNetwork(net.n)
+    for u, v, c in net.arcs():
+        reversal.add_arc(v, u, c)
+    flipped = t_mincut_exhaustive(reversal, pivot, limit=limit)
+    if flipped is not None and (best is None or flipped.value < best.value):
+        best = STCut(frozenset(range(net.n)) - flipped.source_side, flipped.value)
     return best
 
 

@@ -11,14 +11,14 @@ reverse.  A flow is one array over those arcs: `FlowResult.residual` is what
 the engine's run left, so the flow on arc i is residual[2i+1].  Min-cut sides
 are read by walking `adj`/`to` over that array, and per-arc flows are sliced
 out only when asked.  `_Engine.set_cap` edits a capacity in place between
-runs, so one engine serves a family of networks that differ in a few arcs:
-the per-source scan retires sources by raising pin arcs to INF, and the
-1-respecting cut search in `dircut` lowers one tree arc at a time.
+runs: the 1-respecting cut search in `dircut` lowers one tree arc at a time.
 
 The engine is plain Dinic (blocking flows along shortest augmenting paths,
-strongly polynomial) and supports a `limit`: augmentation stops once the flow
-value reaches it, which lets callers ask "is the min cut below x?" without
-paying for an exact answer when it is not.
+strongly polynomial).  A flow ends at t or at any extra sink the caller
+names, so the per-source scan retires each scanned source into the sink set
+(Hao and Orlin 1994) on the caller's own network.  A `limit` stops
+augmentation once the flow value reaches it, which lets callers ask "is the
+min cut below x?" without paying for an exact answer when it is not.
 """
 
 from __future__ import annotations
@@ -169,8 +169,8 @@ class _Engine:
             c = cap
         self.base_cap[2 * arc] = c
 
-    def run(self, s: int, t: int, limit: int | None) -> tuple[int, list[int], bool]:
-        """Blocking-flow phases; returns (value, residual caps, reached_limit)."""
+    def run(self, s: int, sink: list[bool], limit: int | None) -> tuple[int, list[int], bool]:
+        """Blocking flows from s into the marked sinks; (value, residual, reached_limit)."""
         n = self.n
         to = self.to
         adj = self.adj
@@ -180,24 +180,28 @@ class _Engine:
         if limit is not None and value >= limit:
             return value, cap, True
         while True:
-            # BFS level graph on arcs with residual left.
+            # BFS level graph on arcs with residual left; sinks are not expanded.
             level = [-1] * n
             level[s] = 0
             queue = [s]
             qi = 0
+            depth = n  # level of the nearest sink, once one is reached
             while qi < len(queue):
                 v = queue[qi]
                 qi += 1
                 lv = level[v] + 1
-                if level[t] >= 0 and lv > level[t]:
+                if lv > depth:
                     break  # deeper nodes cannot lie on a shortest path
                 for a in adj[v]:
                     if cap[a]:
                         w = to[a]
                         if level[w] < 0:
                             level[w] = lv
-                            queue.append(w)
-            if level[t] < 0:
+                            if sink[w]:
+                                depth = lv
+                            else:
+                                queue.append(w)
+            if depth == n:
                 break
             it = [0] * n
             # Extract augmenting paths from the level graph.
@@ -206,7 +210,7 @@ class _Engine:
                 v = s
                 found = False
                 while True:
-                    if v == t:
+                    if sink[v]:
                         found = True
                         break
                     advanced = False
@@ -248,18 +252,24 @@ def max_flow(
     t: int,
     *,
     limit: int | None = None,
+    sinks: Iterable[int] = (),
 ) -> FlowResult:
     """Exact integral max flow by blocking flows (Dinic).
 
     With `limit`, augmentation stops once the flow value reaches it and the
     result is marked reached_limit; the caller then knows the min cut is at
-    least `limit`.
+    least `limit`.  With `sinks`, the flow may end at any of them as well as
+    at t; its min cuts are the s-t cuts that keep every sink on the t side.
     """
-    if s == t:
-        raise FlowError("source and sink must differ")
-    if not (0 <= s < net.n and 0 <= t < net.n):
+    ends = (s, t, *sinks)
+    if not all(0 <= v < net.n for v in ends):
         raise FlowError("source or sink out of range")
-    value, cap, reached = net.engine().run(s, t, limit)
+    sink = [False] * net.n
+    for v in ends[1:]:
+        sink[v] = True
+    if sink[s]:
+        raise FlowError("source and sink must differ")
+    value, cap, reached = net.engine().run(s, sink, limit)
     return FlowResult(value=value, residual=cap, reached_limit=reached)
 
 
@@ -270,7 +280,7 @@ def _residual_of(net: DirectedNetwork, flow: FlowResult) -> list[int]:
 
 
 def validate_flow(net: DirectedNetwork, flow: FlowResult, s: int, t: int) -> None:
-    """Check capacity bounds and conservation; raises FlowError on violation."""
+    """Check bounds and conservation of a single-sink flow; raises FlowError."""
     flows = _residual_of(net, flow)[1::2]
     balance = [0] * net.n
     for i, (u, v, c, f) in enumerate(zip(net.tails, net.heads, net.caps, flows)):
@@ -314,7 +324,7 @@ def min_source_side(net: DirectedNetwork, flow: FlowResult, s: int) -> frozenset
 
 
 def max_source_side(net: DirectedNetwork, flow: FlowResult, t: int) -> frozenset[int]:
-    """Maximal min-cut source side: complement of what reaches t residually."""
+    """Maximal min-cut source side of a single-sink flow: what cannot reach t."""
     return frozenset(range(net.n)).difference(_reach(net, flow, t, 1))
 
 
@@ -358,7 +368,7 @@ def t_mincut_exhaustive(
     Covers every t-cut (source side excluding t) exactly.  With `limit`,
     returns None unless some t-cut is strictly below it.  `sources`, when
     given, must be guaranteed by the caller to intersect every t-cut below
-    the limit.
+    the limit; repeats and t are skipped.
     An all-infinite answer is reported with value INF.
     """
     if net.n < 2:
@@ -367,29 +377,26 @@ def t_mincut_exhaustive(
         raise FlowError("t out of range")
     if sources is None:
         sources = range(net.n)
-    # Scan on a copy with a zero-capacity pin arc per node.  After a source
-    # is processed, every side containing it is accounted for (its minimum is
-    # at least the running bound), so the source is retired into the sink
-    # side by raising its pin to INF in the engine (set_cap); later flows
-    # then need not consider sides containing it, and terminate faster.
-    others = [v for v in range(net.n) if v != t]
-    scan = net.extended((v, t, 0) for v in others)
-    pin_arc = {v: net.arc_count + i for i, v in enumerate(others)}
-    engine = scan.engine()
+    # Once a source is scanned, every side containing it is accounted for
+    # (its minimum is at least the running bound), so it joins the sink set
+    # (Hao and Orlin): later flows cut only sides avoiding the set and stop
+    # sooner.  A flow below its bound is maximum into the set, so its minimal
+    # source side avoids every sink.
+    retired = {t}
     best: STCut | None = None
     best_raw: int | None = None
     bound = limit
     for s in sources:
-        if s == t:
+        if s in retired:
             continue
-        flow = max_flow(scan, s, t, limit=bound)
+        flow = max_flow(net, s, t, limit=bound, sinks=retired)
         if not flow.reached_limit:
             if best_raw is None or flow.value < best_raw:
                 best_raw = flow.value
                 best = STCut(
-                    source_side=min_source_side(scan, flow, s),
+                    source_side=min_source_side(net, flow, s),
                     value=_as_cut_value(net, flow.value),
                 )
                 bound = flow.value if limit is None else min(limit, flow.value)
-        engine.set_cap(pin_arc[s], INF)
+        retired.add(s)
     return best

@@ -39,7 +39,6 @@ class GoldbergNetwork:
     t: int
     tau: Fraction
     scale: int
-    source_arcs: tuple[int, ...]  # per edge: arc s -> edge node
     endpoint_arcs: tuple[tuple[int, int], ...]  # per edge: arcs e->u, e->v
     sink_arcs: tuple[int, ...]  # per vertex: arc v -> t
     root: int | None = None  # vertex forced into the source side, if any
@@ -63,7 +62,6 @@ class ModifiedNetwork:
     scale: int
     # per original edge: arc ids for the spliced (u,v) and (v,u) arcs
     edge_arcs: tuple[tuple[int, int], ...]
-    sink_arcs: tuple[int, ...]
 
 
 def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = None) -> GoldbergNetwork:
@@ -81,12 +79,11 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = No
     net = DirectedNetwork(n + m + 2)
     s = n + m
     t = n + m + 1
-    source_arcs = []
     endpoint_arcs = []
     sink_arcs = []
     for idx, (u, v, w) in enumerate(graph.edges):
         e = n + idx
-        source_arcs.append(net.add_arc(s, e, scale * w))
+        net.add_arc(s, e, scale * w)
         endpoint_arcs.append((net.add_arc(e, u, INF), net.add_arc(e, v, INF)))
     for v in range(n):
         sink_arcs.append(net.add_arc(v, t, sink_cap))
@@ -101,7 +98,6 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = No
         t=t,
         tau=tau,
         scale=scale,
-        source_arcs=tuple(source_arcs),
         endpoint_arcs=tuple(endpoint_arcs),
         sink_arcs=tuple(sink_arcs),
         root=root,
@@ -173,7 +169,6 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult | None = None) -> Modifi
     net = DirectedNetwork(n + 1)
     t = n
     edge_arcs = []
-    sink_arcs = []
     for idx, (u, v, _) in enumerate(graph.edges):
         arc_to_u, arc_to_v = h.endpoint_arcs[idx]
         # Residual of the reverse of e->u is the flow pushed into u; splicing
@@ -183,7 +178,7 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult | None = None) -> Modifi
         edge_arcs.append((uv, vu))
     sink_cap = h.tau.numerator
     for v in range(n):
-        sink_arcs.append(net.add_arc(v, t, sink_cap - flows[h.sink_arcs[v]]))
+        net.add_arc(v, t, sink_cap - flows[h.sink_arcs[v]])
     return ModifiedNetwork(
         graph=graph,
         network=net,
@@ -191,7 +186,6 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult | None = None) -> Modifi
         tau=h.tau,
         scale=h.scale,
         edge_arcs=tuple(edge_arcs),
-        sink_arcs=tuple(sink_arcs),
     )
 
 

@@ -102,6 +102,17 @@ class TestMaxFlow:
             s, t = 0, net.n - 1
             assert max_flow(net, s, t).value == enumerate_min_st_cut(net, s, t)
 
+    def test_extra_sinks(self):
+        # 0 -> 1 -> 3 and 0 -> 2 -> 3: with 1 a sink too, the flow through 1
+        # ends there and the cut arc moves to 0 -> 1.
+        net = network_from_arcs(4, [(0, 1, 2), (1, 3, 1), (0, 2, 1), (2, 3, 5)])
+        assert max_flow(net, 0, 3).value == 2
+        flow = max_flow(net, 0, 3, sinks=[1, 3])
+        assert flow.value == 3 and min_source_side(net, flow, 0) == {0}
+        for sinks in ([0], [4], [-1]):
+            with pytest.raises(FlowError):
+                max_flow(net, 0, 3, sinks=sinks)
+
     def test_limit_early_exit(self):
         net = network_from_arcs(2, [(0, 1, 5)])
         capped = max_flow(net, 0, 1, limit=3)
@@ -320,10 +331,15 @@ class TestPastTheOracleGuards:
 
     def test_t_mincut_scan(self):
         rng = random.Random(73)
-        for n in (25, 40):
+        for n, inf_arcs in ((25, 0), (40, 0), (150, 0), (60, 24)):
             net = big_random_network(rng, n)
             t = rng.randrange(n)
-            values = {s: networkx_cut(net, s, t)[0] for s in range(n) if s != t}
+            others = [v for v in range(n) if v != t]
+            for _ in range(inf_arcs):  # about half into t: infinite sources
+                u, v = rng.sample(others, 2)
+                net.add_arc(u, t if rng.random() < 0.5 else v, INF)
+            values = {s: networkx_cut(net, s, t)[0] for s in others}
+            assert (INF in values.values()) == (inf_arcs > 0)
             best = min(values.values())
             cut = t_mincut_exhaustive(net, t)
             assert cut.value == best
@@ -334,6 +350,26 @@ class TestPastTheOracleGuards:
                 hits = [s for s in values if values[s] == best]
                 sources = [s for s in range(n) if s not in hits] + hits[:1]
                 assert t_mincut_exhaustive(net, t, sources=sources).value == best
+
+    def test_sink_set_flows(self):
+        # The textbook reduction of extra sinks: a copy with an INF arc from
+        # each of them to t.
+        rng = random.Random(74)
+        finite = 0
+        for n in (30, 80, 150):
+            net = big_random_network(rng, n)
+            for _ in range(4):
+                s, t, *sinks = rng.sample(range(n), 2 + rng.randint(1, n // 5))
+                reduction = net.extended((v, t, INF) for v in sinks)
+                value, low, _ = networkx_cut(reduction, s, t)
+                flow = max_flow(net, s, t, sinks=sinks)
+                if value == INF:
+                    assert flow.value > net.finite_total()
+                    continue
+                finite += 1
+                assert flow.value == value
+                assert min_source_side(net, flow, s) == low
+        assert finite >= 6
 
 
 class TestEngineReuse:
@@ -399,6 +435,9 @@ class TestEngineReuse:
             if limit == INF:
                 limit = None
             got = t_mincut_exhaustive(net, t, limit=limit, sources=sources)
+            # Repeated sources and t itself are skipped.
+            noisy = [v for s in sources for v in (s, t, s)]
+            assert t_mincut_exhaustive(net, t, limit=limit, sources=noisy) == got
             if limit is not None and first.value >= limit:
                 assert got is None
                 continue
@@ -409,4 +448,4 @@ class TestEngineReuse:
     def test_scan_builds_one_engine(self, engine_builds):
         net = random_digraph(random.Random(77), 8)
         t_mincut_exhaustive(net, 7)
-        assert len(engine_builds) == 1
+        assert engine_builds == [net]

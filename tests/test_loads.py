@@ -70,6 +70,26 @@ class TestIdealLoads:
                     )
                     assert total <= len(inside) - 1
 
+    def test_certificates_past_the_oracle_guards(self):
+        # Exact checks that need no brute force: loads sum to n - 1, each
+        # node's crossing weight over (children - 1) is its sigma, and sigma
+        # does not decrease going down the tree.
+        rng = random.Random(13)
+        graphs = [random_connected_graph(rng, n, max_weight=20) for n in (40, 80, 120)]
+        graphs.append(WeightedGraph.from_edges(100, [(i, i + 1, i + 1) for i in range(99)]))
+        for g in graphs:
+            tree = build_hierarchy(g)
+            loads = ideal_loads(g, tree)
+            assert sum(loads.per_edge) == g.n - 1
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                assert loads.node_sigma[node.vertex_set] == node.sigma
+                for child in node.children:
+                    if not child.is_leaf:
+                        assert child.sigma >= node.sigma
+                        stack.append(child)
+
     def test_structural_error_for_foreign_tree(self, trubin_path, unit_triangle):
         tree = build_hierarchy(unit_triangle)
         with pytest.raises(LoadsError):
