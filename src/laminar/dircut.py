@@ -148,6 +148,8 @@ class Arborescence:
 
     def __post_init__(self):
         n = len(self.parent)
+        if len(self.arc_ids) != n:
+            raise DircutError("arc_ids and parent differ in length")
         if not 0 <= self.t < n:
             raise DircutError("root out of range")
         if self.parent[self.t] != -1 or self.arc_ids[self.t] != -1:
@@ -193,124 +195,139 @@ class ArborescencePacking:
         return usage
 
 
+_NO_ARBORESCENCE = "no t-arborescence exists: a node cannot reach t"
+
+
 def min_cost_arborescence(
     net: DirectedNetwork,
     t: int,
     costs: Sequence[float | Fraction],
     *,
-    arcs: Sequence[tuple[int, int, int]] | None = None,
+    arcs: Sequence[Sequence[int]] | None = None,
 ) -> Arborescence:
-    """Exact minimum-cost t-arborescence (cycle-contraction algorithm).
+    """Exact minimum-cost t-arborescence (Edmonds' cycle contraction).
 
     costs are indexed by arc id.  Every arc is a candidate unless `arcs`,
-    a list `_reversed_arcs` builds, restricts them; a caller solving many
-    cost vectors on one network builds it once, so that only the costs are
-    attached per call.  Raises when some node cannot reach t through
-    candidate arcs.
+    the per-node lists `_in_arcs` builds, restricts them; a caller solving
+    many cost vectors on one network builds them once.  Among optimal trees
+    the one returned is fixed: each node, plain or contracted, takes its
+    cheapest candidate with the lowest arc id.  Raises when some node cannot
+    reach t through candidate arcs.
     """
-    if not 0 <= t < net.n:
+    n = net.n
+    if not 0 <= t < n:
         raise DircutError("t out of range")
+    if len(costs) != net.arc_count:
+        raise DircutError("costs must hold one value per arc")
     if arcs is None:
-        arcs = _reversed_arcs(net, t, range(net.arc_count))
-    chosen = _min_in_arborescence(
-        frozenset(range(net.n)), [(u, v, costs[i], i) for u, v, i in arcs], t
-    )
-    parent = [-1] * net.n
-    arc_of = [-1] * net.n
-    for i in chosen:
-        parent[net.tails[i]] = net.heads[i]
-        arc_of[net.tails[i]] = i
+        arcs = _in_arcs(net, t, range(net.arc_count))
+    tails, heads = net.tails, net.heads
+    # Nodes n, n+1, ... are contracted cycles.  Per node: its chosen arc;
+    # the cycle node that absorbed it (`up`, kept for the unwind, and
+    # `owner`, path-compressed to the live node); and 0 unseen / 1 on the
+    # current walk / 2 known to reach t.  Per cycle node: the reduced cost
+    # of its choice and its (reduced cost, arc id) candidates.
+    key = costs.__getitem__
+    choice = [min(out, key=key) if out else -1 for out in arcs]
+    choice[t] = -1
+    if choice.count(-1) > 1:
+        raise DircutError(_NO_ARBORESCENCE)
+    up = [-1] * n
+    owner = list(range(n))
+    state = [0] * n
+    state[t] = 2
+    cycle_cost: list = []
+    candidates: list[list[tuple]] = []
+
+    def live(v: int) -> int:
+        root = v
+        while owner[root] != root:
+            root = owner[root]
+        while owner[v] != root:
+            owner[v], v = root, owner[v]
+        return root
+
+    for start in range(n):
+        if state[start]:
+            continue
+        path = [start]
+        state[start] = 1
+        x = start
+        while True:
+            w = heads[choice[x]]
+            if owner[w] != w:
+                w = live(w)
+            seen = state[w]
+            if seen == 2:
+                break
+            if seen == 0:
+                state[w] = 1
+                path.append(w)
+                x = w
+                continue
+            # The chosen arcs close a cycle: contract it into node s, whose
+            # candidates are the arcs entering it, reduced by the cost of the
+            # member's own choice.  No other node's choice changes.
+            i = path.index(w)
+            cycle = path[i:]
+            del path[i:]
+            s = len(choice)
+            for m in cycle:
+                owner[m] = up[m] = s
+            owner.append(s)
+            up.append(-1)
+            entering = []
+            for m in cycle:
+                if m < n:
+                    b = costs[choice[m]]
+                    entering += [
+                        (costs[a] - b, a) for a in arcs[m] if live(heads[a]) != s
+                    ]
+                else:
+                    b = cycle_cost[m - n]
+                    entering += [
+                        (c - b, a) for c, a in candidates[m - n] if live(heads[a]) != s
+                    ]
+            if not entering:
+                raise DircutError(_NO_ARBORESCENCE)
+            c, a = min(entering)
+            choice.append(a)
+            cycle_cost.append(c)
+            candidates.append(entering)
+            state.append(1)
+            path.append(s)
+            x = s
+        for x in path:
+            state[x] = 2
+    # Unwind, outermost cycle first: a node keeps its choice unless an
+    # enclosing cycle's arc enters through it.
+    arc_of = choice[:n]
+    entered = [False] * len(choice)
+    for x in range(len(choice) - 1, n - 1, -1):
+        if not entered[x]:
+            a = choice[x]
+            v = tails[a]
+            arc_of[v] = a
+            while v != x:
+                entered[v] = True
+                v = up[v]
+    parent = [heads[a] if a >= 0 else -1 for a in arc_of]
     return Arborescence(t=t, parent=tuple(parent), arc_ids=tuple(arc_of))
 
 
-def _reversed_arcs(
-    net: DirectedNetwork, t: int, arc_ids: Iterable[int]
-) -> list[tuple[int, int, int]]:
-    """(head, tail, id) of each of arc_ids that is no loop and leaves no t.
+def _in_arcs(net: DirectedNetwork, t: int, arc_ids: Iterable[int]) -> list[list[int]]:
+    """Per node, its out-arcs among arc_ids in ascending id, loops left out;
+    t gets none.
 
     Edmonds works on the reversal: choosing one in-arc per node there,
     rooted at t, is choosing one out-arc per node toward t here.
     """
     tails, heads = net.tails, net.heads
-    return [
-        (heads[i], tails[i], i) for i in arc_ids if tails[i] != heads[i] and tails[i] != t
-    ]
-
-
-def _min_in_arborescence(nodes: frozenset[int], arcs, root: int) -> list[int]:
-    """Edmonds on (tail, head, cost, token) arcs; one in-arc per non-root node.
-
-    Returns the original tokens of the chosen arcs.  A cycle among the
-    cheapest in-arcs is contracted into a fresh node, with reduced costs on
-    the arcs entering it, until none is left; the contractions are then
-    undone in reverse order.  Up to n of them can nest, so they are kept on
-    a stack rather than in recursion.
-    """
-    contracted: list[tuple[list[int], dict[int, tuple]]] = []
-    while True:
-        best: dict[int, tuple] = {}
-        for a in arcs:
-            u, v, c, _tok = a
-            if v == root or u == v:
-                continue
-            cur = best.get(v)
-            if cur is None or c < cur[2]:
-                best[v] = a
-        for v in nodes:
-            if v != root and v not in best:
-                raise DircutError("no t-arborescence exists: a node cannot reach t")
-        cycle = _chosen_cycle(nodes, best, root)
-        if cycle is None:
-            break
-        cyc = set(cycle)
-        super_node = max(nodes) + 1
-        mapped = []
-        for u, v, c, tok in arcs:
-            mu = super_node if u in cyc else u
-            mv = super_node if v in cyc else v
-            if mu == mv:
-                continue
-            if mv == super_node:
-                mapped.append((mu, mv, c - best[v][2], (tok, v)))
-            else:
-                mapped.append((mu, mv, c, (tok, None)))
-        contracted.append((cycle, best))
-        nodes = frozenset((nodes - cyc) | {super_node})
-        arcs = mapped
-    chosen = [best[v][3] for v in nodes if v != root]
-    while contracted:
-        cycle, best = contracted.pop()
-        result = []
-        entry_node = None
-        for tok, enters in chosen:
-            result.append(tok)
-            if enters is not None:
-                entry_node = enters
-        assert entry_node is not None, "contracted node must receive an in-arc"
-        for v in cycle:
-            if v != entry_node:
-                result.append(best[v][3])
-        chosen = result
-    return chosen
-
-
-def _chosen_cycle(nodes: frozenset[int], best: dict[int, tuple], root: int) -> list[int] | None:
-    """A cycle among the chosen in-arcs `best`, or None when they form a tree."""
-    color = {v: 0 for v in nodes}
-    for start in nodes:
-        if color[start] != 0:
-            continue
-        path = []
-        v = start
-        while v != root and color[v] == 0:
-            color[v] = 1
-            path.append(v)
-            v = best[v][0]
-        if v != root and color[v] == 1:  # fresh cycle
-            return path[path.index(v):]
-        for w in path:
-            color[w] = 2
-    return None
+    lists: list[list[int]] = [[] for _ in range(net.n)]
+    for i in sorted(arc_ids):
+        if tails[i] != heads[i] and tails[i] != t:
+            lists[tails[i]].append(i)
+    return lists
 
 
 def _young_iterations(epsilon: float, arcs: int, k: int) -> int:
@@ -357,22 +374,24 @@ def pack_arborescences(
     omega = 1.0 / wmin
     y = [1.0] * net.arc_count
     counts: Counter[Arborescence] = Counter()
-    arcs = _reversed_arcs(net, t, usable)
+    arcs = _in_arcs(net, t, usable)
     costs: list[float] = [0.0] * net.arc_count
+    for i in usable:
+        costs[i] = y[i] / caps[i]
     for _ in range(iterations):
-        for i in usable:
-            costs[i] = y[i] / caps[i]
         tree = min_cost_arborescence(net, t, costs, arcs=arcs)
         counts[tree] += 1
         top = 1.0
         for a in tree.arc_ids:
             if a >= 0:
                 y[a] *= 1.0 + eps * (1.0 / caps[a]) / omega
+                costs[a] = y[a] / caps[a]
                 if y[a] > top:
                     top = y[a]
         if top > 1e250:  # argmin is scale-invariant; renormalize before overflow
             for i in usable:
                 y[i] /= top
+                costs[i] = y[i] / caps[i]
     arc_counts: Counter[int] = Counter()
     for tree, cnt in counts.items():
         for a in tree.arc_ids:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction as Fr
@@ -145,6 +146,10 @@ class TestArborescence:
         with pytest.raises(DircutError, match="node 1 does not reach the root"):
             Arborescence(t=0, parent=(-1, -1, 1), arc_ids=(-1, 0, 1))
 
+    def test_arc_ids_of_wrong_length_rejected(self):
+        with pytest.raises(DircutError, match="differ in length"):
+            Arborescence(t=2, parent=(1, 2, -1), arc_ids=(0, 1))
+
     def test_long_path_validates(self):
         n = 5000
         parent = tuple(range(1, n)) + (-1,)
@@ -183,19 +188,89 @@ class TestMinCostArborescence:
         with pytest.raises(DircutError, match="no t-arborescence"):
             min_cost_arborescence(net, 2, [1.0, 1.0])
 
-    def test_nested_contractions_do_not_recurse(self):
+    @staticmethod
+    def nested_chain(n: int):
         # Toward t, arc k -> k-1 is free and k-1 -> k costs 1; only 0 reaches
         # t, at a price above every reduced cost.  In Edmonds' reversal each
         # node's cheapest in-arc closes a 2-cycle with the node contracted
         # just before it: 0 and 1 first, then that node and 2, and so on,
         # n - 2 nested contractions in all.
-        n = 1102
         arcs, costs = [(0, n, 1)], [10 * n]
         for k in range(1, n):
             arcs += [(k, k - 1, 1), (k - 1, k, 1)]
             costs += [0, 1]
-        tree = min_cost_arborescence(network_from_arcs(n + 1, arcs), n, costs)
+        return min_cost_arborescence(network_from_arcs(n + 1, arcs), n, costs)
+
+    def test_nested_contractions_do_not_recurse(self):
+        n = 1102
+        tree = self.nested_chain(n)
         assert tree.parent == (n, *range(n - 1), -1)
+
+    def test_nested_contractions_at_n_5000(self):
+        n = 5000
+        tree = self.nested_chain(n)
+        assert tree.parent == (n, *range(n - 1), -1)
+
+    @staticmethod
+    def check_optimal(net, t, costs, *, unique=False):
+        """The tree costs as little as the cheapest enumerated one; with
+        unique=True, it is that one."""
+        tree = min_cost_arborescence(net, t, costs)
+        ranked = sorted(
+            (sum(costs[a] for a in arb.arc_ids if a >= 0), arb.arc_ids)
+            for arb in all_arborescences(net, t)
+        )
+        assert sum(costs[a] for a in tree.arc_ids if a >= 0) == ranked[0][0]
+        if unique:
+            assert len(ranked) == 1 or ranked[1][0] > ranked[0][0]
+            assert tree.arc_ids == ranked[0][1]
+        return tree, ranked
+
+    def test_two_disjoint_cycles_at_one_level(self):
+        # The cheapest out-arcs pair 0 with 1 and 2 with 3: two cycles at
+        # level 0, contracted one after the other; then the first pair enters
+        # the second through 1 -> 2, and the second enters t.
+        net = network_from_arcs(
+            5,
+            [(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 1),
+             (0, 4, 1), (1, 4, 1), (2, 4, 1), (3, 4, 1), (1, 2, 1)],
+        )
+        costs = [1, 2, 1, 3, 10, 12, 20, 15, 6]
+        tree, _ = self.check_optimal(net, 4, costs, unique=True)
+        assert tree.parent == (1, 2, 3, 4, -1)
+
+    def test_cycle_through_an_earlier_contraction(self):
+        # 0 and 1 close a free 2-cycle; the contracted pair's cheapest way
+        # out is 0 -> 2, whose own cheapest arc 2 -> 0 leads back into the
+        # pair, so the second cycle holds the first contraction.
+        net = network_from_arcs(
+            4,
+            [(0, 1, 1), (1, 0, 1), (0, 2, 1), (1, 2, 1), (2, 0, 1), (2, 1, 1),
+             (0, 3, 1), (1, 3, 1), (2, 3, 1)],
+        )
+        costs = [0, 0, 1, 2, 1, 5, 10, 11, 12]
+        tree, _ = self.check_optimal(net, 3, costs, unique=True)
+        assert tree.parent == (3, 0, 0, -1)
+
+    def test_tied_costs_and_any_root(self):
+        # Costs in {1, 2} make many optima; random floats make one, which
+        # must be the tree returned.  t takes every position.
+        rng = random.Random(71)
+        tied = 0
+        for _ in range(60):
+            n = rng.randint(3, 6)
+            t = rng.randrange(n)
+            net = random_digraph(rng, n, arc_prob=0.5, ensure_sink_path=t)
+            costs = [rng.randint(1, 2) for _ in range(net.arc_count)]
+            _, ranked = self.check_optimal(net, t, costs)
+            tied += len(ranked) > 1 and ranked[1][0] == ranked[0][0]
+            self.check_optimal(net, t, [rng.random() for _ in costs], unique=True)
+        assert tied >= 30
+
+    def test_costs_of_wrong_length_rejected(self):
+        net = network_from_arcs(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(DircutError, match="one value per arc"):
+            min_cost_arborescence(net, 2, [1.0])
 
     def test_matches_enumeration_on_random_instances(self):
         rng = random.Random(7)
@@ -270,6 +345,37 @@ class TestPacking:
         assert 0 not in usage
         for arc, used in usage.items():
             assert used <= net.caps[arc]
+
+
+class TestTieBreakPin:
+    """Literal results on fixed inputs: the packings' trees, in order, with
+    their weights, and one pipeline run with the RNG draw after it.  Edmonds
+    breaks ties between optimal trees by arc id, so a change in which
+    optimal tree it returns, or in the draws, shows up here."""
+
+    PACKINGS = {
+        1: (26, Fr(5169), "f4a9d7a22557f95d"),
+        2: (2, Fr(7200), "dcc1be4fa4093337"),
+        3: (39, Fr(4800), "0abe469c220c6041"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PACKINGS))
+    def test_packing_digest(self, seed):
+        net = random_digraph(random.Random(seed), 12, arc_prob=0.3, ensure_sink_path=11)
+        lam = t_mincut_exhaustive(net, 11).value
+        params = SparsifierParams.derive(Fr(lam + 1), 3, Fr(1, 10), 12, seed)
+        sparse = sparsify(net, 11, params)
+        packing = pack_arborescences(sparse, 11, 3, Fr(1, 10), iterations=96)
+        text = repr([(tree.arc_ids, str(w)) for tree, w in packing.items])
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (len(packing.items), packing.value, digest) == self.PACKINGS[seed]
+
+    def test_find_small_cut_and_rng_stream(self):
+        net = random_digraph(random.Random(4), 12, arc_prob=0.3, ensure_sink_path=11)
+        rng = random.Random(5)
+        cut = find_small_cut(net, 11, net.cut_value(frozenset(range(11))), 3, rng)
+        assert cut == STCut(source_side=frozenset({6}), value=10)
+        assert rng.getrandbits(32) == 4129516530
 
 
 class TestOneRespecting:
