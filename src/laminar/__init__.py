@@ -33,6 +33,7 @@ from .flow import (
     max_flow,
     min_st_cut,
     residual,
+    t_cuts_below,
     t_mincut_exhaustive,
 )
 from .goldberg import (

@@ -11,6 +11,9 @@ Scores c(E[X]) - tau(|X|-1) are multiples of 1/q and the shift adds at most
 delta(n-1) < 1/q, so below tau* the maximizer is strictly denser than tau
 (also when the density network is unsaturated, as tau >= 1 >= delta n), and
 at tau* it is the largest densest set: the last Newton step is the extraction.
+The maximal densest sets are pairwise disjoint (c(E[X]) - tau*(|X|-1) is
+supermodular on intersecting pairs), and that step's scan meets all of them:
+the first scanned source inside each one cuts exactly that set.
 
 A set S is a dense core when no subset is strictly denser and every proper
 superset is strictly sparser.  Subsets are checked on the induced subgraph's
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dircut import EPSILON, find_small_cut, size_bounded_t_mincut
-from .flow import max_flow, t_mincut_exhaustive
+from .flow import max_flow, t_cuts_below, t_mincut_exhaustive
 from .goldberg import ModifiedNetwork, build_goldberg, build_modified, min_cut_vertex_side
 from .graph import GraphError, WeightedGraph, contract, induced_subgraph, skew_density
 
@@ -41,13 +44,16 @@ class FindStarResult:
     denser than tau: thresholds strictly increase, and only the last one, at
     tau_star, found none.  In exact mode tau_star is the maximum skew-density
     and candidate the largest set attaining it, found by the last Newton step
-    at tau* - delta (see above); in randomized mode a probe can miss, so the
-    search may stop below the maximum.
+    at tau* - delta (see above); sets holds every maximal set attaining it,
+    pairwise disjoint, largest first and candidate first among the largest.
+    In randomized mode a probe can miss, so the search may stop below the
+    maximum, and sets holds the candidate alone.
     """
 
     candidate: frozenset[int]
     tau_star: Fraction
     probes: tuple[tuple[Fraction, bool], ...]
+    sets: tuple[frozenset[int], ...]
 
 
 def dense_side_sources(graph: WeightedGraph, tau: Fraction) -> list[int]:
@@ -95,6 +101,7 @@ def probe(
     mode: str = "exact",
     rng: random.Random | None = None,
     epsilon: Fraction = EPSILON,
+    sides: list[frozenset[int]] | None = None,
 ) -> tuple[bool, frozenset[int] | None]:
     """Is some vertex set skew-denser than tau?
 
@@ -106,7 +113,9 @@ def probe(
     On success the witness is strictly denser than tau: in case (a) the
     largest maximizer of c(E[X]) - tau|X|, in case (b) the source side of a
     cut below scale*tau, which in exact mode is the minimum t-cut and so
-    maximizes c(E[X]) - tau(|X|-1).
+    maximizes c(E[X]) - tau(|X|-1).  With `sides`, an exact probe that
+    scans appends to it the source side of every cut the scan recorded below
+    scale*tau, in scan order (see `flow.t_cuts_below`).
     """
     if graph.n == 0 or not graph.is_connected():
         raise GraphError("probe needs a connected, nonempty graph")
@@ -118,12 +127,15 @@ def probe(
         return True, side
     threshold = shortcut.tau.numerator  # scale * tau
     if mode == "exact":
-        cut = t_mincut_exhaustive(
+        cuts = t_cuts_below(
             shortcut.network,
             shortcut.t,
             limit=threshold,
             sources=dense_side_sources(graph, tau),
         )
+        if sides is not None:
+            sides.extend(cut.source_side for cut in cuts)
+        cut = min(cuts, key=lambda cut: cut.value, default=None)
     elif mode == "randomized":
         if rng is None:
             raise GraphError("randomized mode needs an RNG stream")
@@ -150,20 +162,24 @@ def max_density_search(
     Starts at the heaviest merged edge, whose endpoints have density equal to
     its weight, and moves to each probe's witness while it is strictly denser.
     Exact mode probes at tau - delta and stops on a witness of density tau,
-    the largest densest set.  Randomized mode probes at tau and stops at the
-    first miss; the candidate is then the last witness, the densest seen.
+    the largest densest set, and reads every maximal densest set off that
+    probe's scan.  Randomized mode probes at tau and stops at the first miss;
+    the candidate is then the last witness, the densest seen.
     """
     if graph.n == 0 or not graph.is_connected():
         raise GraphError("the densest-set search needs a connected, nonempty graph")
     if graph.n == 1:
-        return FindStarResult(frozenset({0}), Fraction(0), ())
+        return FindStarResult(frozenset({0}), Fraction(0), (), (frozenset({0}),))
     (u, v), weight = max(graph.merged_edges().items(), key=lambda item: item[1])
     witness = frozenset((u, v))
     tau = Fraction(weight)
     probes: list[tuple[Fraction, bool]] = []
     while True:
         threshold = _below(tau, graph.n) if mode == "exact" else tau
-        ok, found = probe(graph, threshold, k, mode=mode, rng=rng, epsilon=epsilon)
+        sides: list[frozenset[int]] = []
+        ok, found = probe(
+            graph, threshold, k, mode=mode, rng=rng, epsilon=epsilon, sides=sides
+        )
         if not ok and threshold < tau:  # an exact probe below the witness cannot miss
             raise RuntimeError(f"probe at {threshold} missed a witness of density {tau}")
         density = skew_density(graph, found) if ok else tau  # a miss finds nothing denser
@@ -171,8 +187,36 @@ def max_density_search(
             raise RuntimeError(f"probe witness at {threshold} has density {density}, not above it")
         probes.append((tau, density > tau))
         if density == tau:
-            return FindStarResult(found or witness, tau, tuple(probes))
+            if mode == "exact":
+                sets = _maximal_densest(graph, tau, sides, found)
+            else:
+                found = found or witness
+                sets = (found,)
+            return FindStarResult(found, tau, tuple(probes), sets)
         witness, tau = found, density
+
+
+def _maximal_densest(
+    graph: WeightedGraph, tau: Fraction, sides: list[frozenset[int]], witness: frozenset[int]
+) -> tuple[frozenset[int], ...]:
+    """The sides no other side strictly contains, largest first, else in scan order.
+
+    `sides` are the last exact probe's, at tau* - delta.  Only densest sets
+    beat that threshold, so each scanned source yields the largest densest
+    set that contains it and avoids every source scanned before it; the
+    first source scanned inside a maximal densest set yields that set, and
+    every later one a proper subset of it.  The witness, the earliest
+    largest side, comes first.
+    """
+    top = [side for side in sides if not any(side < other for other in sides)]
+    for side in top:
+        density = skew_density(graph, side)
+        if density != tau:
+            raise RuntimeError(f"a maximal scanned side has density {density}, not {tau}")
+    top.sort(key=len, reverse=True)
+    if top[:1] != [witness]:
+        raise RuntimeError("the search's witness is not the first maximal densest set")
+    return tuple(top)
 
 
 def find_star_full(
@@ -190,7 +234,8 @@ def find_star_full(
     search's last Newton step; randomized mode extracts at the same threshold
     with the size-bounded sampler, falling back to the search's witness.  With
     k at least the size of the largest densest set, the candidate is that set
-    (always in exact mode, w.h.p. in randomized mode).
+    (always in exact mode, w.h.p. in randomized mode).  Exact mode also
+    returns every maximal densest set, in `sets`.
     """
     if k < 1:
         raise GraphError("k must be at least 1")
@@ -207,7 +252,7 @@ def find_star_full(
         candidate = frozenset(cut.source_side)
     if not candidate or skew_density(graph, candidate) < search.tau_star:
         candidate = search.candidate
-    return FindStarResult(candidate, search.tau_star, search.probes)
+    return FindStarResult(candidate, search.tau_star, search.probes, (candidate,))
 
 
 def find_star(

@@ -356,6 +356,45 @@ def residual(net: DirectedNetwork, flow: FlowResult) -> DirectedNetwork:
     return out
 
 
+def t_cuts_below(
+    net: DirectedNetwork,
+    t: int,
+    *,
+    limit: int | None = None,
+    sources: Iterable[int] | None = None,
+) -> list[STCut]:
+    """Per scanned source, its minimal min t-cut when that is below `limit`.
+
+    Sources are scanned in order (default: every node; repeats and t are
+    skipped), each by one flow that stops at the fixed `limit`.  A scanned
+    source joins the sink set (Hao and Orlin): every side containing it is
+    accounted for by its own flow, so later flows cut only sides avoiding
+    the set and stop sooner.  A flow below the limit is maximum into the
+    set, so the side recorded for it is the smallest min cut that contains
+    its source and avoids every earlier one.  When `sources` meets every
+    t-cut below the limit, the least recorded value is the minimum t-cut.
+    Without a limit every scanned source is recorded, with value INF when
+    it has no finite cut.
+    """
+    if net.n < 2:
+        raise FlowError("t-mincut needs at least 2 nodes")
+    if not 0 <= t < net.n:
+        raise FlowError("t out of range")
+    if sources is None:
+        sources = range(net.n)
+    retired = {t}
+    cuts: list[STCut] = []
+    for s in sources:
+        if s in retired:
+            continue
+        flow = max_flow(net, s, t, limit=limit, sinks=retired)
+        if not flow.reached_limit:
+            side = min_source_side(net, flow, s)
+            cuts.append(STCut(source_side=side, value=_as_cut_value(net, flow.value)))
+        retired.add(s)
+    return cuts
+
+
 def t_mincut_exhaustive(
     net: DirectedNetwork,
     t: int,
@@ -365,38 +404,12 @@ def t_mincut_exhaustive(
 ) -> STCut | None:
     """Minimum over all sources s != t of the min s-t cut.
 
-    Covers every t-cut (source side excluding t) exactly.  With `limit`,
-    returns None unless some t-cut is strictly below it.  `sources`, when
-    given, must be guaranteed by the caller to intersect every t-cut below
-    the limit; repeats and t are skipped.
+    Covers every t-cut (source side excluding t) exactly: the least of
+    `t_cuts_below`, the earliest scanned on ties.  With `limit`, returns
+    None unless some t-cut is strictly below it.  `sources`, when given,
+    must be guaranteed by the caller to intersect every t-cut below the
+    limit; repeats and t are skipped.
     An all-infinite answer is reported with value INF.
     """
-    if net.n < 2:
-        raise FlowError("t-mincut needs at least 2 nodes")
-    if not 0 <= t < net.n:
-        raise FlowError("t out of range")
-    if sources is None:
-        sources = range(net.n)
-    # Once a source is scanned, every side containing it is accounted for
-    # (its minimum is at least the running bound), so it joins the sink set
-    # (Hao and Orlin): later flows cut only sides avoiding the set and stop
-    # sooner.  A flow below its bound is maximum into the set, so its minimal
-    # source side avoids every sink.
-    retired = {t}
-    best: STCut | None = None
-    best_raw: int | None = None
-    bound = limit
-    for s in sources:
-        if s in retired:
-            continue
-        flow = max_flow(net, s, t, limit=bound, sinks=retired)
-        if not flow.reached_limit:
-            if best_raw is None or flow.value < best_raw:
-                best_raw = flow.value
-                best = STCut(
-                    source_side=min_source_side(net, flow, s),
-                    value=_as_cut_value(net, flow.value),
-                )
-                bound = flow.value if limit is None else min(limit, flow.value)
-        retired.add(s)
-    return best
+    cuts = t_cuts_below(net, t, limit=limit, sources=sources)
+    return min(cuts, key=lambda cut: cut.value, default=None)

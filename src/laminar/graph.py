@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -84,12 +85,18 @@ class WeightedGraph:
         return merged
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        # Computed once per instance: the graph is frozen, and every layer
+        # of a run checks the same graph object.
         return self.n <= 1 or (self.m >= self.n - 1 and _component_roots(self)[1] == 1)
 
 
 @dataclass(frozen=True)
 class ContractionMap:
-    """Vertex correspondence produced by contracting a set into one node.
+    """Vertex correspondence produced by contracting sets, each into one node.
 
     forward maps every original vertex to its contracted-graph vertex;
     expansion maps each contracted-graph vertex back to the set of original
@@ -161,38 +168,47 @@ def skew_density(graph: WeightedGraph, s: Iterable[int]) -> Fraction:
     return Fraction(graph.weight_inside(inside), len(inside) - 1)
 
 
-def contract(graph: WeightedGraph, s: Iterable[int]) -> tuple[WeightedGraph, ContractionMap]:
-    """Contract vertex set s into a single node.
+def contract(
+    graph: WeightedGraph, *sets: Iterable[int]
+) -> tuple[WeightedGraph, ContractionMap]:
+    """Contract each of the pairwise disjoint vertex sets into a single node.
 
-    Edges inside s are deleted, edges leaving s are re-attached to the new
+    Edges inside a set are deleted, edges leaving it are re-attached to its
     node, and parallel edges are kept distinct so all cut values are
-    preserved exactly.  The new node takes the slot of min(s); the remaining
-    vertices keep their relative order.
+    preserved exactly.  Each set's node takes the slot of the set's smallest
+    vertex; all slots keep their relative order, so contracting the sets one
+    after another gives the same graph.
     """
-    inside = frozenset(s)
-    if not inside:
-        raise GraphError("cannot contract the empty set")
-    if not inside <= set(range(graph.n)):
-        raise GraphError("set is not a subset of the vertices")
-    rep = min(inside)
-    forward: list[int] = []
+    if not sets:
+        raise GraphError("no set to contract")
+    vertices = set(range(graph.n))
+    rep_of = list(range(graph.n))  # the smallest vertex of v's set
+    claimed: set[int] = set()
+    for s in sets:
+        inside = frozenset(s)
+        if not inside:
+            raise GraphError("cannot contract the empty set")
+        if not inside <= vertices:
+            raise GraphError("set is not a subset of the vertices")
+        if not claimed.isdisjoint(inside):
+            raise GraphError("the sets to contract must be disjoint")
+        claimed |= inside
+        rep = min(inside)
+        for v in inside:
+            rep_of[v] = rep
+    forward = [0] * graph.n
     next_id = 0
     for v in range(graph.n):
-        if v in inside and v != rep:
-            forward.append(-1)  # patched below once rep's id is known
-        else:
-            forward.append(next_id)
+        if rep_of[v] == v:
+            forward[v] = next_id
             next_id += 1
-    rep_id = forward[rep]
-    for v in inside:
-        forward[v] = rep_id
+    for v in range(graph.n):
+        forward[v] = forward[rep_of[v]]
     expansion: list[set[int]] = [set() for _ in range(next_id)]
     for v in range(graph.n):
         expansion[forward[v]].add(v)
     new_edges = [
-        (forward[u], forward[v], w)
-        for u, v, w in graph.edges
-        if not (u in inside and v in inside)
+        (forward[u], forward[v], w) for u, v, w in graph.edges if forward[u] != forward[v]
     ]
     contracted = WeightedGraph(next_id, tuple(new_edges))
     cmap = ContractionMap(tuple(forward), tuple(frozenset(e) for e in expansion))

@@ -1,7 +1,10 @@
 """Canonical cut hierarchy: laminar min-ratio cuts as a rooted tree.
 
-Construction contracts one star set at a time: find a candidate dense set,
-verify it is a dense core, contract, repeat.  Each accepted set becomes an
+Construction contracts star sets in rounds: find candidate dense sets,
+verify each is a dense core, contract them, repeat.  An exact round
+contracts every maximal densest set of the current graph at once (they are
+pairwise disjoint, and one search finds them all); a randomized round, and
+its exact fallback, contracts one set.  Each accepted set becomes an
 internal node whose sigma is the set's skew-density in the graph it was
 contracted from, which equals the cut ratio of the all-singleton min-ratio
 cut of that node's contracted subgraph.
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .densecore import find_star, verify_core
+from .densecore import find_star, find_star_full, verify_core
 from .dircut import EPSILON
 from .graph import GraphError, MultiwayCut, WeightedGraph, contract, skew_density
 
@@ -149,26 +152,22 @@ def build_hierarchy(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         rng = random.Random(0)
-    registry: dict[int, HierarchyNode] = {v: _leaf(v) for v in range(graph.n)}
+    registry = [_leaf(v) for v in range(graph.n)]  # the node of each vertex of cur
     cur = graph
     while cur.n > 1:
-        accepted = _accept_star_set(cur, mode, rng, epsilon)
-        sigma = skew_density(cur, accepted)
-        children = tuple(
-            sorted((registry[v] for v in accepted), key=lambda nd: min(nd.vertex_set))
-        )
-        merged = HierarchyNode(
-            frozenset().union(*(c.vertex_set for c in children)), children, sigma
-        )
-        cur, cmap = contract(cur, accepted)
-        new_registry: dict[int, HierarchyNode] = {}
-        rep = cmap.forward[min(accepted)]
-        for old, node in registry.items():
-            if old in accepted:
-                continue
-            new_registry[cmap.forward[old]] = node
-        new_registry[rep] = merged
-        registry = new_registry
+        stars = _accept_star_sets(cur, mode, rng, epsilon)
+        merged: dict[int, HierarchyNode] = {}  # keyed by each star's smallest vertex
+        for star in stars:
+            children = tuple(
+                sorted((registry[v] for v in star), key=lambda nd: min(nd.vertex_set))
+            )
+            merged[min(star)] = HierarchyNode(
+                frozenset().union(*(c.vertex_set for c in children)),
+                children,
+                skew_density(cur, star),
+            )
+        cur, cmap = contract(cur, *stars)
+        registry = [merged.get(min(old), registry[min(old)]) for old in cmap.expansion]
     return HierarchyTree(root=registry[0], graph=graph)
 
 
@@ -183,15 +182,16 @@ def _sweep_sizes(n: int) -> list[int]:
     return sizes
 
 
-def _accept_star_set(
+def _accept_star_sets(
     cur: WeightedGraph, mode: str, rng: random.Random, epsilon: Fraction
-) -> frozenset[int]:
-    """One outer iteration: the dense core of cur to contract.
+) -> tuple[frozenset[int], ...]:
+    """One outer iteration: the disjoint dense cores of cur to contract.
 
     Randomized mode sweeps doubling sizes k, accepting a candidate of more
     than k/2 and at most k vertices that verifies, for MAX_RESTARTS rounds.
     The exact search, which is also the randomized fallback, ignores k and
-    runs once.
+    runs once; exact mode takes every maximal densest set it returns, the
+    fallback only its candidate.  Each set must verify against cur.
     """
     if mode == "randomized":
         for _ in range(MAX_RESTARTS):
@@ -201,12 +201,16 @@ def _accept_star_set(
                     cur, k, mode="randomized", rng=sub_rng, epsilon=epsilon
                 )
                 if k // 2 < len(candidate) <= k and verify_core(cur, k, candidate):
-                    return candidate
+                    return (candidate,)
     sub_rng = random.Random(rng.getrandbits(64))
-    candidate = find_star(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon)
-    if verify_core(cur, cur.n, candidate):
-        return candidate
-    raise RuntimeError("no star set accepted; the exact search should always succeed")
+    if mode == "randomized":
+        stars = (find_star(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon),)
+    else:
+        stars = find_star_full(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon).sets
+    for star in stars:
+        if not verify_core(cur, cur.n, star):
+            raise RuntimeError(f"{sorted(star)} from the exact search is not a dense core")
+    return stars
 
 
 def node_sigma(tree: HierarchyTree, vertex_set) -> Fraction:
@@ -235,12 +239,22 @@ def maximal_min_ratio_cut(tree: HierarchyTree) -> MultiwayCut:
 def validate_hierarchy(
     graph: WeightedGraph, tree: HierarchyTree, *, oracle_limit: int = 7
 ) -> list[str]:
-    """Structural checks; on small graphs also compares each internal node's
-    children against the brute-force maximal min-ratio cut.  Returns a list of
-    violation descriptions, empty when the tree is consistent."""
+    """Structural checks and each internal node's sigma certificate; on small
+    graphs also compares each internal node's children against the
+    brute-force maximal min-ratio cut.  Returns a list of violation
+    descriptions, empty when the tree is consistent.
+
+    The certificate holds at any size: an internal node's sigma is the
+    weight of its edges that join different children, divided by the
+    number of children minus one.
+    """
     violations: list[str] = []
-    if tree.root.vertex_set != frozenset(range(graph.n)):
+    vertices = frozenset(range(graph.n))
+    if tree.root.vertex_set != vertices:
         violations.append("root does not cover the vertex set")
+    heads: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for u, v, w in graph.edges:
+        heads[u].append((v, w))
     for node in tree.nodes():
         if node.is_leaf:
             if len(node.vertex_set) != 1:
@@ -253,8 +267,10 @@ def validate_hierarchy(
         if len(node.children) < 2:
             violations.append(f"internal node {sorted(node.vertex_set)} has < 2 children")
         union: set[int] = set()
+        overlap = False
         for child in node.children:
             if union & child.vertex_set:
+                overlap = True
                 violations.append(
                     f"children of {sorted(node.vertex_set)} overlap"
                 )
@@ -271,6 +287,25 @@ def validate_hierarchy(
                 )
         if union != set(node.vertex_set):
             violations.append(f"children of {sorted(node.vertex_set)} do not partition it")
+        elif (
+            not overlap
+            and union <= vertices
+            and node.sigma is not None
+            and len(node.children) >= 2
+        ):
+            child_of = {v: i for i, child in enumerate(node.children) for v in child.vertex_set}
+            crossing = sum(
+                w
+                for u in node.vertex_set
+                for v, w in heads[u]
+                if v in child_of and child_of[v] != child_of[u]
+            )
+            ratio = Fraction(crossing, len(node.children) - 1)
+            if ratio != node.sigma:
+                violations.append(
+                    f"ratio of {sorted(node.vertex_set)} is {node.sigma}, the "
+                    f"weight between its children gives {ratio}"
+                )
     if graph.n <= oracle_limit:
         from .graph import induced_subgraph
         from .oracle import brute_min_ratio_cut

@@ -112,6 +112,45 @@ class TestFindStar:
             assert find_star(g, g.n) == expected
             checked += 1
 
+    def test_sets_are_the_maximal_densest_sets(self):
+        # Exact mode returns every maximal densest set, pairwise disjoint,
+        # largest first and the candidate first.  Half of the graphs are
+        # copies of one random block, shuffled and chained by unit edges, so
+        # they have several.
+        rng = random.Random(23)
+        several = 0
+        for trial in range(40):
+            if trial % 2:
+                g = random_connected_graph(rng, rng.randint(2, 9), max_weight=rng.choice((1, 9)))
+            else:
+                size, copies = rng.randint(2, 4), rng.randint(2, 3)
+                block = random_connected_graph(rng, size, max_weight=3)
+                label = list(range(size * copies))
+                rng.shuffle(label)
+                edges = [
+                    (label[c * size + u], label[c * size + v], w)
+                    for c in range(copies)
+                    for u, v, w in block.edges
+                ]
+                edges += [(label[c * size], label[c * size + size], 1) for c in range(copies - 1)]
+                g = WeightedGraph.from_edges(size * copies, edges)
+            best, _ = brute_max_skew_density(g)
+            densest = [
+                frozenset(subset)
+                for size in range(2, g.n + 1)
+                for subset in combinations(range(g.n), size)
+                if skew_density(g, subset) == best
+            ]
+            maximal = {x for x in densest if not any(x < y for y in densest)}
+            result = find_star_full(g, g.n)
+            assert len(result.sets) == len(maximal) and set(result.sets) == maximal
+            assert result.sets[0] == result.candidate
+            sizes = [len(x) for x in result.sets]
+            assert sizes == sorted(sizes, reverse=True)
+            assert sum(sizes) == len(frozenset().union(*result.sets))
+            several += len(result.sets) > 1
+        assert several >= 15
+
     def test_randomized_mode_small_sample(self):
         rng = random.Random(77)
         hits = 0
@@ -141,16 +180,17 @@ class TestFindStar:
         monkeypatch.setattr(dc, "find_small_cut", lambda *args, **kwargs: None)
         result = find_star_full(trubin_path, 2, mode="randomized", rng=random.Random(0))
         assert result.candidate == {2, 3}
+        assert result.sets == (result.candidate,)
 
     def test_exact_search_scans_once_per_probe(self, monkeypatch, trubin_path):
         # Each exact Newton step is one density-network flow and, when that
-        # saturates, one exhaustive scan; the last step is the extraction, so
-        # no further flow or scan runs.
+        # saturates, one exhaustive scan; the last step is the extraction of
+        # every maximal densest set, so no further flow or scan runs.
         import laminar.densecore as dc
 
         saturated: list[bool] = []
         scans = []
-        saturate, scan = dc._saturate, dc.t_mincut_exhaustive
+        saturate, scan = dc._saturate, dc.t_cuts_below
 
         def counting_saturate(*args):
             side, shortcut = saturate(*args)
@@ -162,7 +202,7 @@ class TestFindStar:
             return scan(*args, **kwargs)
 
         monkeypatch.setattr(dc, "_saturate", counting_saturate)
-        monkeypatch.setattr(dc, "t_mincut_exhaustive", counting_scan)
+        monkeypatch.setattr(dc, "t_cuts_below", counting_scan)
         rng = random.Random(61)
         graphs = [trubin_path] + [
             random_connected_graph(rng, rng.randint(2, 9), extra_edges=rng.randint(0, 6))

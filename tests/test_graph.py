@@ -114,6 +114,29 @@ class TestContract:
             contract(unit_triangle, set())
         with pytest.raises(GraphError):
             contract(unit_triangle, {0, 9})
+        with pytest.raises(GraphError):
+            contract(unit_triangle)
+        with pytest.raises(GraphError, match="disjoint"):
+            contract(unit_triangle, {0, 1}, {0, 2})
+        with pytest.raises(GraphError):
+            contract(unit_triangle, {0}, {1}, set())
+
+    def test_disjoint_sets_in_one_pass_match_one_after_another(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randint(2, 12))
+            order = list(range(g.n))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, g.n + 1), rng.randint(1, min(g.n, 4))))
+            sets = [frozenset(order[a:b]) for a, b in zip([0, *cuts], cuts)]
+            contracted, cmap = contract(g, *sets)
+            one_by_one, forward = g, list(range(g.n))
+            for s in sets:
+                one_by_one, step = contract(one_by_one, {forward[v] for v in s})
+                forward = [step.forward[v] for v in forward]
+            assert contracted == one_by_one
+            assert list(cmap.forward) == forward
+            assert {cmap.expansion[cmap.forward[min(s)]] for s in sets} == set(sets)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -179,6 +202,27 @@ class TestComponentsAndRank:
         lhs = rank(g, b | x) - rank(g, b)
         rhs = rank(g, a | x) - rank(g, a)
         assert lhs <= rhs
+
+
+    def test_connectivity_is_computed_once_per_graph(self, monkeypatch):
+        import laminar.graph as graph_module
+        from laminar import compute_arboricity
+
+        calls = []
+        real = graph_module._component_roots
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graph_module, "_component_roots", counting)
+        g = random_connected_graph(random.Random(3), 9)
+        compute_arboricity(g)
+        assert g.is_connected() and len(calls) == 1
+        split = WeightedGraph.from_edges(4, [(0, 1, 1), (2, 3, 1), (0, 1, 2)])
+        assert not split.is_connected() and not split.is_connected()
+        assert len(calls) == 2
+        assert split == WeightedGraph.from_edges(4, split.edges)
 
 
 class TestEdgeList:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Fr
+from itertools import combinations
 
 import pytest
 
@@ -217,42 +218,104 @@ class TestOracleEquivalence:
 class TestAcceptStarSet:
     @staticmethod
     def record(monkeypatch):
-        """Log hierarchy's find_star calls and verify_core verdicts.
+        """Log hierarchy's searches and verify_core verdicts.
 
-        A find event carries the mode, which the wrapper accepts only as a
-        keyword, and the size of the graph searched.
+        A find event, from find_star or find_star_full, carries the mode,
+        which both accept only as a keyword, and the size of the graph
+        searched.
         """
         import laminar.hierarchy as hz
 
         events: list[tuple] = []
-        real_find, real_verify = hz.find_star, hz.verify_core
+        real_verify = hz.verify_core
 
-        def finding(cur, k, **kwargs):
-            events.append(("find", kwargs["mode"], cur.n))
-            return real_find(cur, k, **kwargs)
+        def logged(real):
+            def finding(cur, k, **kwargs):
+                events.append(("find", kwargs["mode"], cur.n))
+                return real(cur, k, **kwargs)
+
+            return finding
 
         def verifying(cur, k, candidate):
             verdict = real_verify(cur, k, candidate)
             events.append(("verify", verdict))
             return verdict
 
-        monkeypatch.setattr(hz, "find_star", finding)
+        monkeypatch.setattr(hz, "find_star", logged(hz.find_star))
+        monkeypatch.setattr(hz, "find_star_full", logged(hz.find_star_full))
         monkeypatch.setattr(hz, "verify_core", verifying)
         return events
 
-    def test_exact_searches_and_verifies_once_per_node(self, monkeypatch):
+    def test_exact_searches_once_per_round_and_verifies_once_per_node(self, monkeypatch):
+        # An exact round is one search, one accepted verify per set the
+        # search returns, and one contraction of exactly those sets; the
+        # sets of all rounds are the internal nodes.
+        import laminar.hierarchy as hz
+
         events = self.record(monkeypatch)
+        found: list[tuple] = []
+        contracted: list[tuple] = []
+        search, contract = hz.find_star_full, hz.contract
+
+        def searching(cur, k, **kwargs):
+            result = search(cur, k, **kwargs)
+            found.append(result.sets)
+            return result
+
+        def contracting(cur, *sets):
+            contracted.append(sets)
+            return contract(cur, *sets)
+
+        monkeypatch.setattr(hz, "find_star_full", searching)
+        monkeypatch.setattr(hz, "contract", contracting)
         rng = random.Random(71)
-        for _ in range(12):
-            g = random_connected_graph(rng, rng.randint(2, 8))
+        batched = 0
+        for _ in range(16):
+            # Light weights tie often enough that some round has two sets.
+            g = random_connected_graph(rng, rng.randint(2, 12), max_weight=3)
             events.clear()
+            found.clear()
+            contracted.clear()
             tree = build_hierarchy(g)
             internal = sum(1 for _ in tree.internal_nodes())
-            assert [event[0] for event in events] == ["find", "verify"] * internal
+            assert contracted == found
+            assert sum(len(sets) for sets in found) == internal
+            assert [event[0] for event in events] == [
+                kind for sets in found for kind in ["find"] + ["verify"] * len(sets)
+            ]
             assert all(
                 event[1] == "exact" if event[0] == "find" else event[1] is True
                 for event in events
             )
+            batched += any(len(sets) >= 2 for sets in found)
+        assert batched >= 2
+
+    def test_one_exact_search_contracts_three_equal_triangles(self, monkeypatch):
+        # Three triangles of weight-2 edges (density 3) chained by unit edges:
+        # the first round's one search finds all three, and one contraction
+        # merges them; the second round merges what is left.
+        import laminar.hierarchy as hz
+
+        triangles = {frozenset({0, 3, 6}), frozenset({1, 4, 7}), frozenset({2, 5, 8})}
+        edges = [(u, v, 2) for tri in triangles for u, v in combinations(sorted(tri), 2)]
+        g = WeightedGraph.from_edges(9, edges + [(6, 1, 1), (7, 2, 1)])
+        events = self.record(monkeypatch)
+        contracted: list[tuple] = []
+        contract = hz.contract
+
+        def contracting(cur, *sets):
+            contracted.append(sets)
+            return contract(cur, *sets)
+
+        monkeypatch.setattr(hz, "contract", contracting)
+        tree = build_hierarchy(g)
+        assert events[:4] == [("find", "exact", 9)] + [("verify", True)] * 3
+        assert set(contracted[0]) == triangles and len(contracted[0]) == 3
+        assert [len(sets) for sets in contracted] == [3, 1]
+        assert tree == brute_hierarchy(g)
+        assert {child.vertex_set for child in tree.root.children} == triangles
+        assert {child.sigma for child in tree.root.children} == {3}
+        assert tree.root.sigma == 1
 
     def test_randomized_fallback_is_one_exact_search(self, monkeypatch):
         # With the sampler always missing, a contraction either accepts a
@@ -326,6 +389,23 @@ class TestValidate:
     def test_valid_tree_has_no_violations(self, trubin_path):
         tree = build_hierarchy(trubin_path)
         assert validate_hierarchy(trubin_path, tree) == []
+
+    def test_sigma_certificate_past_the_oracle_guard(self):
+        # Past the oracle's n <= 7 only the certificate checks sigmas: on
+        # unit weights, which tie everywhere, and on a tree plus n/4 edges of
+        # weight 1-20, the benchmark's sparse family.
+        rng = random.Random(41)
+        for n in (40, 60, 80):
+            for g in (
+                random_connected_graph(rng, n, max_weight=1, extra_edges=n // 2),
+                random_connected_graph(rng, n, max_weight=20, extra_edges=n // 4),
+            ):
+                tree = build_hierarchy(g)
+                assert validate_hierarchy(g, tree) == []
+                root = tree.root
+                off = HierarchyNode(root.vertex_set, root.children, root.sigma - Fr(1, 7))
+                violations = validate_hierarchy(g, HierarchyTree(off, g))
+                assert len(violations) == 1 and "between its children" in violations[0]
 
     def test_swapped_children_partition_violation(self, trubin_path):
         leaves = [HierarchyNode(frozenset({v}), (), None) for v in range(4)]
