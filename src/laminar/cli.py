@@ -21,8 +21,7 @@ from .graph import (
     GraphError,
     WeightedGraph,
     _component_roots,
-    connected_components,
-    induced_subgraph,
+    component_subgraphs,
     parse_edge_list,
     skew_density,
 )
@@ -221,8 +220,7 @@ def _cmd_arboricity(args) -> int:
         return EXIT_OK
     if args.per_component:
         pieces = []
-        for comp in sorted(connected_components(graph), key=min):
-            sub, _ = induced_subgraph(graph, comp)
+        for sub, comp in component_subgraphs(graph):
             pieces.append((comp, compute_arboricity(sub)))
         arb = max(result.arboricity for _, result in pieces)
         frac = max(result.fractional for _, result in pieces)
@@ -269,8 +267,7 @@ def _cmd_strength(args) -> int:
         lines = []
         values = []
         comp_json = []
-        for comp in sorted(connected_components(graph), key=min):
-            sub, _ = induced_subgraph(graph, comp)
+        for sub, comp in component_subgraphs(graph):
             if sub.n < 2:
                 lines.append(f"component {{{vertex_list(comp)}}}: strength undefined")
                 comp_json.append({"vertices": sorted(comp), "strength": None})

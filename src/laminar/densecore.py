@@ -15,13 +15,25 @@ The maximal densest sets are pairwise disjoint (c(E[X]) - tau*(|X|-1) is
 supermodular on intersecting pairs), and that step's scan meets all of them:
 the first scanned source inside each one cuts exactly that set.
 
+Every flow runs on the tau-core: what is left after repeatedly deleting a
+vertex whose weighted degree among the remaining vertices is strictly below
+tau (a root, when given, is never deleted).  If v lies in X and
+deg_X(v) < tau, removing v strictly raises both c(E[X]) - tau|X| and
+c(E[X]) - tau(|X|-1); the first vertex of X that the peel deletes is such a
+v.  So every maximizer of the first objective, every maximizer of the
+second over nonempty sets that has two vertices or more, every maximizer
+among the sets that contain the root, and every scanned source's minimal
+t-cut side below scale*tau lies inside the core, and a core of fewer than
+two vertices holds no set denser than tau.
+
 A set S is a dense core when no subset is strictly denser and every proper
 superset is strictly sparser.  Subsets are checked on the induced subgraph's
-networks at threshold rho(S); supersets on the contracted graph's rooted
-network, where S is a dense core iff the trivial source side is the unique
-maximal min cut.  (Checking the flow value alone cannot work: the trivial
-side always achieves exactly scale*(c(E[V/S]) + rho(S)), so a superset tying
-rho(S) leaves the value unchanged and only shows up in the argmax.)
+networks at threshold rho(S); supersets on the rooted network of the
+contracted graph's rho(S)-core, rooted at S's node, where S is a dense core
+iff the trivial source side is the unique maximal min cut.  (Checking the
+flow value alone cannot work: the trivial side always achieves exactly
+scale*(c(E[V/S]) + rho(S)), so a superset tying rho(S) leaves the value
+unchanged and only shows up in the argmax.)
 """
 
 from __future__ import annotations
@@ -63,11 +75,47 @@ def dense_side_sources(graph: WeightedGraph, tau: Fraction) -> list[int]:
     2*c(E[U])/|U| > 2*tau*(|U|-1)/|U| >= tau, so U contains such a vertex.
     Scanning only these sources still meets every cut below scale*tau.
     """
+    tau = Fraction(tau)
+    degree = _degrees(graph)
+    return [v for v in range(graph.n) if degree[v] * tau.denominator > tau.numerator]
+
+
+def _degrees(graph: WeightedGraph) -> list[int]:
     degree = [0] * graph.n
     for u, v, w in graph.edges:
         degree[u] += w
         degree[v] += w
-    return [v for v in range(graph.n) if degree[v] > tau]
+    return degree
+
+
+def tau_core(graph: WeightedGraph, tau: Fraction, root: int | None = None) -> list[int]:
+    """The vertices left after peeling every non-root vertex of degree below tau.
+
+    Repeatedly deletes a vertex other than `root` whose weighted degree among
+    the remaining vertices is strictly below tau, in O(n + m) exact integer
+    arithmetic; returns the survivors in index order.
+    """
+    tau = Fraction(tau)
+    num, den = tau.numerator, tau.denominator
+    degree = _degrees(graph)
+    stack = [v for v in range(graph.n) if degree[v] * den < num and v != root]
+    if not stack:
+        return list(range(graph.n))
+    alive = [True] * graph.n
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
+    for u, v, w in graph.edges:
+        incident[u].append((v, w))
+        incident[v].append((u, w))
+    for v in stack:
+        alive[v] = False
+    while stack:
+        for u, w in incident[stack.pop()]:
+            if alive[u]:
+                degree[u] -= w
+                if degree[u] * den < num and u != root:
+                    alive[u] = False
+                    stack.append(u)
+    return [v for v in range(graph.n) if alive[v]]
 
 
 def _below(tau: Fraction, n: int) -> Fraction:
@@ -115,26 +163,34 @@ def probe(
     cut below scale*tau, which in exact mode is the minimum t-cut and so
     maximizes c(E[X]) - tau(|X|-1).  With `sides`, an exact probe that
     scans appends to it the source side of every cut the scan recorded below
-    scale*tau, in scan order (see `flow.t_cuts_below`).
+    scale*tau, in scan order (see `flow.t_cuts_below`).  The networks are
+    built on the graph's tau-core (see above).  The scan's sources are the
+    core's vertices whose degree in the whole graph exceeds tau: a core
+    degree equal to tau may leave one out that starts a tied minimum cut.
     """
     if graph.n == 0 or not graph.is_connected():
         raise GraphError("probe needs a connected, nonempty graph")
     tau = Fraction(tau)
     if tau <= 0:
         raise GraphError("tau must be positive")
-    side, shortcut = _saturate(graph, tau)
+    core = tau_core(graph, tau)
+    if len(core) < 2:
+        return False, None
+    sub = graph if len(core) == graph.n else induced_subgraph(graph, core)[0]
+    side, shortcut = _saturate(sub, tau)
     if shortcut is None:
-        return True, side
+        return True, frozenset(core[v] for v in side)
     threshold = shortcut.tau.numerator  # scale * tau
     if mode == "exact":
+        dense = set(dense_side_sources(graph, tau))
         cuts = t_cuts_below(
             shortcut.network,
             shortcut.t,
             limit=threshold,
-            sources=dense_side_sources(graph, tau),
+            sources=[i for i, v in enumerate(core) if v in dense],
         )
         if sides is not None:
-            sides.extend(cut.source_side for cut in cuts)
+            sides.extend(frozenset(core[v] for v in cut.source_side) for cut in cuts)
         cut = min(cuts, key=lambda cut: cut.value, default=None)
     elif mode == "randomized":
         if rng is None:
@@ -145,7 +201,7 @@ def probe(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if cut is not None and cut.value < threshold:
-        return True, frozenset(cut.source_side)
+        return True, frozenset(core[v] for v in cut.source_side)
     return False, None
 
 
@@ -295,6 +351,12 @@ def verify_core_explain(
         return False, "a subset is denser (shortcut network has a small cut)"
     contracted, cmap = contract(graph, s_set)
     merged = cmap.forward[min(s_set)]
+    core = tau_core(contracted, rho, root=merged)
+    if len(core) == 1:  # no vertex outside S can join a set as dense as S
+        return True, None
+    if len(core) < contracted.n:
+        contracted, _ = induced_subgraph(contracted, core)
+        merged = core.index(merged)
     h2 = build_goldberg(contracted, rho, root=merged)
     f2 = max_flow(h2.network, h2.s, h2.t)
     densest_side = min_cut_vertex_side(h2, f2)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -158,10 +158,16 @@ class MultiwayCut:
         return f"MultiwayCut(sides={sides}, ratio={self.ratio})"
 
 
+def _within(graph: WeightedGraph, inside: Iterable[int]) -> bool:
+    """Whether every member of `inside` is a vertex of graph."""
+    vertices = range(graph.n)
+    return all(v in vertices for v in inside)
+
+
 def skew_density(graph: WeightedGraph, s: Iterable[int]) -> Fraction:
     """Weight of edges inside s divided by |s|-1; zero when |s| <= 1."""
     inside = frozenset(s)
-    if not inside <= set(range(graph.n)):
+    if not _within(graph, inside):
         raise GraphError("set is not a subset of the vertices")
     if len(inside) <= 1:
         return Fraction(0)
@@ -181,14 +187,13 @@ def contract(
     """
     if not sets:
         raise GraphError("no set to contract")
-    vertices = set(range(graph.n))
     rep_of = list(range(graph.n))  # the smallest vertex of v's set
     claimed: set[int] = set()
     for s in sets:
         inside = frozenset(s)
         if not inside:
             raise GraphError("cannot contract the empty set")
-        if not inside <= vertices:
+        if not _within(graph, inside):
             raise GraphError("set is not a subset of the vertices")
         if not claimed.isdisjoint(inside):
             raise GraphError("the sets to contract must be disjoint")
@@ -211,6 +216,9 @@ def contract(
         (forward[u], forward[v], w) for u, v, w in graph.edges if forward[u] != forward[v]
     ]
     contracted = WeightedGraph(next_id, tuple(new_edges))
+    if graph.__dict__.get("_connected"):
+        # Contracting vertex sets keeps a connected graph connected.
+        contracted.__dict__["_connected"] = True
     cmap = ContractionMap(tuple(forward), tuple(frozenset(e) for e in expansion))
     return contracted, cmap
 
@@ -218,7 +226,7 @@ def contract(
 def induced_subgraph(graph: WeightedGraph, s: Iterable[int]) -> tuple[WeightedGraph, tuple[int, ...]]:
     """Induced subgraph on s, plus the map from new ids back to originals."""
     inside = frozenset(s)
-    if not inside <= set(range(graph.n)):
+    if not _within(graph, inside):
         raise GraphError("set is not a subset of the vertices")
     sub_to_orig = tuple(sorted(inside))
     orig_to_sub = {v: i for i, v in enumerate(sub_to_orig)}
@@ -264,6 +272,28 @@ def connected_components(
     for v in range(graph.n):
         members.setdefault(roots.get(v, v), []).append(v)
     return [frozenset(c) for c in members.values()]
+
+
+def component_subgraphs(graph: WeightedGraph) -> Iterator[tuple[WeightedGraph, tuple[int, ...]]]:
+    """Each connected component's induced subgraph and its map back to
+    original ids, ordered by smallest vertex, in one O(n + m) pass; each
+    subgraph is built when the caller reaches it."""
+    roots, _ = _component_roots(graph)
+    index: dict[int, int] = {}  # component root -> position in the list
+    members: list[list[int]] = []
+    comp_of = [0] * graph.n
+    local = [0] * graph.n
+    for v in range(graph.n):
+        c = index.setdefault(roots.get(v, v), len(members))
+        if c == len(members):
+            members.append([])
+        comp_of[v], local[v] = c, len(members[c])
+        members[c].append(v)
+    edges: list[list[Edge]] = [[] for _ in members]
+    for u, v, w in graph.edges:
+        edges[comp_of[u]].append((local[u], local[v], w))
+    for vs, es in zip(members, edges):
+        yield WeightedGraph(len(vs), tuple(es)), tuple(vs)
 
 
 def rank(graph: WeightedGraph, edge_subset: Iterable[int] | None = None) -> int:

@@ -299,3 +299,43 @@ class TestPerComponent:
         code, out, _ = run_cli(capsys, "strength", str(target), "--per-component")
         assert code == 0
         assert "strength: 3/1" in out  # minimum over components
+
+    def test_output_on_many_components(self, capsys, tmp_path):
+        # Components in order of smallest vertex, an isolated vertex last;
+        # the text is what the per-component induced subgraphs gave.
+        target = tmp_path / "many.txt"
+        target.write_text(
+            "# four components and an isolated vertex\n11 9\n0 4 3\n4 7 2\n7 0 1\n"
+            "1 5 6\n3 8 2\n8 9 5\n3 9 5\n8 9 1\n2 6 4\n"
+        )
+        code, out, _ = run_cli(capsys, "arboricity", str(target), "--per-component")
+        assert code == 0 and out == (
+            "arboricity: 7\nfractional: 13/2\n"
+            "component {0,4,7}: arboricity 3, fractional 3/1\n"
+            "component {1,5}: arboricity 6, fractional 6/1\n"
+            "component {2,6}: arboricity 4, fractional 4/1\n"
+            "component {3,8,9}: arboricity 7, fractional 13/2\n"
+            "component {10}: arboricity 0, fractional 0/1\n"
+        )
+        code, out, _ = run_cli(capsys, "strength", str(target), "--per-component")
+        assert code == 0 and out == (
+            "strength: 3/1\n"
+            "component {0,4,7}: strength 3/1\n"
+            "component {1,5}: strength 6/1\n"
+            "component {2,6}: strength 4/1\n"
+            "component {3,8,9}: strength 13/2\n"
+            "component {10}: strength undefined\n"
+        )
+        code, out, _ = run_cli(
+            capsys, "strength", str(target), "--per-component", "--format", "json"
+        )
+        assert code == 0 and json.loads(out) == {
+            "strength": "3/1",
+            "components": [
+                {"vertices": [0, 4, 7], "strength": "3/1"},
+                {"vertices": [1, 5], "strength": "6/1"},
+                {"vertices": [2, 6], "strength": "4/1"},
+                {"vertices": [3, 8, 9], "strength": "13/2"},
+                {"vertices": [10], "strength": None},
+            ],
+        }

@@ -13,14 +13,15 @@ from laminar import (
     brute_dense_core,
     brute_hierarchy,
     brute_max_skew_density,
+    build_hierarchy,
     find_star,
     find_star_full,
     probe,
     skew_density,
     verify_core,
 )
-from laminar.densecore import verify_core_explain
-from laminar.graph import GraphError
+from laminar.densecore import tau_core, verify_core_explain
+from laminar.graph import GraphError, contract
 
 from .conftest import random_connected_graph
 
@@ -246,6 +247,140 @@ class TestFindStar:
                     assert ok
                 else:
                     assert not ok
+
+
+def rising_path(n: int) -> WeightedGraph:
+    return WeightedGraph.from_edges(n, [(i, i + 1, i + 1) for i in range(n - 1)])
+
+
+class TestTauCore:
+    def test_peels_strictly_below_and_never_the_root(self, unit_triangle, trubin_path):
+        assert tau_core(unit_triangle, Fr(2)) == [0, 1, 2]  # degree 2 is not below 2
+        assert tau_core(unit_triangle, Fr(2) + Fr(1, 10**9)) == []
+        assert tau_core(unit_triangle, Fr(3), root=1) == [1]
+        # Degrees 2, 3, 101, 100: at 100 the cascade stops at {c, d}.
+        assert tau_core(trubin_path, Fr(100)) == [2, 3]
+        assert tau_core(trubin_path, Fr(100), root=0) == [0, 2, 3]
+        assert tau_core(trubin_path, Fr(201, 2)) == []
+        assert tau_core(rising_path(6), Fr(5)) == [4, 5]
+        assert tau_core(rising_path(6), Fr(5), root=0) == [0, 4, 5]
+
+    def test_peeling_lemma_against_brute_force(self):
+        # Thresholds equal to degrees inside random subsets make ties at the
+        # strict `<`; unit weights make ties between maximizers.
+        rng = random.Random(97)
+        checked = 0
+        for trial in range(24):
+            n = rng.randint(2, 10)
+            g = random_connected_graph(rng, n, max_weight=1 if trial % 2 else 3)
+            inside = [0] * (1 << n)
+            for mask in range(1 << n):
+                inside[mask] = sum(w for u, v, w in g.edges if mask >> u & 1 and mask >> v & 1)
+            size = [bin(mask).count("1") for mask in range(1 << n)]
+            taus = {Fr(1, 2)}
+            for _ in range(4):
+                subset = rng.randrange(1, 1 << n)
+                for x in range(n):
+                    degree = sum(
+                        w for u, v, w in g.edges if x in (u, v) and subset >> u & 1 and subset >> v & 1
+                    )
+                    if degree:
+                        taus.add(Fr(degree))
+            for tau in sorted(taus):
+                core = frozenset(tau_core(g, tau))
+                root = rng.randrange(n)
+                rooted = frozenset(tau_core(g, tau, root=root))
+                assert core <= rooted and root in rooted
+                both = [inside[mask] - tau * size[mask] for mask in range(1 << n)]
+                # The largest maximizer of c(E[X]) - tau|X|, overall and
+                # among the sets that contain the root.
+                for masks, limit in (
+                    (range(1 << n), core),
+                    ([mask for mask in range(1 << n) if mask >> root & 1], rooted),
+                ):
+                    best = max(both[mask] for mask in masks)
+                    top = max((mask for mask in masks if both[mask] == best), key=size.__getitem__)
+                    assert {x for x in range(n) if top >> x & 1} <= limit, (g.edges, tau, root)
+                # Every maximizer of c(E[X]) - tau(|X| - 1) over nonempty X
+                # that has two vertices or more.
+                best = max(both[mask] + tau for mask in range(1, 1 << n))
+                for mask in range(1, 1 << n):
+                    if size[mask] >= 2 and both[mask] + tau == best:
+                        assert {x for x in range(n) if mask >> x & 1} <= core, (g.edges, tau)
+                # The core is the largest set whose every non-root vertex has
+                # degree at least tau inside it.
+                for expected, keep in ((core, None), (rooted, root)):
+                    closed = [
+                        mask
+                        for mask in range(1 << n)
+                        if (keep is None or mask >> keep & 1)
+                        and all(
+                            x == keep
+                            or sum(
+                                w
+                                for u, v, w in g.edges
+                                if x in (u, v) and mask >> u & 1 and mask >> v & 1
+                            )
+                            >= tau
+                            for x in range(n)
+                            if mask >> x & 1
+                        )
+                    ]
+                    largest = max(closed, key=size.__getitem__, default=0)
+                    assert expected == {x for x in range(n) if largest >> x & 1}
+                checked += 0 < len(core) < n
+        assert checked >= 20
+
+    def test_exact_hierarchy_on_a_rising_path_scans_at_most_two_flows_per_round(
+        self, monkeypatch
+    ):
+        # The heaviest pair is the whole core of every round, so the probe's
+        # scan has two sources, however long the path.
+        import laminar.densecore as dc
+        import laminar.hierarchy as hierarchy
+
+        flows: list[int] = []
+        rounds: list[int] = []
+        scan, contract = dc.t_cuts_below, hierarchy.contract
+
+        def counting_scan(net, t, **kwargs):
+            flows.append(len(set(kwargs["sources"]) - {t}))
+            return scan(net, t, **kwargs)
+
+        def counting_contract(*args):
+            rounds.append(sum(flows))
+            flows.clear()
+            return contract(*args)
+
+        monkeypatch.setattr(dc, "t_cuts_below", counting_scan)
+        monkeypatch.setattr(hierarchy, "contract", counting_contract)
+        tree = build_hierarchy(rising_path(100))
+        assert len(rounds) == 99 == sum(1 for _ in tree.internal_nodes())
+        assert max(rounds) <= 2
+
+    def test_verify_core_accepts_each_path_star_without_a_rooted_network(
+        self, monkeypatch
+    ):
+        import laminar.densecore as dc
+
+        rooted: list[int] = []
+        build = dc.build_goldberg
+
+        def counting_build(graph, tau, *, root=None):
+            if root is not None:
+                rooted.append(root)
+            return build(graph, tau, root=root)
+
+        monkeypatch.setattr(dc, "build_goldberg", counting_build)
+        g = rising_path(60)
+        for top in range(g.n - 1, 0, -1):
+            star = {top - 1, top}
+            assert verify_core(g, 2, star)
+            g, _ = contract(g, star)
+        assert g.n == 1 and rooted == []
+        # A superset as dense as the set survives the peel and is found.
+        ok, reason = verify_core_explain(WeightedGraph.from_edges(3, [(0, 1, 4), (1, 2, 4)]), 3, {0, 1})
+        assert not ok and "superset" in reason and rooted
 
 
 class TestPastTheOracleGuards:

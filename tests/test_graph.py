@@ -21,7 +21,7 @@ from laminar import (
     rank,
     skew_density,
 )
-from laminar.graph import EdgeListError, GraphError, format_edge_list
+from laminar.graph import EdgeListError, GraphError, component_subgraphs, format_edge_list
 
 from .conftest import random_connected_graph, random_graph
 
@@ -173,6 +173,25 @@ class TestInducedSubgraph:
         sub, _ = induced_subgraph(trubin_path, {0, 2})
         assert sub.n == 2 and sub.m == 0
 
+    def test_rejects_foreign_vertices(self, trubin_path):
+        for bad in ({0, 4}, {-1}, {"a"}):
+            with pytest.raises(GraphError):
+                induced_subgraph(trubin_path, bad)
+
+    def test_component_subgraphs_are_the_induced_components(self):
+        # One pass over the edges gives what induced_subgraph gives per
+        # component, in order of smallest vertex.
+        rng = random.Random(41)
+        for trial in range(30):
+            g = random_graph(rng, rng.randint(0, 12), edge_prob=rng.choice((0.1, 0.25)))
+            expected = [
+                induced_subgraph(g, comp) for comp in sorted(connected_components(g), key=min)
+            ]
+            assert list(component_subgraphs(g)) == expected
+        assert list(component_subgraphs(WeightedGraph.from_edges(3, []))) == [
+            (WeightedGraph(1, ()), (v,)) for v in range(3)
+        ]
+
 
 class TestComponentsAndRank:
     def test_no_edges_all_singletons(self, unit_c4):
@@ -223,6 +242,37 @@ class TestComponentsAndRank:
         assert not split.is_connected() and not split.is_connected()
         assert len(calls) == 2
         assert split == WeightedGraph.from_edges(4, split.edges)
+
+    def test_contraction_hands_on_connectivity(self, monkeypatch):
+        # A hierarchy build checks every round's graph, yet only its input
+        # runs a union-find: contracting a connected graph keeps it connected.
+        import laminar.graph as graph_module
+        from laminar import build_hierarchy
+
+        calls = []
+        real = graph_module._component_roots
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graph_module, "_component_roots", counting)
+        rng = random.Random(43)
+        for n in (2, 9, 30):
+            calls.clear()
+            build_hierarchy(random_connected_graph(rng, n))
+            assert len(calls) == 1
+        # An unknown or negative answer is not handed on; contracting can
+        # join components, so the result runs its own check.
+        calls.clear()
+        split = WeightedGraph.from_edges(4, [(0, 1, 1), (2, 3, 1), (0, 1, 2), (2, 3, 2)])
+        fresh, _ = contract(split, {1, 2})
+        assert fresh.is_connected() and len(calls) == 1
+        assert not split.is_connected() and len(calls) == 2
+        joined, _ = contract(split, {1, 2})
+        assert joined.is_connected() and len(calls) == 3
+        apart, _ = contract(split, {0, 1})
+        assert not apart.is_connected() and len(calls) == 4
 
 
 class TestEdgeList:

@@ -76,7 +76,8 @@ class TestIdealLoads:
         # does not decrease going down the tree.
         rng = random.Random(13)
         graphs = [random_connected_graph(rng, n, max_weight=20) for n in (40, 80, 120)]
-        graphs.append(WeightedGraph.from_edges(100, [(i, i + 1, i + 1) for i in range(99)]))
+        for n in (100, 400):
+            graphs.append(WeightedGraph.from_edges(n, [(i, i + 1, i + 1) for i in range(n - 1)]))
         for g in graphs:
             tree = build_hierarchy(g)
             loads = ideal_loads(g, tree)
