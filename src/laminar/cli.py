@@ -108,6 +108,11 @@ def hierarchy_json_text(tree: HierarchyTree) -> str:
         item, level = stack.pop()
         if level is None:
             out.append(item)
+        elif isinstance(item, list) and item and all(type(x) is int for x in item):
+            # A list of vertex ids, written in one join: json.dumps(x) == str(x).
+            inner = "\n" + "  " * (level + 1)
+            ids = ("," + inner).join(map(str, item))
+            out.append("[" + inner + ids + "\n" + "  " * level + "]")
         elif isinstance(item, (dict, list)) and item:
             pairs = item.items() if isinstance(item, dict) else ((None, v) for v in item)
             inner = "\n" + "  " * (level + 1)

@@ -27,13 +27,19 @@ t-cut side below scale*tau lies inside the core, and a core of fewer than
 two vertices holds no set denser than tau.
 
 A set S is a dense core when no subset is strictly denser and every proper
-superset is strictly sparser.  Subsets are checked on the induced subgraph's
-networks at threshold rho(S); supersets on the rooted network of the
-contracted graph's rho(S)-core, rooted at S's node, where S is a dense core
-iff the trivial source side is the unique maximal min cut.  (Checking the
-flow value alone cannot work: the trivial side always achieves exactly
-scale*(c(E[V/S]) + rho(S)), so a superset tying rho(S) leaves the value
-unchanged and only shows up in the argmax.)
+superset is strictly sparser.  `verify_core` checks one set: subsets on the
+induced subgraph's networks at threshold rho(S); supersets on the rooted
+network of the contracted graph's rho(S)-core, rooted at S's node, where S
+is a dense core iff the trivial source side is the unique maximal min cut.
+(Checking the flow value alone cannot work: the trivial side always achieves
+exactly scale*(c(E[V/S]) + rho(S)), so a superset tying rho(S) leaves the
+value unchanged and only shows up in the argmax.)  `certify_round` checks
+all the sets of an exact search at once: the same subset check on each set
+of three vertices or more, then one probe on the graph with every set
+contracted, which must find nothing at least as dense as tau*.  That proves
+each set a dense core and also that no maximal densest set is missing (the
+proof is in the `hierarchy` module), and the contracted graph it built is
+the hierarchy's next graph.
 """
 
 from __future__ import annotations
@@ -45,7 +51,14 @@ from fractions import Fraction
 from .dircut import EPSILON, find_small_cut, size_bounded_t_mincut
 from .flow import max_flow, t_cuts_below, t_mincut_exhaustive
 from .goldberg import ModifiedNetwork, build_goldberg, build_modified, min_cut_vertex_side
-from .graph import GraphError, WeightedGraph, contract, induced_subgraph, skew_density
+from .graph import (
+    ContractionMap,
+    GraphError,
+    WeightedGraph,
+    contract,
+    induced_subgraph,
+    skew_density,
+)
 
 
 @dataclass(frozen=True)
@@ -88,16 +101,23 @@ def _degrees(graph: WeightedGraph) -> list[int]:
     return degree
 
 
-def tau_core(graph: WeightedGraph, tau: Fraction, root: int | None = None) -> list[int]:
+def tau_core(
+    graph: WeightedGraph,
+    tau: Fraction,
+    root: int | None = None,
+    *,
+    degree: list[int] | None = None,
+) -> list[int]:
     """The vertices left after peeling every non-root vertex of degree below tau.
 
     Repeatedly deletes a vertex other than `root` whose weighted degree among
     the remaining vertices is strictly below tau, in O(n + m) exact integer
-    arithmetic; returns the survivors in index order.
+    arithmetic; returns the survivors in index order.  `degree`, when given,
+    holds the graph's weighted degrees and is left unchanged.
     """
     tau = Fraction(tau)
     num, den = tau.numerator, tau.denominator
-    degree = _degrees(graph)
+    degree = _degrees(graph) if degree is None else degree.copy()
     stack = [v for v in range(graph.n) if degree[v] * den < num and v != root]
     if not stack:
         return list(range(graph.n))
@@ -173,7 +193,8 @@ def probe(
     tau = Fraction(tau)
     if tau <= 0:
         raise GraphError("tau must be positive")
-    core = tau_core(graph, tau)
+    degree = _degrees(graph)
+    core = tau_core(graph, tau, degree=degree)
     if len(core) < 2:
         return False, None
     sub = graph if len(core) == graph.n else induced_subgraph(graph, core)[0]
@@ -182,12 +203,11 @@ def probe(
         return True, frozenset(core[v] for v in side)
     threshold = shortcut.tau.numerator  # scale * tau
     if mode == "exact":
-        dense = set(dense_side_sources(graph, tau))
         cuts = t_cuts_below(
             shortcut.network,
             shortcut.t,
             limit=threshold,
-            sources=[i for i, v in enumerate(core) if v in dense],
+            sources=[i for i, v in enumerate(core) if degree[v] * tau.denominator > tau.numerator],
         )
         if sides is not None:
             sides.extend(frozenset(core[v] for v in cut.source_side) for cut in cuts)
@@ -322,6 +342,58 @@ def find_star(
     return find_star_full(graph, k, mode=mode, rng=rng, epsilon=epsilon).candidate
 
 
+def _denser_subset(graph: WeightedGraph, s_set: frozenset[int], rho: Fraction) -> str | None:
+    """Why some subset of s_set is strictly denser than rho, or None if none is.
+
+    Decided on the induced subgraph's density network at rho and, when that
+    saturates, on its shortcut network's exhaustive scan below scale*rho.
+    """
+    sub, _ = induced_subgraph(graph, s_set)
+    _, shortcut = _saturate(sub, rho)
+    if shortcut is None:
+        return "a subset is denser (density network not saturated)"
+    threshold = shortcut.tau.numerator  # scale * rho
+    sources = dense_side_sources(sub, rho)  # a denser subset contains one
+    bad = t_mincut_exhaustive(shortcut.network, shortcut.t, limit=threshold, sources=sources)
+    if bad is not None:
+        return "a subset is denser (shortcut network has a small cut)"
+    return None
+
+
+def certify_round(
+    graph: WeightedGraph, tau: Fraction, sets: tuple[frozenset[int], ...]
+) -> tuple[WeightedGraph, ContractionMap]:
+    """Prove `sets` are every maximal densest set of graph, at density tau.
+
+    Checks that the sets are disjoint, that each has skew-density exactly
+    tau, that no subset of one is strictly denser (sets of two vertices have
+    no proper subset to check), and that the graph with every set contracted
+    has no set of two nodes or more at least as dense as tau: an exact probe
+    there at tau - 1/(n' den(tau)) must miss.  Returns that contracted graph
+    and its map; raises RuntimeError when any check fails.  See the
+    `hierarchy` module for why this is exact.
+    """
+    tau = Fraction(tau)
+    if not sets or tau <= 0:
+        raise RuntimeError(f"no sets, or density {tau} is not positive")
+    if sum(map(len, sets)) != len(frozenset().union(*sets)):
+        raise RuntimeError("the sets overlap")
+    for s_set in sets:
+        rho = skew_density(graph, s_set)
+        if rho != tau:
+            raise RuntimeError(f"{sorted(s_set)} has density {rho}, not {tau}")
+        denser = _denser_subset(graph, s_set, tau) if len(s_set) > 2 else None
+        if denser is not None:
+            raise RuntimeError(f"{sorted(s_set)}: {denser}")
+    contracted, cmap = contract(graph, *sets)
+    n = contracted.n
+    if n >= 2 and probe(contracted, _below(tau, n), n)[0]:
+        raise RuntimeError(
+            f"after contracting the sets some set is at least as dense as {tau}"
+        )
+    return contracted, cmap
+
+
 def verify_core_explain(
     graph: WeightedGraph, k: int, candidate
 ) -> tuple[bool, str | None]:
@@ -340,15 +412,9 @@ def verify_core_explain(
         if s_set == frozenset(range(graph.n)):
             return True, None
         return False, "a proper superset is at least as dense"
-    sub, _ = induced_subgraph(graph, s_set)
-    _, shortcut = _saturate(sub, rho)
-    if shortcut is None:
-        return False, "a subset is denser (density network not saturated)"
-    threshold = shortcut.tau.numerator  # scale * rho
-    sources = dense_side_sources(sub, rho)  # a denser subset contains one
-    bad = t_mincut_exhaustive(shortcut.network, shortcut.t, limit=threshold, sources=sources)
-    if bad is not None:
-        return False, "a subset is denser (shortcut network has a small cut)"
+    denser = _denser_subset(graph, s_set, rho)
+    if denser is not None:
+        return False, denser
     contracted, cmap = contract(graph, s_set)
     merged = cmap.forward[min(s_set)]
     core = tau_core(contracted, rho, root=merged)

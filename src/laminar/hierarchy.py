@@ -1,13 +1,45 @@
 """Canonical cut hierarchy: laminar min-ratio cuts as a rooted tree.
 
 Construction contracts star sets in rounds: find candidate dense sets,
-verify each is a dense core, contract them, repeat.  An exact round
+check that they are dense cores, contract them, repeat.  An exact round
 contracts every maximal densest set of the current graph at once (they are
 pairwise disjoint, and one search finds them all); a randomized round, and
-its exact fallback, contracts one set.  Each accepted set becomes an
-internal node whose sigma is the set's skew-density in the graph it was
-contracted from, which equals the cut ratio of the all-singleton min-ratio
-cut of that node's contracted subgraph.
+its exact fallback, contracts one set, which `verify_core` checks.  Each
+accepted set becomes an internal node whose sigma is the set's
+skew-density in the graph it was contracted from, which equals the cut
+ratio of the all-singleton min-ratio cut of that node's contracted
+subgraph.
+
+An exact round is checked by one certificate (`densecore.certify_round`)
+instead of one `verify_core` per set.  Why it is exact: let
+f(X) = c(E[X]) - tau*(|X|-1), where tau* is the search's density; f is 0
+on single vertices and supermodular on intersecting pairs,
+f(X | Y) + f(X & Y) >= f(X) + f(Y) (Picard & Queyranne 1982).  Let the
+sets S_1..S_r be pairwise disjoint with f(S_j) = 0, and let no subset of
+any S_j be strictly denser than tau*, so f <= 0 on every nonempty subset
+of an S_j.  Contracting S_j into one node leaves f unchanged on every set
+that contains S_j or avoids it, as c(E[S_j]) = tau*(|S_j|-1).  Let G' be
+the graph with every S_j contracted.  Claim: G' has no set of two nodes or
+more with f >= 0 iff tau* is the maximum skew-density and the S_j are
+exactly the maximal densest sets; each S_j is then a dense core.
+- Take X with |X| >= 2 and f(X) >= 0 that lies inside no S_j.  For each
+  S_j that X meets, f(X & S_j) <= 0, so f(X | S_j) >= f(X).  Growing X by
+  every S_j it meets gives a set that contains or avoids each S_j and is
+  not a single S_j, with f >= 0; its image in G' has two nodes or more and
+  the same f.  So when G' has no such set, every X with f(X) >= 0 lies
+  inside some S_j, where f <= 0: tau* is the maximum, every densest set
+  lies inside some S_j, and the S_j are the maximal densest sets.  A
+  proper superset of S_j lies inside no S_k, so it is strictly sparser,
+  and S_j is a dense core.
+- Conversely, a set of G' with two nodes or more and f >= 0 expands to a
+  densest set that lies inside no S_j, hence in no maximal densest set
+  among them.
+Scores f are multiples of 1/den(tau*), so on G' the sets with two nodes or
+more and f >= 0 are exactly those denser than tau* - delta, with
+delta = 1/(n' den(tau*)) and n' the node count of G': one exact probe
+decides it.  A two-vertex set has no proper subset of two vertices or
+more, so only sets of three or more need the subset check.  G' is the next
+round's graph.
 """
 
 from __future__ import annotations
@@ -17,9 +49,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .densecore import find_star, find_star_full, verify_core
+from .densecore import certify_round, find_star, find_star_full, verify_core
 from .dircut import EPSILON
-from .graph import GraphError, MultiwayCut, WeightedGraph, contract, skew_density
+from .graph import (
+    ContractionMap,
+    GraphError,
+    MultiwayCut,
+    WeightedGraph,
+    contract,
+    skew_density,
+)
 
 #: full randomized size sweeps, each on fresh RNG streams, before the exact
 #: search takes over for one contraction
@@ -155,18 +194,15 @@ def build_hierarchy(
     registry = [_leaf(v) for v in range(graph.n)]  # the node of each vertex of cur
     cur = graph
     while cur.n > 1:
-        stars = _accept_star_sets(cur, mode, rng, epsilon)
+        stars, sigma, cur, cmap = _accept_star_sets(cur, mode, rng, epsilon)
         merged: dict[int, HierarchyNode] = {}  # keyed by each star's smallest vertex
         for star in stars:
             children = tuple(
                 sorted((registry[v] for v in star), key=lambda nd: min(nd.vertex_set))
             )
             merged[min(star)] = HierarchyNode(
-                frozenset().union(*(c.vertex_set for c in children)),
-                children,
-                skew_density(cur, star),
+                frozenset().union(*(c.vertex_set for c in children)), children, sigma
             )
-        cur, cmap = contract(cur, *stars)
         registry = [merged.get(min(old), registry[min(old)]) for old in cmap.expansion]
     return HierarchyTree(root=registry[0], graph=graph)
 
@@ -184,33 +220,41 @@ def _sweep_sizes(n: int) -> list[int]:
 
 def _accept_star_sets(
     cur: WeightedGraph, mode: str, rng: random.Random, epsilon: Fraction
-) -> tuple[frozenset[int], ...]:
+) -> tuple[tuple[frozenset[int], ...], Fraction, WeightedGraph, ContractionMap]:
     """One outer iteration: the disjoint dense cores of cur to contract.
 
-    Randomized mode sweeps doubling sizes k, accepting a candidate of more
-    than k/2 and at most k vertices that verifies, for MAX_RESTARTS rounds.
-    The exact search, which is also the randomized fallback, ignores k and
-    runs once; exact mode takes every maximal densest set it returns, the
-    fallback only its candidate.  Each set must verify against cur.
+    Returns them, their common skew-density in cur, and cur with each of
+    them contracted.  Exact mode takes every maximal densest set of one
+    exact search, under one round certificate; randomized mode takes one
+    verified set (see `_randomized_star`).
     """
-    if mode == "randomized":
-        for _ in range(MAX_RESTARTS):
-            for k in _sweep_sizes(cur.n):
-                sub_rng = random.Random(rng.getrandbits(64))
-                candidate = find_star(
-                    cur, k, mode="randomized", rng=sub_rng, epsilon=epsilon
-                )
-                if k // 2 < len(candidate) <= k and verify_core(cur, k, candidate):
-                    return (candidate,)
+    if mode == "exact":
+        sub_rng = random.Random(rng.getrandbits(64))
+        search = find_star_full(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon)
+        sets, tau = search.sets, search.tau_star
+        return sets, tau, *certify_round(cur, tau, sets)
+    star = _randomized_star(cur, rng, epsilon)
+    return (star,), skew_density(cur, star), *contract(cur, star)
+
+
+def _randomized_star(cur: WeightedGraph, rng: random.Random, epsilon: Fraction) -> frozenset[int]:
+    """A dense core of cur from the sampling pipeline, else from the exact search.
+
+    Sweeps doubling sizes k, accepting a candidate of more than k/2 and at
+    most k vertices that verifies, for MAX_RESTARTS rounds.  The exact
+    search then runs once, ignoring k, and its candidate must verify.
+    """
+    for _ in range(MAX_RESTARTS):
+        for k in _sweep_sizes(cur.n):
+            sub_rng = random.Random(rng.getrandbits(64))
+            candidate = find_star(cur, k, mode="randomized", rng=sub_rng, epsilon=epsilon)
+            if k // 2 < len(candidate) <= k and verify_core(cur, k, candidate):
+                return candidate
     sub_rng = random.Random(rng.getrandbits(64))
-    if mode == "randomized":
-        stars = (find_star(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon),)
-    else:
-        stars = find_star_full(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon).sets
-    for star in stars:
-        if not verify_core(cur, cur.n, star):
-            raise RuntimeError(f"{sorted(star)} from the exact search is not a dense core")
-    return stars
+    star = find_star(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon)
+    if not verify_core(cur, cur.n, star):
+        raise RuntimeError(f"{sorted(star)} from the exact search is not a dense core")
+    return star
 
 
 def node_sigma(tree: HierarchyTree, vertex_set) -> Fraction:

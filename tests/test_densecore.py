@@ -20,7 +20,7 @@ from laminar import (
     skew_density,
     verify_core,
 )
-from laminar.densecore import tau_core, verify_core_explain
+from laminar.densecore import certify_round, tau_core, verify_core_explain
 from laminar.graph import GraphError, contract
 
 from .conftest import random_connected_graph
@@ -40,6 +40,36 @@ def unique_maximum_densest(graph: WeightedGraph) -> bool:
                 sizes.append(size)
     top = max(sizes)
     return sizes.count(top) == 1
+
+
+def maximal_densest_sets(graph: WeightedGraph) -> tuple[Fr, set[frozenset[int]]]:
+    """The maximum skew-density and every inclusion-maximal set attaining it."""
+    best, _ = brute_max_skew_density(graph)
+    densest = [
+        frozenset(subset)
+        for size in range(2, graph.n + 1)
+        for subset in combinations(range(graph.n), size)
+        if skew_density(graph, subset) == best
+    ]
+    return best, {x for x in densest if not any(x < y for y in densest)}
+
+
+def graph_with_tied_blocks(rng: random.Random, trial: int) -> WeightedGraph:
+    """A random graph on odd trials; on even ones, copies of one random block,
+    shuffled and chained by unit edges, so that several sets tie."""
+    if trial % 2:
+        return random_connected_graph(rng, rng.randint(2, 9), max_weight=rng.choice((1, 9)))
+    size, copies = rng.randint(2, 4), rng.randint(2, 3)
+    block = random_connected_graph(rng, size, max_weight=3)
+    label = list(range(size * copies))
+    rng.shuffle(label)
+    edges = [
+        (label[c * size + u], label[c * size + v], w)
+        for c in range(copies)
+        for u, v, w in block.edges
+    ]
+    edges += [(label[c * size], label[c * size + size], 1) for c in range(copies - 1)]
+    return WeightedGraph.from_edges(size * copies, edges)
 
 
 class TestProbe:
@@ -121,28 +151,8 @@ class TestFindStar:
         rng = random.Random(23)
         several = 0
         for trial in range(40):
-            if trial % 2:
-                g = random_connected_graph(rng, rng.randint(2, 9), max_weight=rng.choice((1, 9)))
-            else:
-                size, copies = rng.randint(2, 4), rng.randint(2, 3)
-                block = random_connected_graph(rng, size, max_weight=3)
-                label = list(range(size * copies))
-                rng.shuffle(label)
-                edges = [
-                    (label[c * size + u], label[c * size + v], w)
-                    for c in range(copies)
-                    for u, v, w in block.edges
-                ]
-                edges += [(label[c * size], label[c * size + size], 1) for c in range(copies - 1)]
-                g = WeightedGraph.from_edges(size * copies, edges)
-            best, _ = brute_max_skew_density(g)
-            densest = [
-                frozenset(subset)
-                for size in range(2, g.n + 1)
-                for subset in combinations(range(g.n), size)
-                if skew_density(g, subset) == best
-            ]
-            maximal = {x for x in densest if not any(x < y for y in densest)}
+            g = graph_with_tied_blocks(rng, trial)
+            _, maximal = maximal_densest_sets(g)
             result = find_star_full(g, g.n)
             assert len(result.sets) == len(maximal) and set(result.sets) == maximal
             assert result.sets[0] == result.candidate
@@ -334,26 +344,29 @@ class TestTauCore:
     def test_exact_hierarchy_on_a_rising_path_scans_at_most_two_flows_per_round(
         self, monkeypatch
     ):
-        # The heaviest pair is the whole core of every round, so the probe's
-        # scan has two sources, however long the path.
+        # The heaviest pair is the whole core of every round, so the
+        # search's scan has two sources, however long the path; the round
+        # certificate's probe peels the contracted path to nothing.  A round
+        # ends when its certificate returns, so its scans count too.
         import laminar.densecore as dc
         import laminar.hierarchy as hierarchy
 
         flows: list[int] = []
         rounds: list[int] = []
-        scan, contract = dc.t_cuts_below, hierarchy.contract
+        scan, certify = dc.t_cuts_below, hierarchy.certify_round
 
         def counting_scan(net, t, **kwargs):
             flows.append(len(set(kwargs["sources"]) - {t}))
             return scan(net, t, **kwargs)
 
-        def counting_contract(*args):
+        def counting_certify(*args):
+            result = certify(*args)
             rounds.append(sum(flows))
             flows.clear()
-            return contract(*args)
+            return result
 
         monkeypatch.setattr(dc, "t_cuts_below", counting_scan)
-        monkeypatch.setattr(hierarchy, "contract", counting_contract)
+        monkeypatch.setattr(hierarchy, "certify_round", counting_certify)
         tree = build_hierarchy(rising_path(100))
         assert len(rounds) == 99 == sum(1 for _ in tree.internal_nodes())
         assert max(rounds) <= 2
@@ -503,3 +516,96 @@ class TestVerifyCore:
             verify_core(unit_triangle, 3, set())
         with pytest.raises(GraphError):
             verify_core(unit_triangle, 3, {9})
+
+
+class TestCertifyRound:
+    def test_accepts_iff_every_set_is_a_dense_core_and_none_is_missing(self):
+        # Against brute force at n <= 10, on rounds of disjoint sets of one
+        # density tau: the search's own round, that round less one set, and
+        # random families of one to three disjoint sets of equal density.
+        # The certificate accepts exactly when every set is a dense core and
+        # every maximal densest set is among them.
+        rng = random.Random(1018)
+        verdicts: dict[tuple[bool, bool], int] = {}
+        for trial in range(60):
+            g = graph_with_tied_blocks(rng, trial)
+            _, maximal = maximal_densest_sets(g)
+            sets = find_star_full(g, g.n).sets
+            families = [sets]
+            if len(sets) > 1:
+                families += [sets[:i] + sets[i + 1 :] for i in range(len(sets))]
+            for _ in range(12):
+                order = list(range(g.n))
+                rng.shuffle(order)
+                family, start = [], 0
+                for _ in range(rng.randint(1, 3)):
+                    size = rng.randint(2, 4)
+                    if start + size > g.n:
+                        break
+                    family.append(frozenset(order[start : start + size]))
+                    start += size
+                densities = {skew_density(g, s) for s in family}
+                if len(densities) == 1 and min(densities) > 0:
+                    families.append(tuple(family))
+            for family in families:
+                cores = all(brute_dense_core(g, s) for s in family)
+                expected = cores and maximal <= set(family)
+                try:
+                    certify_round(g, skew_density(g, family[0]), family)
+                    accepted = True
+                except RuntimeError:
+                    accepted = False
+                assert accepted == expected, (g.edges, family)
+                verdicts[accepted, cores] = verdicts.get((accepted, cores), 0) + 1
+        # Accepted rounds, rounds of dense cores missing a maximal densest
+        # set, and rounds holding a set that is no dense core all occur.
+        assert verdicts[True, True] >= 60
+        assert verdicts[False, True] >= 30 and verdicts[False, False] >= 200
+
+    def test_mutated_rounds_raise(self):
+        # Dropping a set, replacing one by a proper subset, adding an outside
+        # vertex to one, or moving tau* by one unit of its denominator makes
+        # the certificate raise; a dropped set shows up in the probe on the
+        # contracted graph.
+        rng = random.Random(1019)
+        mutants = dropped = 0
+        for trial in range(30):
+            g = graph_with_tied_blocks(rng, trial)
+            result = find_star_full(g, g.n)
+            tau, sets = result.tau_star, result.sets
+            certify_round(g, tau, sets)
+            unit = Fr(1, tau.denominator)
+            rounds = [(tau + unit, sets), (tau - unit, sets)]
+            outside = set(range(g.n)).difference(*sets)
+            for i, star in enumerate(sets):
+                rest = sets[:i] + sets[i + 1 :]
+                for v in star:
+                    rounds.append((tau, rest + (star - {v},)))
+                for v in outside:
+                    rounds.append((tau, rest + (star | {v},)))
+                if rest:
+                    with pytest.raises(RuntimeError, match="after contracting"):
+                        certify_round(g, tau, rest)
+                    dropped += 1
+            for mutant_tau, mutant in rounds:
+                with pytest.raises(RuntimeError):
+                    certify_round(g, mutant_tau, mutant)
+                mutants += 1
+        assert dropped >= 15 and mutants >= 200
+
+    def test_denser_subset_is_caught_where_the_probe_sees_nothing(self):
+        # {0, 1, 2} has density 7 but holds {0, 1} at density 10; contracted,
+        # it leaves a pair of density 1, which the probe at 7 cannot see.
+        g = WeightedGraph.from_edges(4, [(0, 1, 10), (0, 2, 4), (2, 3, 1)])
+        with pytest.raises(RuntimeError, match="subset"):
+            certify_round(g, Fr(7), (frozenset({0, 1, 2}),))
+        # The whole graph leaves nothing to probe at all.
+        with pytest.raises(RuntimeError, match="subset"):
+            certify_round(g, Fr(5), (frozenset(range(4)),))
+
+    def test_returns_the_contraction_of_the_sets(self, trubin_path, unit_triangle):
+        contracted, cmap = certify_round(trubin_path, Fr(100), (frozenset({2, 3}),))
+        assert (contracted, cmap) == contract(trubin_path, {2, 3})
+        assert certify_round(unit_triangle, Fr(3, 2), (frozenset(range(3)),))[0].n == 1
+        with pytest.raises(RuntimeError, match="overlap"):
+            certify_round(trubin_path, Fr(100), (frozenset({2, 3}), frozenset({3})))

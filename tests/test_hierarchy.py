@@ -218,16 +218,16 @@ class TestOracleEquivalence:
 class TestAcceptStarSet:
     @staticmethod
     def record(monkeypatch):
-        """Log hierarchy's searches and verify_core verdicts.
+        """Log hierarchy's searches, verify_core verdicts and round certificates.
 
         A find event, from find_star or find_star_full, carries the mode,
         which both accept only as a keyword, and the size of the graph
-        searched.
+        searched; a certify event, the sets its certificate accepted.
         """
         import laminar.hierarchy as hz
 
         events: list[tuple] = []
-        real_verify = hz.verify_core
+        real_verify, real_certify = hz.verify_core, hz.certify_round
 
         def logged(real):
             def finding(cur, k, **kwargs):
@@ -241,77 +241,108 @@ class TestAcceptStarSet:
             events.append(("verify", verdict))
             return verdict
 
+        def certifying(cur, tau, sets):
+            result = real_certify(cur, tau, sets)
+            events.append(("certify", sets))
+            return result
+
         monkeypatch.setattr(hz, "find_star", logged(hz.find_star))
         monkeypatch.setattr(hz, "find_star_full", logged(hz.find_star_full))
         monkeypatch.setattr(hz, "verify_core", verifying)
+        monkeypatch.setattr(hz, "certify_round", certifying)
         return events
 
+    @staticmethod
+    def record_contractions(monkeypatch):
+        """Log each contraction of an exact round, as (sets, graph built).
+
+        Round certificates contract; the hierarchy itself must not.
+        """
+        import laminar.densecore as dc
+        import laminar.hierarchy as hz
+
+        contracted: list[tuple] = []
+        real = dc.contract
+
+        def contracting(cur, *sets):
+            result = real(cur, *sets)
+            contracted.append((sets, result[0]))
+            return result
+
+        def contracting_again(cur, *sets):
+            pytest.fail("the hierarchy contracted an exact round again")
+
+        monkeypatch.setattr(dc, "contract", contracting)
+        monkeypatch.setattr(hz, "contract", contracting_again)
+        return contracted
+
     def test_exact_searches_once_per_round_and_verifies_once_per_node(self, monkeypatch):
-        # An exact round is one search, one accepted verify per set the
-        # search returns, and one contraction of exactly those sets; the
-        # sets of all rounds are the internal nodes.
+        # An exact round is one search, one certificate of exactly the sets
+        # the search returns, whose subset check runs once per set of three
+        # vertices or more, and one contraction of exactly those sets, whose
+        # graph the next round searches; the sets of all rounds are the
+        # internal nodes.
+        import laminar.densecore as dc
         import laminar.hierarchy as hz
 
         events = self.record(monkeypatch)
+        contracted = self.record_contractions(monkeypatch)
         found: list[tuple] = []
-        contracted: list[tuple] = []
-        search, contract = hz.find_star_full, hz.contract
+        checked: list[frozenset[int]] = []
+        searched: list[WeightedGraph] = []
+        search, subset_check = hz.find_star_full, dc._denser_subset
 
         def searching(cur, k, **kwargs):
+            searched.append(cur)
             result = search(cur, k, **kwargs)
             found.append(result.sets)
             return result
 
-        def contracting(cur, *sets):
-            contracted.append(sets)
-            return contract(cur, *sets)
+        def checking(cur, s_set, rho):
+            checked.append(s_set)
+            return subset_check(cur, s_set, rho)
 
         monkeypatch.setattr(hz, "find_star_full", searching)
-        monkeypatch.setattr(hz, "contract", contracting)
+        monkeypatch.setattr(dc, "_denser_subset", checking)
         rng = random.Random(71)
-        batched = 0
+        batched = checked_sets = 0
         for _ in range(16):
             # Light weights tie often enough that some round has two sets.
             g = random_connected_graph(rng, rng.randint(2, 12), max_weight=3)
-            events.clear()
-            found.clear()
-            contracted.clear()
+            for log in (events, contracted, found, checked, searched):
+                log.clear()
             tree = build_hierarchy(g)
             internal = sum(1 for _ in tree.internal_nodes())
-            assert contracted == found
+            assert [entry[0] for entry in contracted] == found
+            assert all(cur is built for cur, (_, built) in zip(searched[1:], contracted))
+            assert len(searched) == len(contracted) and contracted[-1][1].n == 1
             assert sum(len(sets) for sets in found) == internal
-            assert [event[0] for event in events] == [
-                kind for sets in found for kind in ["find"] + ["verify"] * len(sets)
+            assert events == [
+                event
+                for cur, sets in zip(searched, found)
+                for event in (("find", "exact", cur.n), ("certify", sets))
             ]
-            assert all(
-                event[1] == "exact" if event[0] == "find" else event[1] is True
-                for event in events
-            )
+            assert checked == [s for sets in found for s in sets if len(s) > 2]
             batched += any(len(sets) >= 2 for sets in found)
-        assert batched >= 2
+            checked_sets += len(checked)
+        assert batched >= 2 and checked_sets > 0
 
     def test_one_exact_search_contracts_three_equal_triangles(self, monkeypatch):
         # Three triangles of weight-2 edges (density 3) chained by unit edges:
-        # the first round's one search finds all three, and one contraction
-        # merges them; the second round merges what is left.
-        import laminar.hierarchy as hz
-
+        # the first round's one search finds all three, its certificate
+        # accepts them, and one contraction merges them; the second round
+        # merges what is left.
         triangles = {frozenset({0, 3, 6}), frozenset({1, 4, 7}), frozenset({2, 5, 8})}
         edges = [(u, v, 2) for tri in triangles for u, v in combinations(sorted(tri), 2)]
         g = WeightedGraph.from_edges(9, edges + [(6, 1, 1), (7, 2, 1)])
         events = self.record(monkeypatch)
-        contracted: list[tuple] = []
-        contract = hz.contract
-
-        def contracting(cur, *sets):
-            contracted.append(sets)
-            return contract(cur, *sets)
-
-        monkeypatch.setattr(hz, "contract", contracting)
+        contracted = self.record_contractions(monkeypatch)
         tree = build_hierarchy(g)
-        assert events[:4] == [("find", "exact", 9)] + [("verify", True)] * 3
-        assert set(contracted[0]) == triangles and len(contracted[0]) == 3
-        assert [len(sets) for sets in contracted] == [3, 1]
+        assert events[0] == ("find", "exact", 9)
+        assert events[1][0] == "certify" and set(events[1][1]) == triangles
+        assert [event[0] for event in events] == ["find", "certify"] * 2
+        assert set(contracted[0][0]) == triangles and len(contracted[0][0]) == 3
+        assert [len(entry[0]) for entry in contracted] == [3, 1]
         assert tree == brute_hierarchy(g)
         assert {child.vertex_set for child in tree.root.children} == triangles
         assert {child.sigma for child in tree.root.children} == {3}
@@ -362,27 +393,74 @@ class TestContractionSafety:
         # in, and each contraction strictly shrinks the vertex count.
         import laminar.hierarchy as hz
         from laminar import brute_dense_core
-        from laminar.densecore import verify_core as real_verify
 
+        real_certify = hz.certify_round
         rng = random.Random(55)
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 7))
             accepted: list[tuple[int, int]] = []  # (graph size, set size)
 
-            def recording(cur, k, candidate, _accepted=accepted):
-                verdict = real_verify(cur, k, candidate)
-                if verdict:
+            def recording(cur, tau, sets, _accepted=accepted):
+                result = real_certify(cur, tau, sets)
+                for candidate in sets:
                     assert brute_dense_core(cur, candidate)
                     _accepted.append((cur.n, len(candidate)))
-                return verdict
+                return result
 
-            monkeypatch.setattr(hz, "verify_core", recording)
+            monkeypatch.setattr(hz, "certify_round", recording)
             build_hierarchy(g)
-            monkeypatch.setattr(hz, "verify_core", real_verify)
             assert len(accepted) <= g.n - 1
             shrink = sum(size - 1 for _, size in accepted)
             assert shrink == g.n - 1  # contractions end at a single vertex
             assert all(size >= 2 for _, size in accepted)
+
+
+class TestRoundCertificate:
+    def test_certified_sets_pass_verify_core_and_match_brute_force(self, monkeypatch):
+        # 300 graphs up to n = 300, past every brute-force guard: each set a
+        # round certificate accepts is also a dense core by the public
+        # per-set check against the graph it was found in, and wherever
+        # n <= 10 the tree is brute_hierarchy's.  A fifth are rising paths
+        # with shuffled labels (or unit-weight paths), the deepest trees.
+        import laminar.hierarchy as hz
+
+        real_certify = hz.certify_round
+        rounds: list[tuple[WeightedGraph, tuple]] = []
+
+        def recording(cur, tau, sets):
+            result = real_certify(cur, tau, sets)
+            rounds.append((cur, sets))
+            return result
+
+        monkeypatch.setattr(hz, "certify_round", recording)
+        rng = random.Random(97)
+        checked = large = 0
+        for trial in range(300):
+            if trial % 3 != 1:
+                n = rng.randint(2, 7)
+            else:  # log-uniform on 11..299, except one n = 9
+                n = 9 if trial == 1 else int(11 * (300 / 11) ** rng.random())
+            weight = rng.choice((1, 3, 20))
+            if trial % 5 == 4:
+                label = list(range(n))
+                rng.shuffle(label)
+                g = WeightedGraph.from_edges(
+                    n, [(label[i], label[i + 1], 1 if weight == 1 else i + 1) for i in range(n - 1)]
+                )
+            else:
+                extra = rng.choice((0, n // 4, n))
+                g = random_connected_graph(rng, n, max_weight=weight, extra_edges=extra)
+            rounds.clear()
+            tree = build_hierarchy(g)
+            assert sum(len(sets) for _, sets in rounds) == sum(1 for _ in tree.internal_nodes())
+            for cur, sets in rounds:
+                for star in sets:
+                    assert verify_core(cur, cur.n, star)
+                    checked += 1
+            if n <= 10:
+                assert tree == brute_hierarchy(g)
+            large += n > 100
+        assert checked > 3000 and large >= 20
 
 
 class TestValidate:
