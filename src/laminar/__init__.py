@@ -3,14 +3,12 @@
 from .arboricity import (
     ArboricityResult,
     compute_arboricity,
-    global_directed_min_cut,
     t_bar_mincut,
 )
 from .densecore import (
     FindStarResult,
     find_star,
     find_star_full,
-    max_density_search,
     probe,
     verify_core,
 )
@@ -32,7 +30,6 @@ from .flow import (
     STCut,
     max_flow,
     min_st_cut,
-    residual,
     t_cuts_below,
     t_mincut_exhaustive,
 )
@@ -41,10 +38,8 @@ from .goldberg import (
     ModifiedNetwork,
     build_goldberg,
     build_modified,
-    goldberg_min_cut_side,
 )
 from .graph import (
-    ContractionMap,
     MultiwayCut,
     Rational,
     WeightedGraph,

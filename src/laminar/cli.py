@@ -369,12 +369,13 @@ def _cmd_verify_core(args) -> int:
 def _cmd_entropy_check(args) -> int:
     graph = _read_graph(args.file)
     _require_connected(graph, "entropy check")
+    # The oracle runs first: its size guard refuses before any hierarchy work.
+    fw = frank_wolfe_entropy(graph, args.iterations, seed=args.seed)
     tree = _build_tree(args, graph)
     loads = ideal_loads(graph, tree)
     certificate = entropy_certificate(graph, tree)
     pairs = loads.unit_marginal_pairs()
     ideal_entropy = entropy_value((x for x, _ in pairs), (w for _, w in pairs))
-    fw = frank_wolfe_entropy(graph, args.iterations, seed=args.seed)
     gap = fw.value - ideal_entropy
     min_y = min((y for s, y in certificate.y.items() if s != tree.root.vertex_set), default=0.0)
     text = "\n".join(

@@ -52,9 +52,9 @@ from .dircut import EPSILON, find_small_cut, size_bounded_t_mincut
 from .flow import max_flow, t_cuts_below, t_mincut_exhaustive
 from .goldberg import ModifiedNetwork, build_goldberg, build_modified, min_cut_vertex_side
 from .graph import (
-    ContractionMap,
     GraphError,
     WeightedGraph,
+    _within,
     contract,
     induced_subgraph,
     skew_density,
@@ -225,53 +225,6 @@ def probe(
     return False, None
 
 
-def max_density_search(
-    graph: WeightedGraph,
-    k: int,
-    *,
-    mode: str = "exact",
-    rng: random.Random | None = None,
-    epsilon: Fraction = EPSILON,
-) -> FindStarResult:
-    """Dinkelbach iteration for the maximum skew-density.
-
-    Starts at the heaviest merged edge, whose endpoints have density equal to
-    its weight, and moves to each probe's witness while it is strictly denser.
-    Exact mode probes at tau - delta and stops on a witness of density tau,
-    the largest densest set, and reads every maximal densest set off that
-    probe's scan.  Randomized mode probes at tau and stops at the first miss;
-    the candidate is then the last witness, the densest seen.
-    """
-    if graph.n == 0 or not graph.is_connected():
-        raise GraphError("the densest-set search needs a connected, nonempty graph")
-    if graph.n == 1:
-        return FindStarResult(frozenset({0}), Fraction(0), (), (frozenset({0}),))
-    (u, v), weight = max(graph.merged_edges().items(), key=lambda item: item[1])
-    witness = frozenset((u, v))
-    tau = Fraction(weight)
-    probes: list[tuple[Fraction, bool]] = []
-    while True:
-        threshold = _below(tau, graph.n) if mode == "exact" else tau
-        sides: list[frozenset[int]] = []
-        ok, found = probe(
-            graph, threshold, k, mode=mode, rng=rng, epsilon=epsilon, sides=sides
-        )
-        if not ok and threshold < tau:  # an exact probe below the witness cannot miss
-            raise RuntimeError(f"probe at {threshold} missed a witness of density {tau}")
-        density = skew_density(graph, found) if ok else tau  # a miss finds nothing denser
-        if ok and density <= threshold:
-            raise RuntimeError(f"probe witness at {threshold} has density {density}, not above it")
-        probes.append((tau, density > tau))
-        if density == tau:
-            if mode == "exact":
-                sets = _maximal_densest(graph, tau, sides, found)
-            else:
-                found = found or witness
-                sets = (found,)
-            return FindStarResult(found, tau, tuple(probes), sets)
-        witness, tau = found, density
-
-
 def _maximal_densest(
     graph: WeightedGraph, tau: Fraction, sides: list[frozenset[int]], witness: frozenset[int]
 ) -> tuple[frozenset[int], ...]:
@@ -305,30 +258,58 @@ def find_star_full(
 ) -> FindStarResult:
     """The maximum skew-density and the largest set attaining it.
 
-    Only the densest sets beat tau* - delta, delta = 1/(n den(tau*)), and the
-    minimum t-cut there is the largest of them.  Exact mode finds it on the
-    search's last Newton step; randomized mode extracts at the same threshold
-    with the size-bounded sampler, falling back to the search's witness.  With
-    k at least the size of the largest densest set, the candidate is that set
-    (always in exact mode, w.h.p. in randomized mode).  Exact mode also
-    returns every maximal densest set, in `sets`.
+    Dinkelbach's iteration starts at the heaviest merged edge, whose
+    endpoints have density equal to its weight, and moves to each probe's
+    witness while it is strictly denser.  Exact mode probes at
+    tau - delta, delta = 1/(n den(tau)), and stops on a witness of density
+    tau: only the densest sets beat tau* - delta, and the minimum t-cut there
+    is the largest of them, so the last Newton step is the extraction, and
+    its scan also yields every maximal densest set, in `sets`.  Randomized
+    mode probes at tau and stops at the first miss, then extracts at
+    tau - delta with the size-bounded sampler, falling back to the last
+    witness, the densest seen.  With k at least the size of the largest
+    densest set, the candidate is that set (always in exact mode, w.h.p. in
+    randomized mode).
     """
     if k < 1:
         raise GraphError("k must be at least 1")
+    if graph.n == 0 or not graph.is_connected():
+        raise GraphError("the densest-set search needs a connected, nonempty graph")
+    if graph.n == 1:
+        return FindStarResult(frozenset({0}), Fraction(0), (), (frozenset({0}),))
     if rng is None:
         rng = random.Random(0)
-    search = max_density_search(graph, k, mode=mode, rng=rng, epsilon=epsilon)
-    if mode == "exact" or graph.n == 1:
-        return search
+    (u, v), weight = max(graph.merged_edges().items(), key=lambda item: item[1])
+    witness = frozenset((u, v))
+    tau = Fraction(weight)
+    probes: list[tuple[Fraction, bool]] = []
+    while True:
+        threshold = _below(tau, graph.n) if mode == "exact" else tau
+        sides: list[frozenset[int]] = []
+        ok, found = probe(
+            graph, threshold, k, mode=mode, rng=rng, epsilon=epsilon, sides=sides
+        )
+        if not ok and threshold < tau:  # an exact probe below the witness cannot miss
+            raise RuntimeError(f"probe at {threshold} missed a witness of density {tau}")
+        density = skew_density(graph, found) if ok else tau  # a miss finds nothing denser
+        if ok and density <= threshold:
+            raise RuntimeError(f"probe witness at {threshold} has density {density}, not above it")
+        probes.append((tau, density > tau))
+        if density == tau:
+            break
+        witness, tau = found, density
+    if mode == "exact":
+        return FindStarResult(found, tau, tuple(probes), _maximal_densest(graph, tau, sides, found))
+    witness = found or witness
     # No shortcut network only when the search stopped below the maximum:
     # the density network's own min cut then carries a denser set.
-    candidate, shortcut = _saturate(graph, _below(search.tau_star, graph.n))
+    candidate, shortcut = _saturate(graph, _below(tau, graph.n))
     if shortcut is not None:
         cut = size_bounded_t_mincut(shortcut.network, shortcut.t, k, rng, epsilon=epsilon)
         candidate = frozenset(cut.source_side)
-    if not candidate or skew_density(graph, candidate) < search.tau_star:
-        candidate = search.candidate
-    return FindStarResult(candidate, search.tau_star, search.probes, (candidate,))
+    if not candidate or skew_density(graph, candidate) < tau:
+        candidate = witness
+    return FindStarResult(candidate, tau, tuple(probes), (candidate,))
 
 
 def find_star(
@@ -362,7 +343,7 @@ def _denser_subset(graph: WeightedGraph, s_set: frozenset[int], rho: Fraction) -
 
 def certify_round(
     graph: WeightedGraph, tau: Fraction, sets: tuple[frozenset[int], ...]
-) -> tuple[WeightedGraph, ContractionMap]:
+) -> tuple[WeightedGraph, tuple[int, ...]]:
     """Prove `sets` are every maximal densest set of graph, at density tau.
 
     Checks that the sets are disjoint, that each has skew-density exactly
@@ -385,13 +366,13 @@ def certify_round(
         denser = _denser_subset(graph, s_set, tau) if len(s_set) > 2 else None
         if denser is not None:
             raise RuntimeError(f"{sorted(s_set)}: {denser}")
-    contracted, cmap = contract(graph, *sets)
+    contracted, forward = contract(graph, *sets)
     n = contracted.n
     if n >= 2 and probe(contracted, _below(tau, n), n)[0]:
         raise RuntimeError(
             f"after contracting the sets some set is at least as dense as {tau}"
         )
-    return contracted, cmap
+    return contracted, forward
 
 
 def verify_core_explain(
@@ -401,7 +382,7 @@ def verify_core_explain(
     s_set = frozenset(candidate)
     if not s_set:
         raise GraphError("the candidate set is empty")
-    if not s_set <= set(range(graph.n)):
+    if not _within(graph, s_set):
         raise GraphError("the candidate set is not a subset of the vertices")
     if len(s_set) > k:
         return False, "set exceeds the size bound"
@@ -409,14 +390,14 @@ def verify_core_explain(
     if rho == 0:
         # No internal weight: subsets are trivially no denser, and any proper
         # superset has density >= 0 = rho(S), violating strictness.
-        if s_set == frozenset(range(graph.n)):
+        if len(s_set) == graph.n:
             return True, None
         return False, "a proper superset is at least as dense"
     denser = _denser_subset(graph, s_set, rho)
     if denser is not None:
         return False, denser
-    contracted, cmap = contract(graph, s_set)
-    merged = cmap.forward[min(s_set)]
+    contracted, forward = contract(graph, s_set)
+    merged = forward[min(s_set)]
     core = tau_core(contracted, rho, root=merged)
     if len(core) == 1:  # no vertex outside S can join a set as dense as S
         return True, None

@@ -346,16 +346,6 @@ def min_st_cut(
     return STCut(source_side=side, value=_as_cut_value(net, flow.value))
 
 
-def residual(net: DirectedNetwork, flow: FlowResult) -> DirectedNetwork:
-    """Residual network of a flow: per arc, forward c-f and backward f."""
-    flows = _residual_of(net, flow)[1::2]
-    out = DirectedNetwork(net.n)
-    for u, v, c, f in zip(net.tails, net.heads, net.caps, flows):
-        out.add_arc(u, v, INF if c == INF else c - f)
-        out.add_arc(v, u, f)
-    return out
-
-
 def t_cuts_below(
     net: DirectedNetwork,
     t: int,

@@ -135,13 +135,6 @@ def min_cut_vertex_side(h: GoldbergNetwork, flow: FlowResult) -> frozenset[int]:
     return frozenset(v for v in side if v < h.graph.n)
 
 
-def goldberg_min_cut_side(graph: WeightedGraph, tau: Fraction) -> frozenset[int]:
-    """argmax over X of c(E[X]) - tau*|X| (largest maximizer, may be empty)."""
-    h = build_goldberg(graph, tau)
-    flow = max_flow(h.network, h.s, h.t)
-    return min_cut_vertex_side(h, flow)
-
-
 def build_modified(h: GoldbergNetwork, flow: FlowResult | None = None) -> ModifiedNetwork:
     """Shortcut network of h from a saturating max flow.
 

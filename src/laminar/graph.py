@@ -59,10 +59,6 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def max_weight(self) -> int:
-        return max((w for _, _, w in self.edges), default=0)
-
     def total_weight(self) -> int:
         return sum(w for _, _, w in self.edges)
 
@@ -92,25 +88,6 @@ class WeightedGraph:
         # Computed once per instance: the graph is frozen, and every layer
         # of a run checks the same graph object.
         return self.n <= 1 or (self.m >= self.n - 1 and _component_roots(self)[1] == 1)
-
-
-@dataclass(frozen=True)
-class ContractionMap:
-    """Vertex correspondence produced by contracting sets, each into one node.
-
-    forward maps every original vertex to its contracted-graph vertex;
-    expansion maps each contracted-graph vertex back to the set of original
-    vertices it represents.
-    """
-
-    forward: tuple[int, ...]
-    expansion: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        for new_id, originals in enumerate(self.expansion):
-            for v in originals:
-                if self.forward[v] != new_id:
-                    raise GraphError("inconsistent contraction map")
 
 
 class MultiwayCut:
@@ -176,14 +153,15 @@ def skew_density(graph: WeightedGraph, s: Iterable[int]) -> Fraction:
 
 def contract(
     graph: WeightedGraph, *sets: Iterable[int]
-) -> tuple[WeightedGraph, ContractionMap]:
+) -> tuple[WeightedGraph, tuple[int, ...]]:
     """Contract each of the pairwise disjoint vertex sets into a single node.
 
     Edges inside a set are deleted, edges leaving it are re-attached to its
     node, and parallel edges are kept distinct so all cut values are
     preserved exactly.  Each set's node takes the slot of the set's smallest
     vertex; all slots keep their relative order, so contracting the sets one
-    after another gives the same graph.
+    after another gives the same graph.  Returns the contracted graph and
+    the forward map: forward[v] is the node that vertex v went to.
     """
     if not sets:
         raise GraphError("no set to contract")
@@ -209,9 +187,6 @@ def contract(
             next_id += 1
     for v in range(graph.n):
         forward[v] = forward[rep_of[v]]
-    expansion: list[set[int]] = [set() for _ in range(next_id)]
-    for v in range(graph.n):
-        expansion[forward[v]].add(v)
     new_edges = [
         (forward[u], forward[v], w) for u, v, w in graph.edges if forward[u] != forward[v]
     ]
@@ -219,8 +194,7 @@ def contract(
     if graph.__dict__.get("_connected"):
         # Contracting vertex sets keeps a connected graph connected.
         contracted.__dict__["_connected"] = True
-    cmap = ContractionMap(tuple(forward), tuple(frozenset(e) for e in expansion))
-    return contracted, cmap
+    return contracted, tuple(forward)
 
 
 def induced_subgraph(graph: WeightedGraph, s: Iterable[int]) -> tuple[WeightedGraph, tuple[int, ...]]:

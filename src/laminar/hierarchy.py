@@ -51,18 +51,15 @@ from typing import Iterator
 
 from .densecore import certify_round, find_star, find_star_full, verify_core
 from .dircut import EPSILON
-from .graph import (
-    ContractionMap,
-    GraphError,
-    MultiwayCut,
-    WeightedGraph,
-    contract,
-    skew_density,
-)
+from .graph import GraphError, MultiwayCut, WeightedGraph, contract, skew_density
 
 #: full randomized size sweeps, each on fresh RNG streams, before the exact
 #: search takes over for one contraction
 MAX_RESTARTS = 3
+
+#: largest graph on which `validate_hierarchy` also compares every internal
+#: node against the brute-force maximal min-ratio cut
+ORACLE_LIMIT = 7
 
 
 @dataclass(frozen=True)
@@ -194,16 +191,18 @@ def build_hierarchy(
     registry = [_leaf(v) for v in range(graph.n)]  # the node of each vertex of cur
     cur = graph
     while cur.n > 1:
-        stars, sigma, cur, cmap = _accept_star_sets(cur, mode, rng, epsilon)
-        merged: dict[int, HierarchyNode] = {}  # keyed by each star's smallest vertex
+        stars, sigma, cur, forward = _accept_star_sets(cur, mode, rng, epsilon)
+        nodes: list = [None] * cur.n  # the node of each vertex of the new cur
+        for v, slot in enumerate(forward):
+            nodes[slot] = registry[v]  # a slot no star took holds one vertex
         for star in stars:
             children = tuple(
                 sorted((registry[v] for v in star), key=lambda nd: min(nd.vertex_set))
             )
-            merged[min(star)] = HierarchyNode(
+            nodes[forward[min(star)]] = HierarchyNode(
                 frozenset().union(*(c.vertex_set for c in children)), children, sigma
             )
-        registry = [merged.get(min(old), registry[min(old)]) for old in cmap.expansion]
+        registry = nodes
     return HierarchyTree(root=registry[0], graph=graph)
 
 
@@ -220,13 +219,14 @@ def _sweep_sizes(n: int) -> list[int]:
 
 def _accept_star_sets(
     cur: WeightedGraph, mode: str, rng: random.Random, epsilon: Fraction
-) -> tuple[tuple[frozenset[int], ...], Fraction, WeightedGraph, ContractionMap]:
+) -> tuple[tuple[frozenset[int], ...], Fraction, WeightedGraph, tuple[int, ...]]:
     """One outer iteration: the disjoint dense cores of cur to contract.
 
     Returns them, their common skew-density in cur, and cur with each of
-    them contracted.  Exact mode takes every maximal densest set of one
-    exact search, under one round certificate; randomized mode takes one
-    verified set (see `_randomized_star`).
+    them contracted, with the contraction's forward map.  Exact mode takes
+    every maximal densest set of one exact search, under one round
+    certificate; randomized mode takes one verified set (see
+    `_randomized_star`).
     """
     if mode == "exact":
         sub_rng = random.Random(rng.getrandbits(64))
@@ -280,9 +280,7 @@ def maximal_min_ratio_cut(tree: HierarchyTree) -> MultiwayCut:
     return MultiwayCut(tree.graph, [c.vertex_set for c in tree.root.children])
 
 
-def validate_hierarchy(
-    graph: WeightedGraph, tree: HierarchyTree, *, oracle_limit: int = 7
-) -> list[str]:
+def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
     """Structural checks and each internal node's sigma certificate; on small
     graphs also compares each internal node's children against the
     brute-force maximal min-ratio cut.  Returns a list of violation
@@ -350,7 +348,7 @@ def validate_hierarchy(
                     f"ratio of {sorted(node.vertex_set)} is {node.sigma}, the "
                     f"weight between its children gives {ratio}"
                 )
-    if graph.n <= oracle_limit:
+    if graph.n <= ORACLE_LIMIT:
         from .graph import induced_subgraph
         from .oracle import brute_min_ratio_cut
 

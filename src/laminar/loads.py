@@ -39,7 +39,6 @@ class IdealLoads:
     unit_per_edge: tuple[Fraction, ...]  # per_edge / weight = 1 / node ratio
     edge_node: tuple[frozenset[int], ...]  # LCA vertex set per edge
     node_sigma: dict[frozenset[int], Fraction]
-    node_edges: dict[frozenset[int], tuple[int, ...]]
 
     def unit_marginal_pairs(self) -> list[tuple[float, int]]:
         """(unit load as float, multiplicity c_e) per edge, for entropy sums."""
@@ -103,14 +102,12 @@ def ideal_loads(graph: WeightedGraph, tree: HierarchyTree) -> IdealLoads:
             raise LoadsError(f"vertex {v} is not a leaf of the tree")
     lca = _EulerLCA(tree.root)
     assigned_weight: dict[frozenset[int], int] = {}
-    assigned_edges: dict[frozenset[int], list[int]] = {}
     edge_node: list[frozenset[int]] = []
-    for idx, (u, v, w) in enumerate(graph.edges):
+    for u, v, w in graph.edges:
         node = lca.query(frozenset({u}), frozenset({v}))
         key = node.vertex_set
         edge_node.append(key)
         assigned_weight[key] = assigned_weight.get(key, 0) + w
-        assigned_edges.setdefault(key, []).append(idx)
     node_sigma: dict[frozenset[int], Fraction] = {}
     for node in tree.internal_nodes():
         key = node.vertex_set
@@ -134,7 +131,6 @@ def ideal_loads(graph: WeightedGraph, tree: HierarchyTree) -> IdealLoads:
         unit_per_edge=unit_per_edge,
         edge_node=tuple(edge_node),
         node_sigma=node_sigma,
-        node_edges={k: tuple(v) for k, v in assigned_edges.items()},
     )
 
 

@@ -331,11 +331,11 @@ def frank_wolfe_entropy(
     """
     if not graph.is_connected() or graph.n == 0:
         raise ValueError("entropy oracle needs a connected, nonempty graph")
+    if graph.total_weight() > UNIT_EDGE_GUARD:  # the expansion's length, without building it
+        raise SizeGuardError(f"unit-edge expansion exceeds {UNIT_EDGE_GUARD}")
     unit_edges = tuple(
         (u, v, idx) for idx, (u, v, w) in enumerate(graph.edges) for _ in range(w)
     )
-    if len(unit_edges) > UNIT_EDGE_GUARD:
-        raise SizeGuardError(f"unit-edge expansion exceeds {UNIT_EDGE_GUARD}")
     n = graph.n
     k = len(unit_edges)
     if n == 1:

@@ -1,4 +1,4 @@
-"""Arboricity by the exact densest-set search, and the rooted global min-cut reduction."""
+"""Arboricity by the exact densest-set search, and the per-source t-bar min cut."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from laminar import (
     build_hierarchy,
     build_modified,
     compute_arboricity,
-    global_directed_min_cut,
     ideal_loads,
     min_max_loads,
     t_bar_mincut,
@@ -26,17 +25,6 @@ from laminar.arboricity import ArboricityError
 from laminar.graph import GraphError
 
 from .conftest import network_from_arcs, random_connected_graph, random_digraph
-
-
-def enumerate_global_min_cut(net):
-    best = None
-    nodes = range(net.n)
-    for size in range(1, net.n):
-        for side in combinations(nodes, size):
-            value = net.cut_value(side)
-            if best is None or value < best:
-                best = value
-    return best
 
 
 class TestTBarMincut:
@@ -77,22 +65,6 @@ class TestTBarMincut:
         net = network_from_arcs(2, [(0, 1, 7)])
         assert t_bar_mincut(net, 1, limit=7) is None
         assert t_bar_mincut(net, 1, limit=8).value == 7
-
-
-class TestGlobalMinCut:
-    def test_matches_enumeration(self):
-        rng = random.Random(53)
-        for _ in range(20):
-            n = rng.randint(2, 6)
-            net = random_digraph(rng, n)
-            cut = global_directed_min_cut(net)
-            assert cut.value == enumerate_global_min_cut(net)
-            assert net.cut_value(cut.source_side) == cut.value
-
-    def test_limit_semantics(self):
-        net = network_from_arcs(3, [(0, 1, 4), (1, 2, 4), (2, 0, 4)])
-        assert global_directed_min_cut(net, limit=4) is None
-        assert global_directed_min_cut(net, limit=5).value == 4
 
 
 class TestComputeArboricity:

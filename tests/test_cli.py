@@ -278,6 +278,18 @@ class TestErrors:
         code, _, err = run_cli(capsys, "oracle", "min-ratio-cut", str(target))
         assert code == 3
 
+    def test_entropy_check_guard_refuses_before_the_hierarchy(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "heavy.txt"
+        target.write_text("2 1\n0 1 1000000000\n")
+
+        def no_hierarchy(*args, **kwargs):
+            raise AssertionError("the hierarchy was built before the size guard ran")
+
+        monkeypatch.setattr("laminar.cli.build_hierarchy", no_hierarchy)
+        code, out, err = run_cli(capsys, "entropy-check", str(target))
+        assert (code, out) == (3, "")
+        assert "unit-edge expansion exceeds 200" in err
+
     def test_empty_edge_input(self, capsys, tmp_path):
         target = tmp_path / "empty.txt"
         target.write_text("3 0\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as Fr
 from itertools import combinations
 
@@ -517,6 +518,22 @@ class TestVerifyCore:
         with pytest.raises(GraphError):
             verify_core(unit_triangle, 3, {9})
 
+    def test_memory_grows_with_the_set_not_the_graph(self):
+        # Membership and S = V are decided in O(|S|).  A set with internal
+        # weight goes on to the superset check, whose contraction stays
+        # O(n + m); S = {0} has none, so it is rejected before that.
+        g = WeightedGraph(10**6, ())
+        tracemalloc.start()
+        try:
+            verdict = verify_core_explain(g, g.n, {0})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict == (False, "a proper superset is at least as dense")
+        assert peak < 1 << 20
+        with pytest.raises(GraphError, match="^the candidate set is not a subset of the vertices$"):
+            verify_core_explain(g, g.n, {0, 10**6})
+
 
 class TestCertifyRound:
     def test_accepts_iff_every_set_is_a_dense_core_and_none_is_missing(self):
@@ -604,8 +621,8 @@ class TestCertifyRound:
             certify_round(g, Fr(5), (frozenset(range(4)),))
 
     def test_returns_the_contraction_of_the_sets(self, trubin_path, unit_triangle):
-        contracted, cmap = certify_round(trubin_path, Fr(100), (frozenset({2, 3}),))
-        assert (contracted, cmap) == contract(trubin_path, {2, 3})
+        contracted, forward = certify_round(trubin_path, Fr(100), (frozenset({2, 3}),))
+        assert (contracted, forward) == contract(trubin_path, {2, 3})
         assert certify_round(unit_triangle, Fr(3, 2), (frozenset(range(3)),))[0].n == 1
         with pytest.raises(RuntimeError, match="overlap"):
             certify_round(trubin_path, Fr(100), (frozenset({2, 3}), frozenset({3})))

@@ -12,7 +12,6 @@ from laminar import (
     DirectedNetwork,
     max_flow,
     min_st_cut,
-    residual,
     t_mincut_exhaustive,
 )
 from laminar.flow import FlowError, max_source_side, min_source_side
@@ -142,24 +141,38 @@ class TestCutSides:
         assert cut.value == 7 and cut.source_side == {0, 1}
 
 
+def residual_cut_value(net: DirectedNetwork, flow, side) -> int:
+    """d+(side) in the residual graph of `flow`: arc 2i runs along network
+    arc i with what it can still carry, arc 2i+1 back along it with its flow."""
+    inside = frozenset(side)
+    total = 0
+    for i, (u, v) in enumerate(zip(net.tails, net.heads)):
+        if u in inside and v not in inside:
+            total += flow.residual[2 * i]
+        elif v in inside and u not in inside:
+            total += flow.residual[2 * i + 1]
+    return total
+
+
 class TestResidual:
+    # FlowResult.residual per arc: [left on arc 0, flow on arc 0, left on arc 1, ...]
+
     def test_zero_flow_identity(self):
         net = network_from_arcs(2, [(0, 1, 5)])
         zero = max_flow(net, 1, 0)  # no path, value 0
-        res = residual(net, zero)
-        assert list(res.arcs()) == [(0, 1, 5), (1, 0, 0)]
+        assert zero.value == 0 and zero.residual == [5, 0]
 
     def test_saturating_single_arc(self):
         net = network_from_arcs(2, [(0, 1, 5)])
-        res = residual(net, max_flow(net, 0, 1))
-        assert list(res.arcs()) == [(0, 1, 0), (1, 0, 5)]
+        assert max_flow(net, 0, 1).residual == [0, 5]
 
     def test_infinite_arc_keeps_infinite_residual(self):
+        # An INF arc's room plus its flow is the engine's substitute, more
+        # than all finite capacities together: no finite cut can saturate it.
         net = network_from_arcs(3, [(0, 1, INF), (1, 2, 4)])
-        res = residual(net, max_flow(net, 0, 2))
-        arcs = list(res.arcs())
-        assert arcs[0] == (0, 1, INF)
-        assert arcs[1] == (1, 0, 4)
+        flow = max_flow(net, 0, 2)
+        assert flow.residual[1] == 4 and flow.residual[2:] == [0, 4]
+        assert flow.residual[0] + flow.residual[1] > net.finite_total()
 
     def test_validate_flow_catches_violations(self):
         from laminar.flow import FlowResult, validate_flow
@@ -183,12 +196,11 @@ class TestResidual:
             net = random_digraph(rng, n)
             s, t = 0, n - 1
             flow = max_flow(net, s, t)
-            res = residual(net, flow)
             others = [v for v in range(n) if v not in (s, t)]
             for size in range(len(others) + 1):
                 for extra in combinations(others, size):
                     side = {s, *extra}
-                    assert res.cut_value(side) == net.cut_value(side) - flow.value
+                    assert residual_cut_value(net, flow, side) == net.cut_value(side) - flow.value
 
 
 class TestTMincutExhaustive:

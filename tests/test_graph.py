@@ -86,22 +86,22 @@ class TestMultiwayCut:
 
 class TestContract:
     def test_contract_heavy_pair(self, trubin_path):
-        contracted, cmap = contract(trubin_path, {2, 3})
+        contracted, forward = contract(trubin_path, {2, 3})
         assert contracted.n == 3
         assert sorted(contracted.edges) == [(0, 1, 2), (1, 2, 1)]
-        assert cmap.forward == (0, 1, 2, 2)
-        assert cmap.expansion[2] == frozenset({2, 3})
+        assert forward == (0, 1, 2, 2)
 
     def test_contract_singleton_is_identity(self, unit_c4):
-        contracted, cmap = contract(unit_c4, {2})
+        contracted, forward = contract(unit_c4, {2})
         assert contracted.n == unit_c4.n
         assert sorted(contracted.edges) == sorted(unit_c4.edges)
-        assert cmap.forward == (0, 1, 2, 3)
+        assert forward == (0, 1, 2, 3)
 
     def test_contract_everything(self, trubin_path):
-        contracted, _ = contract(trubin_path, range(4))
+        contracted, forward = contract(trubin_path, range(4))
         assert contracted.n == 1
         assert contracted.m == 0
+        assert forward == (0, 0, 0, 0)
 
     def test_parallel_edges_are_kept(self):
         g = WeightedGraph.from_edges(4, [(0, 1, 2), (0, 2, 3), (1, 3, 1), (2, 3, 5)])
@@ -129,14 +129,22 @@ class TestContract:
             rng.shuffle(order)
             cuts = sorted(rng.sample(range(1, g.n + 1), rng.randint(1, min(g.n, 4))))
             sets = [frozenset(order[a:b]) for a, b in zip([0, *cuts], cuts)]
-            contracted, cmap = contract(g, *sets)
-            one_by_one, forward = g, list(range(g.n))
+            contracted, forward = contract(g, *sets)
+            one_by_one, composed = g, list(range(g.n))
             for s in sets:
-                one_by_one, step = contract(one_by_one, {forward[v] for v in s})
-                forward = [step.forward[v] for v in forward]
+                one_by_one, step = contract(one_by_one, {composed[v] for v in s})
+                composed = [step[v] for v in composed]
             assert contracted == one_by_one
-            assert list(cmap.forward) == forward
-            assert {cmap.expansion[cmap.forward[min(s)]] for s in sets} == set(sets)
+            assert list(forward) == composed
+            # Each node holds exactly one set, or one vertex outside them all,
+            # and takes the slot of its smallest vertex: slots keep their order.
+            members = {}
+            for v, node in enumerate(forward):
+                members.setdefault(node, set()).add(v)
+            assert sorted(members) == list(range(contracted.n))
+            assert {frozenset(members[forward[min(s)]]) for s in sets} == set(sets)
+            firsts = [min(members[node]) for node in range(contracted.n)]
+            assert firsts == sorted(firsts)
 
     @settings(max_examples=60, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -153,8 +161,8 @@ class TestContract:
             u = s | frozenset(
                 hyp_rng.sample(rest, hyp_rng.randint(0, len(rest)))
             )
-        contracted, cmap = contract(g, s)
-        u_mapped = {cmap.forward[v] for v in u}
+        contracted, forward = contract(g, s)
+        u_mapped = {forward[v] for v in u}
         assert g.boundary_weight(u) == contracted.boundary_weight(u_mapped)
 
 

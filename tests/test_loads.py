@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Fr
 from itertools import combinations
 
@@ -12,6 +13,7 @@ import pytest
 from laminar import (
     HierarchyNode,
     HierarchyTree,
+    SizeGuardError,
     WeightedGraph,
     build_hierarchy,
     entropy_certificate,
@@ -210,3 +212,18 @@ class TestFrankWolfe:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             frank_wolfe_entropy(WeightedGraph.from_edges(3, [(0, 1, 1)]), 10)
+
+    def test_size_guard_refuses_before_expanding(self):
+        # 200 unit edges are allowed; one more is refused before the
+        # expansion into unit edges is built, whatever the weight.
+        assert len(frank_wolfe_entropy(WeightedGraph.from_edges(2, [(0, 1, 200)]), 1).unit_edges) == 200
+        for weight in (201, 10**6):
+            g = WeightedGraph.from_edges(2, [(0, 1, weight)])
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeGuardError, match="exceeds 200"):
+                    frank_wolfe_entropy(g, 10)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
