@@ -14,11 +14,16 @@ out only when asked.  `_Engine.set_cap` edits a capacity in place between
 runs: the 1-respecting cut search in `dircut` lowers one tree arc at a time.
 
 The engine is plain Dinic (blocking flows along shortest augmenting paths,
-strongly polynomial).  A flow ends at t or at any extra sink the caller
-names, so the per-source scan retires each scanned source into the sink set
-(Hao and Orlin 1994) on the caller's own network.  A `limit` stops
-augmentation once the flow value reaches it, which lets callers ask "is the
-min cut below x?" without paying for an exact answer when it is not.
+strongly polynomial).  Each phase's BFS stops at the level of the nearest
+sink, so a non-sink at that level has no arc into the next level and is a
+dead end; it is unlabeled before the search, which then finds the same paths
+in the same order without entering it.  A flow ends at t or at any extra
+sink the caller names, so the per-source scan retires each scanned source
+into the sink set (Hao and Orlin 1994) on the caller's own network, and
+each source's flow continues the residual the previous one left (see
+`t_cuts_below` for why that is exact).  A `limit` stops augmentation once
+the flow value reaches it, which lets callers ask "is the min cut below x?"
+without paying for an exact answer when it is not.
 """
 
 from __future__ import annotations
@@ -169,16 +174,16 @@ class _Engine:
             c = cap
         self.base_cap[2 * arc] = c
 
-    def run(self, s: int, sink: list[bool], limit: int | None) -> tuple[int, list[int], bool]:
-        """Blocking flows from s into the marked sinks; (value, residual, reached_limit)."""
+    def run(self, s: int, sink: list[bool], limit: int | None, cap: list[int]) -> tuple[int, bool]:
+        """Blocking flows from s into the marked sinks, augmenting the residual
+        array `cap` in place; (value of the added flow, reached_limit)."""
         n = self.n
         to = self.to
         adj = self.adj
-        cap = self.base_cap.copy()
 
         value = 0
         if limit is not None and value >= limit:
-            return value, cap, True
+            return value, True
         while True:
             # BFS level graph on arcs with residual left; sinks are not expanded.
             level = [-1] * n
@@ -203,6 +208,12 @@ class _Engine:
                                 queue.append(w)
             if depth == n:
                 break
+            # A non-sink at the sink depth has no arc one level deeper, so
+            # it is a dead end: unlabel it and the search never enters it.
+            for w in reversed(queue):
+                if level[w] < depth:
+                    break
+                level[w] = -1
             it = [0] * n
             # Extract augmenting paths from the level graph.
             while True:
@@ -242,8 +253,8 @@ class _Engine:
                     cap[a ^ 1] += bottleneck
                 value += bottleneck
                 if limit is not None and value >= limit:
-                    return value, cap, True
-        return value, cap, False
+                    return value, True
+        return value, False
 
 
 def max_flow(
@@ -253,6 +264,7 @@ def max_flow(
     *,
     limit: int | None = None,
     sinks: Iterable[int] = (),
+    start: FlowResult | None = None,
 ) -> FlowResult:
     """Exact integral max flow by blocking flows (Dinic).
 
@@ -260,16 +272,21 @@ def max_flow(
     result is marked reached_limit; the caller then knows the min cut is at
     least `limit`.  With `sinks`, the flow may end at any of them as well as
     at t; its min cuts are the s-t cuts that keep every sink on the t side.
+    With `start`, the run augments that flow's residual in place (`start`
+    is used up) and the value counts only the new flow; see `t_cuts_below`
+    for when that answers the same question as a flow from zero.
     """
     ends = (s, t, *sinks)
-    if not all(0 <= v < net.n for v in ends):
+    if min(ends) < 0 or max(ends) >= net.n:
         raise FlowError("source or sink out of range")
     sink = [False] * net.n
     for v in ends[1:]:
         sink[v] = True
     if sink[s]:
         raise FlowError("source and sink must differ")
-    value, cap, reached = net.engine().run(s, sink, limit)
+    engine = net.engine()
+    cap = engine.base_cap.copy() if start is None else _residual_of(net, start)
+    value, reached = engine.run(s, sink, limit, cap)
     return FlowResult(value=value, residual=cap, reached_limit=reached)
 
 
@@ -365,6 +382,17 @@ def t_cuts_below(
     t-cut below the limit, the least recorded value is the minimum t-cut.
     Without a limit every scanned source is recorded, with value INF when
     it has no finite cut.
+
+    Each flow starts from the residual the previous source's flow left, not
+    from zero.  That carried flow F is a sum of flows out of earlier sources
+    into sinks, so it balances every node except t and the earlier sources,
+    and those are all sinks now.  A side X that holds the current source and
+    avoids the sinks therefore has net F-flow 0 out of it, and its residual
+    out-capacity is exactly its cut value d+(X).  So whether the new flow
+    reaches the limit, its value when it does not, and the residual-reachable
+    minimal side all come out as a flow from zero gives them.  A flow that
+    stops at the limit is still a flow to carry, and INF arcs keep their
+    finite substitute throughout.
     """
     if net.n < 2:
         raise FlowError("t-mincut needs at least 2 nodes")
@@ -374,10 +402,11 @@ def t_cuts_below(
         sources = range(net.n)
     retired = {t}
     cuts: list[STCut] = []
+    flow = None
     for s in sources:
         if s in retired:
             continue
-        flow = max_flow(net, s, t, limit=limit, sinks=retired)
+        flow = max_flow(net, s, t, limit=limit, sinks=retired, start=flow)
         if not flow.reached_limit:
             side = min_source_side(net, flow, s)
             cuts.append(STCut(source_side=side, value=_as_cut_value(net, flow.value)))

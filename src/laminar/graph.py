@@ -90,6 +90,14 @@ class WeightedGraph:
         return self.n <= 1 or (self.m >= self.n - 1 and _component_roots(self)[1] == 1)
 
 
+def _checked(n: int, edges: tuple[Edge, ...]) -> WeightedGraph:
+    """A graph on edges taken from a valid graph and already mapped into
+    0..n-1 without self-loops, built without checking each edge again."""
+    graph = object.__new__(WeightedGraph)
+    graph.__dict__.update(n=n, edges=edges)
+    return graph
+
+
 class MultiwayCut:
     """A partition of V into >= 2 sides, with its boundary and cut ratio."""
 
@@ -190,7 +198,7 @@ def contract(
     new_edges = [
         (forward[u], forward[v], w) for u, v, w in graph.edges if forward[u] != forward[v]
     ]
-    contracted = WeightedGraph(next_id, tuple(new_edges))
+    contracted = _checked(next_id, tuple(new_edges))
     if graph.__dict__.get("_connected"):
         # Contracting vertex sets keeps a connected graph connected.
         contracted.__dict__["_connected"] = True
@@ -209,7 +217,7 @@ def induced_subgraph(graph: WeightedGraph, s: Iterable[int]) -> tuple[WeightedGr
         for u, v, w in graph.edges
         if u in inside and v in inside
     ]
-    return WeightedGraph(len(sub_to_orig), tuple(new_edges)), sub_to_orig
+    return _checked(len(sub_to_orig), tuple(new_edges)), sub_to_orig
 
 
 def _component_roots(
@@ -267,7 +275,7 @@ def component_subgraphs(graph: WeightedGraph) -> Iterator[tuple[WeightedGraph, t
     for u, v, w in graph.edges:
         edges[comp_of[u]].append((local[u], local[v], w))
     for vs, es in zip(members, edges):
-        yield WeightedGraph(len(vs), tuple(es)), tuple(vs)
+        yield _checked(len(vs), tuple(es)), tuple(vs)
 
 
 def rank(graph: WeightedGraph, edge_subset: Iterable[int] | None = None) -> int:

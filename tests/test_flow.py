@@ -10,8 +10,10 @@ import pytest
 from laminar import (
     INF,
     DirectedNetwork,
+    STCut,
     max_flow,
     min_st_cut,
+    t_cuts_below,
     t_mincut_exhaustive,
 )
 from laminar.flow import FlowError, max_source_side, min_source_side
@@ -461,3 +463,141 @@ class TestEngineReuse:
         net = random_digraph(random.Random(77), 8)
         t_mincut_exhaustive(net, 7)
         assert engine_builds == [net]
+
+
+def reference_run(engine, s, sink, limit):
+    """Dinic as the engine ran it before dead ends at the sink depth were
+    unlabeled: the search enters them, finds no arc on and backs up."""
+    n, to, adj = engine.n, engine.to, engine.adj
+    cap = engine.base_cap.copy()
+    value = 0
+    if limit is not None and value >= limit:
+        return value, cap, True
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        qi = 0
+        depth = n
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            lv = level[v] + 1
+            if lv > depth:
+                break
+            for a in adj[v]:
+                if cap[a]:
+                    w = to[a]
+                    if level[w] < 0:
+                        level[w] = lv
+                        if sink[w]:
+                            depth = lv
+                        else:
+                            queue.append(w)
+        if depth == n:
+            break
+        it = [0] * n
+        while True:
+            path = []
+            v = s
+            found = False
+            while True:
+                if sink[v]:
+                    found = True
+                    break
+                advanced = False
+                itv = it[v]
+                adj_v = adj[v]
+                la = len(adj_v)
+                lv1 = level[v] + 1
+                while itv < la:
+                    a = adj_v[itv]
+                    if cap[a] and level[to[a]] == lv1:
+                        advanced = True
+                        break
+                    itv += 1
+                it[v] = itv
+                if advanced:
+                    path.append(a)
+                    v = to[a]
+                    continue
+                if not path:
+                    break
+                level[v] = -1
+                a = path.pop()
+                v = to[a ^ 1]
+            if not found:
+                break
+            bottleneck = min(map(cap.__getitem__, path))
+            for a in path:
+                cap[a] -= bottleneck
+                cap[a ^ 1] += bottleneck
+            value += bottleneck
+            if limit is not None and value >= limit:
+                return value, cap, True
+    return value, cap, False
+
+
+class TestCarriedFlows:
+    def test_runs_match_the_reference_engine(self):
+        # Same paths in the same order: value, limit flag and every residual
+        # entry agree with the reference.
+        rng = random.Random(78)
+        for _ in range(400):
+            n = rng.randint(2, 14)
+            net = big_random_network(rng, n, arcs_per_node=rng.randint(0, 4), max_cap=30)
+            s, t = rng.sample(range(n), 2)
+            sinks = rng.sample([v for v in range(n) if v != s], rng.randint(0, n - 2))
+            limit = rng.choice([None, 0, rng.randint(1, 60)])
+            flow = max_flow(net, s, t, limit=limit, sinks=sinks)
+            mark = [False] * n
+            for v in (t, *sinks):
+                mark[v] = True
+            want = reference_run(net.engine(), s, mark, limit)
+            assert (flow.value, flow.residual, flow.reached_limit) == want
+
+    def test_scan_equals_cold_flows_per_source(self):
+        # t_cuts_below carries one residual from source to source; cold
+        # max_flow calls from zero with the same sink sets give the same cuts.
+        rng = random.Random(79)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            net = big_random_network(rng, n, arcs_per_node=rng.randint(0, 4), max_cap=30)
+            t = rng.randrange(n)
+            sources = None
+            if rng.random() < 0.6:
+                sources = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]
+            limit = rng.choice([None, rng.randint(0, 40)])
+            want, retired = [], {t}
+            for s in range(n) if sources is None else sources:
+                if s in retired:
+                    continue
+                cold = max_flow(net, s, t, limit=limit, sinks=retired)
+                if not cold.reached_limit:
+                    value = INF if cold.value > net.finite_total() else cold.value
+                    want.append(STCut(min_source_side(net, cold, s), value))
+                retired.add(s)
+            assert t_cuts_below(net, t, limit=limit, sources=sources) == want
+
+    def test_scan_rejects_an_out_of_range_source(self):
+        net = network_from_arcs(3, [(0, 2, 1), (1, 2, 4)])
+        for bad in (3, -1):
+            with pytest.raises(FlowError):
+                t_cuts_below(net, 2, sources=[0, 1, bad])
+
+    def test_start_of_another_length_is_rejected(self):
+        net = network_from_arcs(3, [(0, 1, 2), (1, 2, 3)])
+        other = network_from_arcs(2, [(0, 1, 1)])
+        with pytest.raises(FlowError, match="does not match"):
+            max_flow(net, 1, 2, start=max_flow(other, 0, 1))
+
+    def test_start_continues_the_given_residual(self):
+        # 0 -> 1 -> 2 carries 2 units.  The flow out of 1 into {0, 2} sends
+        # them back to 0 and the 1 unit left on 1 -> 2 on: its value is
+        # d+({1}) = 3, as from zero, and its residual holds both flows.
+        net = network_from_arcs(3, [(0, 1, 2), (1, 2, 3)])
+        first = max_flow(net, 0, 2)
+        assert first.residual == [0, 2, 1, 2]
+        second = max_flow(net, 1, 2, sinks=[0], start=first)
+        assert second.value == 3 and second.residual is first.residual
+        assert second.residual == [2, 0, 0, 3]

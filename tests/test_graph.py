@@ -328,6 +328,47 @@ class TestEdgeList:
         with pytest.raises(GraphError):
             WeightedGraph.from_edges(2, [(0, 5, 1)])
 
+    @pytest.mark.parametrize(
+        "n,edge,text",
+        [
+            (2, (0, 2, 1), "2 1\n0 2 1\n"),
+            (2, (-1, 1, 1), "2 1\n-1 1 1\n"),
+            (2, (1, 1, 1), "2 1\n1 1 1\n"),
+            (2, (0, 1, 0), "2 1\n0 1 0\n"),
+            (2, (0, 1, -3), "2 1\n0 1 -3\n"),
+            (2, (0, 1, 1.5), "2 1\n0 1 1.5\n"),
+            (-1, None, "-1 0\n"),
+        ],
+    )
+    def test_public_construction_checks_every_edge_kind(self, n, edge, text):
+        # Only graphs derived from a valid graph skip the edge checks.
+        edges = () if edge is None else ((0, 1, 1), edge)
+        with pytest.raises(GraphError):
+            WeightedGraph(n, edges)
+        with pytest.raises(GraphError):
+            WeightedGraph.from_edges(n, edges)
+        with pytest.raises(EdgeListError):
+            parse_edge_list(text)
+
+    def test_derived_graphs_equal_publicly_built_ones(self):
+        # contract, induced_subgraph and component_subgraphs build their
+        # results without checking edges again; the graphs they return must
+        # be the ones public construction gives, by == and by hash.
+        rng = random.Random(43)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 12), edge_prob=rng.choice((0.15, 0.4)))
+            order = list(range(g.n))
+            rng.shuffle(order)
+            cuts = sorted(rng.sample(range(1, g.n + 1), rng.randint(1, min(g.n, 3))))
+            sets = [order[a:b] for a, b in zip([0, *cuts], cuts)]
+            derived = [contract(g, *sets)[0], induced_subgraph(g, sets[0])[0]]
+            derived += [sub for sub, _ in component_subgraphs(g)]
+            for graph in derived:
+                public = WeightedGraph(graph.n, tuple(graph.edges))
+                assert type(graph) is WeightedGraph
+                assert graph == public and hash(graph) == hash(public)
+                assert graph.is_connected() == public.is_connected()
+
 
 def test_merged_edges_view():
     g = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 0, 3), (1, 2, 1)])
