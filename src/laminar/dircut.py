@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .flow import INF, DirectedNetwork, STCut, min_st_cut
+from .flow import INF, DirectedNetwork, STCut, _derived, min_st_cut
 
 #: default accuracy parameter of the pipeline
 EPSILON = Fraction(1, 10)
@@ -113,25 +113,26 @@ def sparsify(net: DirectedNetwork, t: int, params: SparsifierParams) -> Directed
     """
     if not 0 <= t < net.n:
         raise DircutError("t out of range")
+    if INF in net.caps:
+        raise DircutError("sparsifier requires finite integer capacities")
     rng = random.Random(params.rng_seed)
-    mu = params.mu
-    out = DirectedNetwork(net.n)
-    for u, v, c in net.arcs():
-        if c == INF:
-            raise DircutError("sparsifier requires finite integer capacities")
-        ratio = Fraction(c) / mu
-        base = ratio.numerator // ratio.denominator
-        frac = ratio - base
-        if frac == 0:
-            rounded = base
-        else:
-            rounded = base + (1 if rng.randrange(frac.denominator) < frac.numerator else 0)
-        out.add_arc(u, v, rounded)
-    backbone = int(params.backbone_cap / mu)
-    for v in range(net.n):
-        if v != t:
-            out.add_arc(v, t, backbone)
-    return out
+    p, q = params.mu.numerator, params.mu.denominator
+    # c/mu = c*q/p = base + r/p, and the draw is over r/p in lowest terms.
+    caps = []
+    for c in net.caps:
+        base, r = divmod(c * q, p)
+        if r:
+            g = gcd(r, p)
+            base += rng.randrange(p // g) < r // g
+        caps.append(base)
+    others = [v for v in range(net.n) if v != t]
+    backbone = int(params.backbone_cap / params.mu)
+    return _derived(
+        net.n,
+        net.tails + others,
+        net.heads + [t] * len(others),
+        caps + [backbone] * len(others),
+    )
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,13 @@ class ArborescencePacking:
 _NO_ARBORESCENCE = "no t-arborescence exists: a node cannot reach t"
 
 
+def _tree(net: DirectedNetwork, t: int, arc_of: tuple[int, ...]) -> Arborescence:
+    """The validated arborescence whose node v leaves by arc arc_of[v]."""
+    heads = net.heads
+    parent = tuple(heads[a] if a >= 0 else -1 for a in arc_of)
+    return Arborescence(t=t, parent=parent, arc_ids=arc_of)
+
+
 def min_cost_arborescence(
     net: DirectedNetwork,
     t: int,
@@ -214,39 +222,50 @@ def min_cost_arborescence(
     cheapest candidate with the lowest arc id.  Raises when some node cannot
     reach t through candidate arcs.
     """
-    n = net.n
-    if not 0 <= t < n:
+    if not 0 <= t < net.n:
         raise DircutError("t out of range")
     if len(costs) != net.arc_count:
         raise DircutError("costs must hold one value per arc")
     if arcs is None:
         arcs = _in_arcs(net, t, range(net.arc_count))
+    return _tree(net, t, _edmonds(net, t, costs, arcs=arcs))
+
+
+def _edmonds(
+    net: DirectedNetwork,
+    t: int,
+    costs: Sequence[float | Fraction],
+    *,
+    arcs: Sequence[Sequence[int]],
+) -> tuple[int, ...]:
+    """`min_cost_arborescence` on checked input, as arc_of: node v's arc in
+    the tree (-1 for t), not yet checked to form one."""
+    n = net.n
     tails, heads = net.tails, net.heads
     # Nodes n, n+1, ... are contracted cycles.  Per node: its chosen arc;
-    # the cycle node that absorbed it (`up`, kept for the unwind, and
-    # `owner`, path-compressed to the live node); and 0 unseen / 1 on the
-    # current walk / 2 known to reach t.  Per cycle node: the reduced cost
-    # of its choice and its (reduced cost, arc id) candidates.
+    # the cycle node that absorbed it (`up`, kept for the unwind); and 0
+    # unseen / 1 on the current walk / 2 known to reach t.  The original
+    # nodes a live node holds form a group named by one of them: `lead`
+    # gives each node's group (a live node's own), `holder` each group's
+    # live node, `size` its size and `members` a contracted group's
+    # original nodes.  A contraction relabels all groups of its cycle but
+    # the largest, so each node is relabelled O(log n) times.  Per cycle
+    # node: the reduced cost of its choice and its (reduced cost, arc id)
+    # candidates.
     key = costs.__getitem__
     choice = [min(out, key=key) if out else -1 for out in arcs]
     choice[t] = -1
     if choice.count(-1) > 1:
         raise DircutError(_NO_ARBORESCENCE)
     up = [-1] * n
-    owner = list(range(n))
+    lead = list(range(n))
+    holder = list(range(n))
+    size = [1] * n
+    members: dict[int, list[int]] = {}
     state = [0] * n
     state[t] = 2
     cycle_cost: list = []
     candidates: list[list[tuple]] = []
-
-    def live(v: int) -> int:
-        root = v
-        while owner[root] != root:
-            root = owner[root]
-        while owner[v] != root:
-            owner[v], v = root, owner[v]
-        return root
-
     for start in range(n):
         if state[start]:
             continue
@@ -254,9 +273,7 @@ def min_cost_arborescence(
         state[start] = 1
         x = start
         while True:
-            w = heads[choice[x]]
-            if owner[w] != w:
-                w = live(w)
+            w = holder[lead[heads[choice[x]]]]
             seen = state[w]
             if seen == 2:
                 break
@@ -272,21 +289,30 @@ def min_cost_arborescence(
             cycle = path[i:]
             del path[i:]
             s = len(choice)
+            groups = [lead[m] for m in cycle]
+            g = max(groups, key=size.__getitem__)
+            inside = members.setdefault(g, [g])
+            for h in groups:
+                if h != g:
+                    moved = members.pop(h, [h])
+                    for v in moved:
+                        lead[v] = g
+                    inside += moved
+            size[g] = len(inside)
             for m in cycle:
-                owner[m] = up[m] = s
-            owner.append(s)
+                up[m] = s
+            holder[g] = s
+            lead.append(g)
             up.append(-1)
             entering = []
             for m in cycle:
                 if m < n:
                     b = costs[choice[m]]
-                    entering += [
-                        (costs[a] - b, a) for a in arcs[m] if live(heads[a]) != s
-                    ]
+                    entering += [(costs[a] - b, a) for a in arcs[m] if lead[heads[a]] != g]
                 else:
                     b = cycle_cost[m - n]
                     entering += [
-                        (c - b, a) for c, a in candidates[m - n] if live(heads[a]) != s
+                        (c - b, a) for c, a in candidates[m - n] if lead[heads[a]] != g
                     ]
             if not entering:
                 raise DircutError(_NO_ARBORESCENCE)
@@ -311,8 +337,7 @@ def min_cost_arborescence(
             while v != x:
                 entered[v] = True
                 v = up[v]
-    parent = [heads[a] if a >= 0 else -1 for a in arc_of]
-    return Arborescence(t=t, parent=tuple(parent), arc_ids=tuple(arc_of))
+    return tuple(arc_of)
 
 
 def _in_arcs(net: DirectedNetwork, t: int, arc_ids: Iterable[int]) -> list[list[int]]:
@@ -352,9 +377,15 @@ def pack_arborescences(
     (C*k*log2 n, raised to the worst-case bound when that is larger) the
     value is at least (1-eps) times the t-mincut when that mincut is <= k.
     Zero-capacity arcs are never candidates.
+
+    A round's tree is its tuple of arc ids, counted in the order trees first
+    appear.  Rounds repeat trees often, so after the loop each distinct
+    tuple becomes one `Arborescence`, checked for cycles once.
     """
     if net.n < 2:
         raise DircutError("packing needs at least 2 nodes")
+    if not 0 <= t < net.n:
+        raise DircutError("t out of range")
     if k < 1:
         raise DircutError("k must be at least 1")
     eps = float(epsilon)
@@ -373,18 +404,20 @@ def pack_arborescences(
     wmin = min((caps[i] for i in usable), default=1)
     omega = 1.0 / wmin
     y = [1.0] * net.arc_count
-    counts: Counter[Arborescence] = Counter()
-    arcs = _in_arcs(net, t, usable)
+    growth = [1.0] * net.arc_count
     costs: list[float] = [0.0] * net.arc_count
     for i in usable:
+        growth[i] = 1.0 + eps * (1.0 / caps[i]) / omega
         costs[i] = y[i] / caps[i]
+    arcs = _in_arcs(net, t, usable)
+    counts: dict[tuple[int, ...], int] = {}
     for _ in range(iterations):
-        tree = min_cost_arborescence(net, t, costs, arcs=arcs)
-        counts[tree] += 1
+        arc_of = _edmonds(net, t, costs, arcs=arcs)
+        counts[arc_of] = counts.get(arc_of, 0) + 1
         top = 1.0
-        for a in tree.arc_ids:
+        for a in arc_of:
             if a >= 0:
-                y[a] *= 1.0 + eps * (1.0 / caps[a]) / omega
+                y[a] *= growth[a]
                 costs[a] = y[a] / caps[a]
                 if y[a] > top:
                     top = y[a]
@@ -393,8 +426,8 @@ def pack_arborescences(
                 y[i] /= top
                 costs[i] = y[i] / caps[i]
     arc_counts: Counter[int] = Counter()
-    for tree, cnt in counts.items():
-        for a in tree.arc_ids:
+    for arc_of, cnt in counts.items():
+        for a in arc_of:
             if a >= 0:
                 arc_counts[a] += cnt
     gamma_bar = max(
@@ -404,7 +437,8 @@ def pack_arborescences(
     if gamma_bar == 0:
         raise DircutError("degenerate packing: no arcs were ever used")
     items = tuple(
-        (tree, Fraction(cnt, iterations) / gamma_bar) for tree, cnt in counts.items()
+        (_tree(net, t, arc_of), Fraction(cnt, iterations) / gamma_bar)
+        for arc_of, cnt in counts.items()
     )
     return ArborescencePacking(items=items, value=1 / gamma_bar)
 

@@ -54,11 +54,8 @@ class DirectedNetwork:
         self._engine: "_Engine | None" = None
 
     def add_arc(self, tail: int, head: int, cap: int | float) -> int:
-        if not (0 <= tail < self.n and 0 <= head < self.n):
-            raise FlowError("arc endpoint out of range")
+        _check_arc(self.n, tail, head, cap)
         if cap != INF:
-            if not isinstance(cap, int) or cap < 0:
-                raise FlowError("capacity must be a nonnegative integer or INF")
             self._finite_total += cap
         self.tails.append(tail)
         self.heads.append(head)
@@ -88,15 +85,15 @@ class DirectedNetwork:
         return total
 
     def extended(self, extra_arcs: Iterable[tuple[int, int, int | float]]) -> "DirectedNetwork":
-        """Copy of this network with additional arcs appended."""
-        out = DirectedNetwork(self.n)
-        out.tails = list(self.tails)
-        out.heads = list(self.heads)
-        out.caps = list(self.caps)
-        out._finite_total = self._finite_total
+        """Copy of this network with additional arcs appended; only those
+        are checked, as `add_arc` checks them."""
+        tails, heads, caps = list(self.tails), list(self.heads), list(self.caps)
         for u, v, c in extra_arcs:
-            out.add_arc(u, v, c)
-        return out
+            _check_arc(self.n, u, v, c)
+            tails.append(u)
+            heads.append(v)
+            caps.append(c)
+        return _derived(self.n, tails, heads, caps)
 
     def engine(self) -> "_Engine":
         if self._engine is None:
@@ -105,6 +102,25 @@ class DirectedNetwork:
 
     def __repr__(self):
         return f"DirectedNetwork(n={self.n}, arcs={self.arc_count})"
+
+
+def _check_arc(n: int, tail: int, head: int, cap: int | float) -> None:
+    if not (0 <= tail < n and 0 <= head < n):
+        raise FlowError("arc endpoint out of range")
+    if cap != INF and (not isinstance(cap, int) or cap < 0):
+        raise FlowError("capacity must be a nonnegative integer or INF")
+
+
+def _derived(
+    n: int, tails: list[int], heads: list[int], caps: list[int | float]
+) -> DirectedNetwork:
+    """A network on arcs derived from checked ones, with endpoints in
+    0..n-1 and nonnegative integer or INF caps, built without checking each
+    arc again; it takes the three lists as they are."""
+    net = DirectedNetwork(n)
+    net.tails, net.heads, net.caps = tails, heads, caps
+    net._finite_total = sum(c for c in caps if c != INF)
+    return net
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flow import INF, DirectedNetwork, FlowResult, max_flow, max_source_side, validate_flow
+from .flow import (
+    INF,
+    DirectedNetwork,
+    FlowError,
+    FlowResult,
+    _derived,
+    max_flow,
+    max_source_side,
+    validate_flow,
+)
 from .graph import WeightedGraph
 
 
@@ -76,30 +85,36 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = No
     scale = tau.denominator
     sink_cap = tau.numerator  # scale * tau
     n, m = graph.n, graph.m
-    net = DirectedNetwork(n + m + 2)
+    if root is not None and not 0 <= root < n:
+        raise GoldbergError("root vertex out of range")
     s = n + m
     t = n + m + 1
-    endpoint_arcs = []
-    sink_arcs = []
+    # Per edge e: arcs 3e (s -> e), 3e+1 (e -> u), 3e+2 (e -> v); then one
+    # arc v -> t per vertex, and s -> root last.
+    tails: list[int] = []
+    heads: list[int] = []
+    caps: list[int | float] = []
     for idx, (u, v, w) in enumerate(graph.edges):
         e = n + idx
-        net.add_arc(s, e, scale * w)
-        endpoint_arcs.append((net.add_arc(e, u, INF), net.add_arc(e, v, INF)))
-    for v in range(n):
-        sink_arcs.append(net.add_arc(v, t, sink_cap))
+        tails += (s, e, e)
+        heads += (e, u, v)
+        caps += (scale * w, INF, INF)
+    tails += range(n)
+    heads += [t] * n
+    caps += [sink_cap] * n
     if root is not None:
-        if not 0 <= root < n:
-            raise GoldbergError("root vertex out of range")
-        net.add_arc(s, root, INF)
+        tails.append(s)
+        heads.append(root)
+        caps.append(INF)
     return GoldbergNetwork(
         graph=graph,
-        network=net,
+        network=_derived(n + m + 2, tails, heads, caps),
         s=s,
         t=t,
         tau=tau,
         scale=scale,
-        endpoint_arcs=tuple(endpoint_arcs),
-        sink_arcs=tuple(sink_arcs),
+        endpoint_arcs=tuple((3 * i + 1, 3 * i + 2) for i in range(m)),
+        sink_arcs=tuple(range(3 * m, 3 * m + n)),
         root=root,
     )
 
@@ -142,7 +157,8 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult | None = None) -> Modifi
     construction's cut identity does not hold and this raises.  When `flow` is
     omitted it is computed here; when given with assertions enabled it is
     validated rather than trusted (a feasible flow at the saturation value is
-    necessarily maximum, so a linear check suffices).
+    necessarily maximum, so a linear check suffices).  Without them, a given
+    flow that leaves a shortcut capacity negative still raises FlowError.
     """
     if h.root is not None:
         raise GoldbergError("shortcut network is only defined for the unrooted variant")
@@ -159,26 +175,31 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult | None = None) -> Modifi
     graph = h.graph
     n = graph.n
     flows = flow.arc_flows()
-    net = DirectedNetwork(n + 1)
     t = n
-    edge_arcs = []
+    # Per edge: arcs 2e (u -> v) and 2e+1 (v -> u); then v -> t per vertex.
+    tails: list[int] = []
+    heads: list[int] = []
+    caps: list[int | float] = []
     for idx, (u, v, _) in enumerate(graph.edges):
         arc_to_u, arc_to_v = h.endpoint_arcs[idx]
         # Residual of the reverse of e->u is the flow pushed into u; splicing
         # u->e->v therefore carries capacity flow(e->u), and symmetrically.
-        uv = net.add_arc(u, v, flows[arc_to_u])
-        vu = net.add_arc(v, u, flows[arc_to_v])
-        edge_arcs.append((uv, vu))
+        tails += (u, v)
+        heads += (v, u)
+        caps += (flows[arc_to_u], flows[arc_to_v])
     sink_cap = h.tau.numerator
-    for v in range(n):
-        net.add_arc(v, t, sink_cap - flows[h.sink_arcs[v]])
+    tails += range(n)
+    heads += [t] * n
+    caps += [sink_cap - flows[a] for a in h.sink_arcs]
+    if min(caps, default=0) < 0:
+        raise FlowError("the flow violates an arc capacity")
     return ModifiedNetwork(
         graph=graph,
-        network=net,
+        network=_derived(n + 1, tails, heads, caps),
         t=t,
         tau=h.tau,
         scale=h.scale,
-        edge_arcs=tuple(edge_arcs),
+        edge_arcs=tuple((2 * i, 2 * i + 1) for i in range(graph.m)),
     )
 
 

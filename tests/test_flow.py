@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,15 +11,23 @@ import pytest
 from laminar import (
     INF,
     DirectedNetwork,
+    FlowResult,
     STCut,
+    SparsifierParams,
+    WeightedGraph,
+    build_goldberg,
+    build_modified,
     max_flow,
     min_st_cut,
+    sparsify,
     t_cuts_below,
     t_mincut_exhaustive,
 )
+from laminar import goldberg
 from laminar.flow import FlowError, max_source_side, min_source_side
+from laminar.goldberg import GoldbergError
 
-from .conftest import network_from_arcs, random_digraph
+from .conftest import network_from_arcs, random_connected_graph, random_digraph
 
 
 def enumerate_min_st_cut(net: DirectedNetwork, s: int, t: int):
@@ -601,3 +610,98 @@ class TestCarriedFlows:
         second = max_flow(net, 1, 2, sinks=[0], start=first)
         assert second.value == 3 and second.residual is first.residual
         assert second.residual == [2, 0, 0, 3]
+
+
+def add_arc_copy(net: DirectedNetwork) -> DirectedNetwork:
+    """The same arcs, each through the checks of public add_arc."""
+    public = DirectedNetwork(net.n)
+    for u, v, c in net.arcs():
+        public.add_arc(u, v, c)
+    return public
+
+
+def goldberg_by_add_arc(graph, tau, root):
+    """The density network's arcs, in the documented order, by add_arc."""
+    n, m = graph.n, graph.m
+    net = DirectedNetwork(n + m + 2)
+    s, t = n + m, n + m + 1
+    for idx, (u, v, w) in enumerate(graph.edges):
+        net.add_arc(s, n + idx, tau.denominator * w)
+        net.add_arc(n + idx, u, INF)
+        net.add_arc(n + idx, v, INF)
+    for v in range(n):
+        net.add_arc(v, t, tau.numerator)
+    if root is not None:
+        net.add_arc(s, root, INF)
+    return net
+
+
+class TestDerivedNetworks:
+    def test_bulk_built_networks_equal_add_arc_built_ones(self):
+        # build_goldberg, build_modified, sparsify and extended skip the
+        # per-arc checks; their arcs must pass them and give the same lists
+        # and finite total.
+        def same(net, public):
+            assert (net.n, net.tails, net.heads, net.caps) == (
+                public.n, public.tails, public.heads, public.caps
+            )
+            assert net.finite_total() == public.finite_total()
+            assert all(c == INF or type(c) is int for c in net.caps)
+
+        rng = random.Random(144)
+        modified = 0
+        for _ in range(200):
+            graph = random_connected_graph(rng, rng.randint(1, 9))
+            tau = Fraction(rng.randint(1, 60), rng.randint(1, 7))
+            root = rng.choice([None, rng.randrange(graph.n)])
+            h = build_goldberg(graph, tau, root=root)
+            same(h.network, add_arc_copy(h.network))
+            same(h.network, goldberg_by_add_arc(graph, tau, root))
+            if root is None:
+                try:
+                    shortcut = build_modified(h)
+                except GoldbergError:
+                    pass
+                else:
+                    same(shortcut.network, add_arc_copy(shortcut.network))
+                    modified += 1
+            n = rng.randint(2, 8)
+            net = random_digraph(rng, n, arc_prob=0.4, max_cap=rng.choice((9, 10**6)))
+            t = rng.randrange(n)
+            params = SparsifierParams.derive(
+                Fraction(rng.randint(1, 90), rng.randint(1, 5)), rng.randint(1, 3),
+                Fraction(1, 10), n, rng.getrandbits(64),
+            )
+            sparse = sparsify(net, t, params)
+            same(sparse, add_arc_copy(sparse))
+            extra = [(rng.randrange(n), rng.randrange(n), rng.choice((0, 3, INF)))
+                     for _ in range(rng.randint(0, 4))]
+            same(net.extended(extra), network_from_arcs(n, [*net.arcs(), *extra]))
+        assert modified >= 50
+
+    @pytest.mark.parametrize("validated", [True, False])
+    def test_modified_rejects_a_flow_above_a_capacity(self, monkeypatch, validated):
+        # A given flow is validated only with assertions on; without them,
+        # a flow that leaves a shortcut capacity negative still raises.
+        if not validated:
+            monkeypatch.setattr(goldberg, "validate_flow", lambda *args: None)
+        graph = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
+        h = build_goldberg(graph, Fraction(3))
+        flow = max_flow(h.network, h.s, h.t)
+        assert flow.value == h.saturation_target()
+        build_modified(h, flow)
+        sink = h.sink_arcs[1]
+        into = h.endpoint_arcs[0][0]
+        for arc, bad in ((sink, h.tau.numerator + 1), (into, -1)):
+            residual = list(flow.residual)
+            residual[2 * arc + 1] = bad
+            with pytest.raises(FlowError):
+                build_modified(h, FlowResult(flow.value, residual))
+
+    @pytest.mark.parametrize("arc", [(3, 0, 1), (0, -1, 1), (0, 1, -1), (0, 1, 1.5)])
+    def test_extended_checks_the_new_arcs(self, arc):
+        net = network_from_arcs(3, [(0, 1, 2)])
+        with pytest.raises(FlowError):
+            net.extended([(1, 2, 1), arc])
+        with pytest.raises(FlowError):
+            net.add_arc(*arc)
