@@ -298,16 +298,19 @@ def _cmd_strength(args) -> int:
     return EXIT_OK
 
 
-def _cmd_hierarchy(args) -> int:
-    graph = _read_graph(args.file)
-    _require_connected(graph, "hierarchy")
-    tree = _build_tree(args, graph)
+def _print_tree(args, tree: HierarchyTree) -> None:
     if args.format == "dot":
         print(hierarchy_to_dot(tree))
     elif args.format == "json":
         print(hierarchy_json_text(tree))
     else:
         print(hierarchy_to_text(tree))
+
+
+def _cmd_hierarchy(args) -> int:
+    graph = _read_graph(args.file)
+    _require_connected(graph, "hierarchy")
+    _print_tree(args, _build_tree(args, graph))
     return EXIT_OK
 
 
@@ -424,29 +427,25 @@ def _cmd_oracle(args) -> int:
         _emit(args, "true" if verdict else "false", {"dense_core": verdict})
     elif sub == "hierarchy":
         _require_connected(graph, "hierarchy oracle")
-        tree = brute_hierarchy(graph)
-        if args.format == "json":
-            print(hierarchy_json_text(tree))
-        elif args.format == "dot":
-            print(hierarchy_to_dot(tree))
-        else:
-            print(hierarchy_to_text(tree))
+        _print_tree(args, brute_hierarchy(graph))
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown oracle subcommand {sub!r}")
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_input(parser: argparse.ArgumentParser, formats=("text", "json")):
     parser.add_argument("file", help="edge-list input file")
+    parser.add_argument("--format", choices=formats, default="text", help="output format")
+
+
+def _add_search(parser: argparse.ArgumentParser):
+    """The options of the commands that run the densest-set search."""
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument(
         "--mode",
         choices=("exact", "randomized"),
         default="exact",
         help="exact subroutines or the randomized sampling pipeline",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "dot"), default="text", help="output format"
     )
     parser.add_argument(
         "--epsilon",
@@ -466,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("arboricity", help="integer and fractional arboricity")
-    _add_common(p)
+    _add_input(p)
     p.add_argument(
         "--per-component",
         action="store_true",
@@ -475,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_arboricity)
 
     p = sub.add_parser("strength", help="minimum cut ratio over all multiway cuts")
-    _add_common(p)
+    _add_input(p)
+    _add_search(p)
     p.add_argument(
         "--per-component",
         action="store_true",
@@ -484,27 +484,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_strength)
 
     p = sub.add_parser("hierarchy", help="canonical cut hierarchy")
-    _add_common(p)
+    _add_input(p, ("text", "json", "dot"))
+    _add_search(p)
     p.set_defaults(func=_cmd_hierarchy)
 
     p = sub.add_parser("ideal-loads", help="per-edge ideal loads")
-    _add_common(p)
+    _add_input(p)
+    _add_search(p)
     p.set_defaults(func=_cmd_ideal_loads)
 
     p = sub.add_parser("densest", help="maximum skew-densest vertex set")
-    _add_common(p)
+    _add_input(p)
+    _add_search(p)
     p.add_argument("--k", type=int, default=None, help="size bound for the search")
     p.set_defaults(func=_cmd_densest)
 
     p = sub.add_parser("verify-core", help="dense-core check for a vertex set")
-    _add_common(p)
+    _add_input(p)
     p.add_argument("--set", required=True, help="comma-separated vertex list")
     p.set_defaults(func=_cmd_verify_core)
 
     p = sub.add_parser(
         "entropy-check", help="compare ideal loads against the entropy oracle"
     )
-    _add_common(p)
+    _add_input(p)
+    _add_search(p)
     p.add_argument(
         "--iterations", type=int, default=4000, help="Frank-Wolfe iterations"
     )
@@ -515,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle_command",
         choices=("min-ratio-cut", "max-skew-density", "dense-core", "hierarchy"),
     )
-    _add_common(p)
+    _add_input(p, ("text", "json", "dot"))
     p.add_argument("--set", default=None, help="comma-separated vertex list")
     p.set_defaults(func=_cmd_oracle)
 

@@ -27,8 +27,8 @@ t-cut side below scale*tau lies inside the core, and a core of fewer than
 two vertices holds no set denser than tau.
 
 A set S is a dense core when no subset is strictly denser and every proper
-superset is strictly sparser.  `verify_core` checks one set: subsets on the
-induced subgraph's networks at threshold rho(S); supersets on the rooted
+superset is strictly sparser.  `verify_core` checks one set: subsets by one
+exact probe of the induced subgraph at rho(S); supersets on the rooted
 network of the contracted graph's rho(S)-core, rooted at S's node, where S
 is a dense core iff the trivial source side is the unique maximal min cut.
 (Checking the flow value alone cannot work: the trivial side always achieves
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dircut import EPSILON, find_small_cut, size_bounded_t_mincut
-from .flow import max_flow, t_cuts_below, t_mincut_exhaustive
+from .flow import max_flow, t_cuts_below
 from .goldberg import ModifiedNetwork, build_goldberg, build_modified, min_cut_vertex_side
 from .graph import (
     GraphError,
@@ -79,18 +79,6 @@ class FindStarResult:
     tau_star: Fraction
     probes: tuple[tuple[Fraction, bool], ...]
     sets: tuple[frozenset[int], ...]
-
-
-def dense_side_sources(graph: WeightedGraph, tau: Fraction) -> list[int]:
-    """Vertices whose weighted degree exceeds tau, in index order.
-
-    Any U with density above tau has average internal weighted degree
-    2*c(E[U])/|U| > 2*tau*(|U|-1)/|U| >= tau, so U contains such a vertex.
-    Scanning only these sources still meets every cut below scale*tau.
-    """
-    tau = Fraction(tau)
-    degree = _degrees(graph)
-    return [v for v in range(graph.n) if degree[v] * tau.denominator > tau.numerator]
 
 
 def _degrees(graph: WeightedGraph) -> list[int]:
@@ -193,6 +181,19 @@ def probe(
     tau = Fraction(tau)
     if tau <= 0:
         raise GraphError("tau must be positive")
+    return _probe(graph, tau, k, mode, rng, epsilon, sides)
+
+
+def _probe(
+    graph: WeightedGraph,
+    tau: Fraction,
+    k: int,
+    mode: str = "exact",
+    rng: random.Random | None = None,
+    epsilon: Fraction = EPSILON,
+    sides: list[frozenset[int]] | None = None,
+) -> tuple[bool, frozenset[int] | None]:
+    """`probe` past its guards: any graph, connected or not, and tau > 0."""
     degree = _degrees(graph)
     core = tau_core(graph, tau, degree=degree)
     if len(core) < 2:
@@ -326,19 +327,17 @@ def find_star(
 def _denser_subset(graph: WeightedGraph, s_set: frozenset[int], rho: Fraction) -> str | None:
     """Why some subset of s_set is strictly denser than rho, or None if none is.
 
-    Decided on the induced subgraph's density network at rho and, when that
-    saturates, on its shortcut network's exhaustive scan below scale*rho.
+    One exact probe of the induced subgraph, connected or not.  Its witness
+    W has c(E[W]) > rho|W| only when it is the density network's own cut:
+    once that network saturates, no set has c(E[X]) > rho|X|.
     """
     sub, _ = induced_subgraph(graph, s_set)
-    _, shortcut = _saturate(sub, rho)
-    if shortcut is None:
+    found, witness = _probe(sub, rho, sub.n)
+    if not found:
+        return None
+    if sub.weight_inside(witness) > rho * len(witness):
         return "a subset is denser (density network not saturated)"
-    threshold = shortcut.tau.numerator  # scale * rho
-    sources = dense_side_sources(sub, rho)  # a denser subset contains one
-    bad = t_mincut_exhaustive(shortcut.network, shortcut.t, limit=threshold, sources=sources)
-    if bad is not None:
-        return "a subset is denser (shortcut network has a small cut)"
-    return None
+    return "a subset is denser (shortcut network has a small cut)"
 
 
 def certify_round(

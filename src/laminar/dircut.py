@@ -207,27 +207,19 @@ def _tree(net: DirectedNetwork, t: int, arc_of: tuple[int, ...]) -> Arborescence
 
 
 def min_cost_arborescence(
-    net: DirectedNetwork,
-    t: int,
-    costs: Sequence[float | Fraction],
-    *,
-    arcs: Sequence[Sequence[int]] | None = None,
+    net: DirectedNetwork, t: int, costs: Sequence[float | Fraction]
 ) -> Arborescence:
     """Exact minimum-cost t-arborescence (Edmonds' cycle contraction).
 
-    costs are indexed by arc id.  Every arc is a candidate unless `arcs`,
-    the per-node lists `_in_arcs` builds, restricts them; a caller solving
-    many cost vectors on one network builds them once.  Among optimal trees
-    the one returned is fixed: each node, plain or contracted, takes its
-    cheapest candidate with the lowest arc id.  Raises when some node cannot
-    reach t through candidate arcs.
+    costs are indexed by arc id.  Among optimal trees the one returned is
+    fixed: each node, plain or contracted, takes its cheapest arc with the
+    lowest arc id.  Raises when some node cannot reach t.
     """
     if not 0 <= t < net.n:
         raise DircutError("t out of range")
     if len(costs) != net.arc_count:
         raise DircutError("costs must hold one value per arc")
-    if arcs is None:
-        arcs = _in_arcs(net, t, range(net.arc_count))
+    arcs = _in_arcs(net, t, range(net.arc_count))
     return _tree(net, t, _edmonds(net, t, costs, arcs=arcs))
 
 
@@ -456,11 +448,9 @@ def one_respecting_mincut(net: DirectedNetwork, tree: Arborescence, t: int) -> S
     if tree.n != net.n or tree.t != t:
         raise DircutError("arborescence does not match the network")
     nodes = [v for v in range(net.n) if v != t]
-    pinned = net.extended((v, tree.parent[v], 0) for v in nodes)
+    pinned = net.extended((v, tree.parent[v], INF) for v in nodes)
     engine = pinned.engine()
     first = net.arc_count
-    for i in range(len(nodes)):
-        engine.set_cap(first + i, INF)
     best: STCut | None = None
     for i, u in enumerate(nodes):
         engine.set_cap(first + i, 0)

@@ -229,8 +229,7 @@ def _accept_star_sets(
     `_randomized_star`).
     """
     if mode == "exact":
-        sub_rng = random.Random(rng.getrandbits(64))
-        search = find_star_full(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon)
+        search = find_star_full(cur, cur.n, mode="exact", epsilon=epsilon)
         sets, tau = search.sets, search.tau_star
         return sets, tau, *certify_round(cur, tau, sets)
     star = _randomized_star(cur, rng, epsilon)
@@ -280,23 +279,64 @@ def maximal_min_ratio_cut(tree: HierarchyTree) -> MultiwayCut:
     return MultiwayCut(tree.graph, [c.vertex_set for c in tree.root.children])
 
 
+def _charge_edges(
+    graph: WeightedGraph, root: HierarchyNode
+) -> tuple[list[frozenset[int]], dict[frozenset[int], int]]:
+    """Charge each edge to the deepest node holding both its ends.
+
+    Returns each edge's node, as its vertex set, and the weight charged to
+    each node.  The node is the lowest common ancestor of the ends' leaves:
+    the shallowest node between them on an Euler tour of the tree, read in
+    O(1) per edge from a sparse table of the tour's depths.  Every vertex
+    needs a singleton node; the first one on the tour stands for it.
+    """
+    euler: list[HierarchyNode] = []
+    depth: list[int] = []
+    first: dict[int, int] = {}  # vertex -> tour position of its leaf
+    stack: list[tuple[HierarchyNode, int, int]] = [(root, 0, 0)]
+    while stack:
+        node, d, child_idx = stack.pop()
+        if child_idx == 0 and len(node.vertex_set) == 1:
+            first.setdefault(next(iter(node.vertex_set)), len(euler))
+        euler.append(node)
+        depth.append(d)
+        if child_idx < len(node.children):
+            stack.append((node, d, child_idx + 1))
+            stack.append((node.children[child_idx], d + 1, 0))
+    # table[j][i]: the shallowest tour position among i .. i + 2^j - 1
+    table = [list(range(len(euler)))]
+    for j in range(1, len(euler).bit_length()):
+        prev = table[-1]
+        table.append(
+            [a if depth[a] <= depth[b] else b for a, b in zip(prev, prev[1 << (j - 1) :])]
+        )
+    edge_node: list[frozenset[int]] = []
+    charged: dict[frozenset[int], int] = {}
+    for u, v, w in graph.edges:
+        i, j = sorted((first[u], first[v]))
+        level = (j - i + 1).bit_length() - 1
+        a, b = table[level][i], table[level][j + 1 - (1 << level)]
+        key = euler[a if depth[a] <= depth[b] else b].vertex_set
+        edge_node.append(key)
+        charged[key] = charged.get(key, 0) + w
+    return edge_node, charged
+
+
 def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
-    """Structural checks and each internal node's sigma certificate; on small
-    graphs also compares each internal node's children against the
+    """Structural checks, then each internal node's sigma certificate; on
+    small graphs also compares each internal node's children against the
     brute-force maximal min-ratio cut.  Returns a list of violation
     descriptions, empty when the tree is consistent.
 
     The certificate holds at any size: an internal node's sigma is the
-    weight of its edges that join different children, divided by the
-    number of children minus one.
+    weight charged to it, that of its edges that join different children,
+    divided by the number of children minus one.  It runs once the tree's
+    shape is sound, so that every edge has one node to be charged to.
     """
     violations: list[str] = []
-    vertices = frozenset(range(graph.n))
-    if tree.root.vertex_set != vertices:
+    ratios: list[str] = []  # sigma violations, listed after the shape's
+    if tree.root.vertex_set != frozenset(range(graph.n)):
         violations.append("root does not cover the vertex set")
-    heads: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
-    for u, v, w in graph.edges:
-        heads[u].append((v, w))
     for node in tree.nodes():
         if node.is_leaf:
             if len(node.vertex_set) != 1:
@@ -309,10 +349,8 @@ def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
         if len(node.children) < 2:
             violations.append(f"internal node {sorted(node.vertex_set)} has < 2 children")
         union: set[int] = set()
-        overlap = False
         for child in node.children:
             if union & child.vertex_set:
-                overlap = True
                 violations.append(
                     f"children of {sorted(node.vertex_set)} overlap"
                 )
@@ -323,31 +361,22 @@ def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
                 and node.sigma is not None
                 and child.sigma < node.sigma
             ):
-                violations.append(
+                ratios.append(
                     f"ratio decreases from {sorted(node.vertex_set)} to "
                     f"{sorted(child.vertex_set)}"
                 )
-        if union != set(node.vertex_set):
+        if union != node.vertex_set:
             violations.append(f"children of {sorted(node.vertex_set)} do not partition it")
-        elif (
-            not overlap
-            and union <= vertices
-            and node.sigma is not None
-            and len(node.children) >= 2
-        ):
-            child_of = {v: i for i, child in enumerate(node.children) for v in child.vertex_set}
-            crossing = sum(
-                w
-                for u in node.vertex_set
-                for v, w in heads[u]
-                if v in child_of and child_of[v] != child_of[u]
-            )
-            ratio = Fraction(crossing, len(node.children) - 1)
+    if not violations:
+        _, charged = _charge_edges(graph, tree.root)
+        for node in tree.internal_nodes():
+            ratio = Fraction(charged.get(node.vertex_set, 0), len(node.children) - 1)
             if ratio != node.sigma:
-                violations.append(
+                ratios.append(
                     f"ratio of {sorted(node.vertex_set)} is {node.sigma}, the "
                     f"weight between its children gives {ratio}"
                 )
+    violations += ratios
     if graph.n <= ORACLE_LIMIT:
         from .graph import induced_subgraph
         from .oracle import brute_min_ratio_cut

@@ -1,12 +1,13 @@
 """Ideal edge loads from the cut hierarchy, and the max-entropy certificate.
 
 Each edge is charged to the deepest hierarchy node containing both endpoints
-(the LCA of its leaves); that node's ratio is the total weight charged to it
-divided by one less than its child count.  The load of an edge is its weight
-over its node's ratio; per unit edge (viewing a weight-c edge as c parallel
-unit edges) the load is the reciprocal of the ratio.  These unit loads are
-exactly the entropy-maximizing point of the spanning tree polytope, which the
-logarithmic dual certificate below witnesses.
+(the LCA of its leaves, which `hierarchy` finds); that node's ratio is the
+total weight charged to it divided by one less than its child count.  The
+load of an edge is its weight over its node's ratio; per unit edge (viewing
+a weight-c edge as c parallel unit edges) the load is the reciprocal of the
+ratio.  These unit loads are exactly the entropy-maximizing point of the
+spanning tree polytope, which the logarithmic dual certificate below
+witnesses.
 
 Logs and exponentials are the only floating-point surface of the package;
 everything upstream of them stays rational.
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graph import WeightedGraph
-from .hierarchy import HierarchyNode, HierarchyTree
+from .hierarchy import HierarchyNode, HierarchyTree, _charge_edges
 
 RECONSTRUCTION_TOL = 1e-9
 
@@ -48,75 +49,21 @@ class IdealLoads:
         ]
 
 
-class _EulerLCA:
-    """Constant-time LCA queries via Euler tour + sparse table of depths."""
-
-    def __init__(self, root: HierarchyNode):
-        euler: list[HierarchyNode] = []
-        depth: list[int] = []
-        first: dict[frozenset[int], int] = {}
-        stack: list[tuple[HierarchyNode, int, int]] = [(root, 0, 0)]
-        while stack:
-            node, d, child_idx = stack.pop()
-            if child_idx == 0:
-                first.setdefault(node.vertex_set, len(euler))
-            euler.append(node)
-            depth.append(d)
-            if child_idx < len(node.children):
-                stack.append((node, d, child_idx + 1))
-                stack.append((node.children[child_idx], d + 1, 0))
-        self.euler = euler
-        self.first = first
-        size = len(euler)
-        levels = max(1, size.bit_length())
-        table = [list(range(size))]
-        for j in range(1, levels):
-            prev = table[-1]
-            half = 1 << (j - 1)
-            row = [
-                prev[i]
-                if depth[prev[i]] <= depth[prev[i + half]]
-                else prev[i + half]
-                for i in range(size - (1 << j) + 1)
-            ]
-            table.append(row)
-        self.depth = depth
-        self.table = table
-
-    def query(self, a: frozenset[int], b: frozenset[int]) -> HierarchyNode:
-        i, j = self.first[a], self.first[b]
-        if i > j:
-            i, j = j, i
-        span = j - i + 1
-        level = span.bit_length() - 1
-        left = self.table[level][i]
-        right = self.table[level][j - (1 << level) + 1]
-        best = left if self.depth[left] <= self.depth[right] else right
-        return self.euler[best]
-
-
 def ideal_loads(graph: WeightedGraph, tree: HierarchyTree) -> IdealLoads:
     """Exact loads: each edge's weight over the ratio of its LCA node."""
     for v in range(graph.n):
         if frozenset({v}) not in tree.node_by_set:
             raise LoadsError(f"vertex {v} is not a leaf of the tree")
-    lca = _EulerLCA(tree.root)
-    assigned_weight: dict[frozenset[int], int] = {}
-    edge_node: list[frozenset[int]] = []
-    for u, v, w in graph.edges:
-        node = lca.query(frozenset({u}), frozenset({v}))
-        key = node.vertex_set
-        edge_node.append(key)
-        assigned_weight[key] = assigned_weight.get(key, 0) + w
+    edge_node, charged = _charge_edges(graph, tree.root)
     node_sigma: dict[frozenset[int], Fraction] = {}
     for node in tree.internal_nodes():
         key = node.vertex_set
-        if key not in assigned_weight:
+        if key not in charged:
             raise LoadsError(
                 f"internal node {sorted(key)} has no crossing edges; the tree "
                 "cannot be a cut hierarchy of this graph"
             )
-        node_sigma[key] = Fraction(assigned_weight[key], len(node.children) - 1)
+        node_sigma[key] = Fraction(charged[key], len(node.children) - 1)
     per_edge = tuple(
         Fraction(w) / node_sigma[edge_node[i]]
         for i, (_, _, w) in enumerate(graph.edges)

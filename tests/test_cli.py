@@ -232,7 +232,36 @@ class TestDeepHierarchy:
         assert sum(line.strip() == '"children": []' for line in lines) == depth + 1
 
 
+#: options a subcommand does not read: the search options where no search
+#: runs, and the dot format where no tree is printed
+UNREAD_OPTIONS = [
+    *(
+        (command, flag, value)
+        for command in ("arboricity", "verify-core", "oracle")
+        for flag, value in (("--seed", "1"), ("--mode", "randomized"), ("--epsilon", "0.2"))
+    ),
+    *(
+        (command, "--format", "dot")
+        for command in (
+            "arboricity", "strength", "ideal-loads", "densest", "verify-core", "entropy-check"
+        )
+    ),
+]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("command,flag,value", UNREAD_OPTIONS)
+    def test_unread_option_is_rejected(self, capsys, path_file, command, flag, value):
+        argv = {
+            "oracle": ["oracle", "min-ratio-cut", path_file],
+            "verify-core": ["verify-core", path_file, "--set", "2,3"],
+        }.get(command, [command, path_file])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and value in err
+
     def test_malformed_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 1\n0 2 5\n")

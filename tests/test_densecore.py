@@ -21,8 +21,10 @@ from laminar import (
     skew_density,
     verify_core,
 )
-from laminar.densecore import certify_round, tau_core, verify_core_explain
-from laminar.graph import GraphError, contract
+from laminar.densecore import _denser_subset, certify_round, tau_core, verify_core_explain
+from laminar.flow import max_flow, t_mincut_exhaustive
+from laminar.goldberg import build_goldberg, build_modified
+from laminar.graph import GraphError, contract, induced_subgraph
 
 from .conftest import random_connected_graph
 
@@ -626,3 +628,59 @@ class TestCertifyRound:
         assert certify_round(unit_triangle, Fr(3, 2), (frozenset(range(3)),))[0].n == 1
         with pytest.raises(RuntimeError, match="overlap"):
             certify_round(trubin_path, Fr(100), (frozenset({2, 3}), frozenset({3})))
+
+
+def reference_denser_subset(graph: WeightedGraph, s_set, rho: Fr) -> str | None:
+    """The subset check as it stood before it ran the probe: the induced
+    subgraph's density network and, when it saturates, an exhaustive scan of
+    its shortcut network from every vertex of degree above rho."""
+    sub, _ = induced_subgraph(graph, s_set)
+    h = build_goldberg(sub, rho)
+    target = h.saturation_target()
+    flow = max_flow(h.network, h.s, h.t, limit=target)
+    if flow.value < target:
+        return "a subset is denser (density network not saturated)"
+    shortcut = build_modified(h, flow)
+    degree = [0] * sub.n
+    for u, v, w in sub.edges:
+        degree[u] += w
+        degree[v] += w
+    sources = [v for v in range(sub.n) if degree[v] * rho.denominator > rho.numerator]
+    threshold = shortcut.tau.numerator
+    if t_mincut_exhaustive(shortcut.network, shortcut.t, limit=threshold, sources=sources):
+        return "a subset is denser (shortcut network has a small cut)"
+    return None
+
+
+class TestDenserSubset:
+    def test_matches_the_previous_check(self):
+        # Random sets, connected or not, at thresholds taken from the set's
+        # own subsets: c(E[X])/(|X|-1) and c(E[X])/|X|, each also one unit
+        # of its denominator off, so all three answers come up often.
+        rng = random.Random(151)
+        outcomes: dict[tuple[bool, str | None], int] = {}
+        cases = 0
+        while cases < 4000:
+            n = rng.randint(2, 9)
+            g = random_connected_graph(
+                rng, n, max_weight=rng.choice((1, 3, 9)), extra_edges=rng.randint(0, n)
+            )
+            s_set = frozenset(rng.sample(range(g.n), rng.randint(2, g.n)))
+            sub, _ = induced_subgraph(g, s_set)
+            if sub.m == 0:
+                continue
+            split = not sub.is_connected()
+            for _ in range(4):
+                x = rng.sample(sorted(s_set), rng.randint(2, len(s_set)))
+                inside = g.weight_inside(x)
+                if inside == 0:
+                    continue
+                rho = Fr(inside, len(x) - rng.randint(0, 1))
+                rho += rng.choice((-1, 0, 1)) * Fr(1, rho.denominator * rng.randint(1, 4))
+                if rho <= 0:
+                    continue
+                expected = reference_denser_subset(g, s_set, rho)
+                assert _denser_subset(g, s_set, rho) == expected, (g.edges, sorted(s_set), rho)
+                outcomes[split, expected] = outcomes.get((split, expected), 0) + 1
+                cases += 1
+        assert len(outcomes) == 6 and min(outcomes.values()) >= 40

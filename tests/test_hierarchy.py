@@ -485,6 +485,28 @@ class TestValidate:
                 violations = validate_hierarchy(g, HierarchyTree(off, g))
                 assert len(violations) == 1 and "between its children" in violations[0]
 
+    def test_one_wrong_sigma_deep_in_a_rising_path(self):
+        # The path i -- i+1 of weight i+1 nests one node per vertex: the node
+        # at depth d is {d, ..., n-1} with sigma d+1.  Lowering one deep
+        # sigma by 1/7 keeps sigma monotone, so only the certificate sees it.
+        n = 400
+        g = WeightedGraph.from_edges(n, [(i, i + 1, i + 1) for i in range(n - 1)])
+        tree = build_hierarchy(g)
+        assert validate_hierarchy(g, tree) == []
+        chain = [tree.root]
+        while len(chain) <= 300:
+            chain.append(next(c for c in chain[-1].children if not c.is_leaf))
+        deep = chain[-1]
+        assert deep.vertex_set == frozenset(range(300, n)) and deep.sigma == 301
+        node = HierarchyNode(deep.vertex_set, deep.children, deep.sigma - Fr(1, 7))
+        for parent, old in zip(reversed(chain[:-1]), reversed(chain[1:])):
+            children = tuple(node if c is old else c for c in parent.children)
+            node = HierarchyNode(parent.vertex_set, children, parent.sigma)
+        violations = validate_hierarchy(g, HierarchyTree(node, g))
+        assert len(violations) == 1
+        assert violations[0].startswith("ratio of [300, 301,")
+        assert "between its children gives 301" in violations[0]
+
     def test_swapped_children_partition_violation(self, trubin_path):
         leaves = [HierarchyNode(frozenset({v}), (), None) for v in range(4)]
         bad_side = HierarchyNode(frozenset({0, 1}), (leaves[0], leaves[2]), Fr(2))
