@@ -403,8 +403,10 @@ def _cmd_entropy_check(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    graph = _read_graph(args.file)
     sub = args.oracle_command
+    if args.format == "dot" and sub != "hierarchy":
+        raise CliError(f"oracle {sub} has no dot format; --format dot prints a hierarchy")
+    graph = _read_graph(args.file)
     if sub == "min-ratio-cut":
         ratio, cut = brute_min_ratio_cut(graph)
         sides = sorted((sorted(side) for side in cut.sides), key=lambda s: s[0])

@@ -33,13 +33,9 @@ network of the contracted graph's rho(S)-core, rooted at S's node, where S
 is a dense core iff the trivial source side is the unique maximal min cut.
 (Checking the flow value alone cannot work: the trivial side always achieves
 exactly scale*(c(E[V/S]) + rho(S)), so a superset tying rho(S) leaves the
-value unchanged and only shows up in the argmax.)  `certify_round` checks
-all the sets of an exact search at once: the same subset check on each set
-of three vertices or more, then one probe on the graph with every set
-contracted, which must find nothing at least as dense as tau*.  That proves
-each set a dense core and also that no maximal densest set is missing (the
-proof is in the `hierarchy` module), and the contracted graph it built is
-the hierarchy's next graph.
+value unchanged and only shows up in the argmax.)  The sets of an exact
+search need no such check one by one: the `hierarchy` module certifies the
+whole tree they build once it is complete.
 """
 
 from __future__ import annotations
@@ -236,7 +232,8 @@ def _maximal_densest(
     set that contains it and avoids every source scanned before it; the
     first source scanned inside a maximal densest set yields that set, and
     every later one a proper subset of it.  The witness, the earliest
-    largest side, comes first.
+    largest side, comes first.  Raises RuntimeError unless the sides kept
+    have density tau, the witness leads them, and they are disjoint.
     """
     top = [side for side in sides if not any(side < other for other in sides)]
     for side in top:
@@ -246,6 +243,8 @@ def _maximal_densest(
     top.sort(key=len, reverse=True)
     if top[:1] != [witness]:
         raise RuntimeError("the search's witness is not the first maximal densest set")
+    if sum(map(len, top)) != len(frozenset().union(*top)):
+        raise RuntimeError("the maximal densest sets overlap")
     return tuple(top)
 
 
@@ -338,40 +337,6 @@ def _denser_subset(graph: WeightedGraph, s_set: frozenset[int], rho: Fraction) -
     if sub.weight_inside(witness) > rho * len(witness):
         return "a subset is denser (density network not saturated)"
     return "a subset is denser (shortcut network has a small cut)"
-
-
-def certify_round(
-    graph: WeightedGraph, tau: Fraction, sets: tuple[frozenset[int], ...]
-) -> tuple[WeightedGraph, tuple[int, ...]]:
-    """Prove `sets` are every maximal densest set of graph, at density tau.
-
-    Checks that the sets are disjoint, that each has skew-density exactly
-    tau, that no subset of one is strictly denser (sets of two vertices have
-    no proper subset to check), and that the graph with every set contracted
-    has no set of two nodes or more at least as dense as tau: an exact probe
-    there at tau - 1/(n' den(tau)) must miss.  Returns that contracted graph
-    and its map; raises RuntimeError when any check fails.  See the
-    `hierarchy` module for why this is exact.
-    """
-    tau = Fraction(tau)
-    if not sets or tau <= 0:
-        raise RuntimeError(f"no sets, or density {tau} is not positive")
-    if sum(map(len, sets)) != len(frozenset().union(*sets)):
-        raise RuntimeError("the sets overlap")
-    for s_set in sets:
-        rho = skew_density(graph, s_set)
-        if rho != tau:
-            raise RuntimeError(f"{sorted(s_set)} has density {rho}, not {tau}")
-        denser = _denser_subset(graph, s_set, tau) if len(s_set) > 2 else None
-        if denser is not None:
-            raise RuntimeError(f"{sorted(s_set)}: {denser}")
-    contracted, forward = contract(graph, *sets)
-    n = contracted.n
-    if n >= 2 and probe(contracted, _below(tau, n), n)[0]:
-        raise RuntimeError(
-            f"after contracting the sets some set is at least as dense as {tau}"
-        )
-    return contracted, forward
 
 
 def verify_core_explain(

@@ -435,7 +435,9 @@ def pack_arborescences(
     return ArborescencePacking(items=items, value=1 / gamma_bar)
 
 
-def one_respecting_mincut(net: DirectedNetwork, tree: Arborescence, t: int) -> STCut:
+def one_respecting_mincut(
+    net: DirectedNetwork, tree: Arborescence, t: int, *, limit: int | Fraction | None = None
+) -> STCut | None:
     """Minimum t-cut whose boundary contains exactly one arborescence arc.
 
     For each tree arc (u, parent(u)): infinite arcs v->parent(v) for every
@@ -444,6 +446,9 @@ def one_respecting_mincut(net: DirectedNetwork, tree: Arborescence, t: int) -> S
     tree at that arc.  Minimizing over the n-1 designated arcs is exact.
     One network carries an arc v->parent(v) per node, all infinite in its
     engine; each designated arc is lowered to 0 for its flow and restored.
+    Each flow stops at the best cut so far (at first at `limit`), so a cut
+    is kept only when strictly smaller and the earliest arc wins ties.  With
+    `limit`, returns None when no 1-respecting cut is below it.
     """
     if tree.n != net.n or tree.t != t:
         raise DircutError("arborescence does not match the network")
@@ -452,14 +457,16 @@ def one_respecting_mincut(net: DirectedNetwork, tree: Arborescence, t: int) -> S
     engine = pinned.engine()
     first = net.arc_count
     best: STCut | None = None
+    bound = limit  # what the next cut must be strictly below
     for i, u in enumerate(nodes):
         engine.set_cap(first + i, 0)
-        cut = min_st_cut(pinned, u, t)
+        cut = min_st_cut(pinned, u, t, limit=bound)
         engine.set_cap(first + i, INF)
-        assert cut is not None
-        if best is None or cut.value < best.value:
-            best = cut
-    assert best is not None, "network has no non-root node"
+        # A flow that stops below a bound past every finite cut may still
+        # cross an infinite arc, so the value is compared too.
+        if cut is not None and (bound is None or cut.value < bound):
+            best, bound = cut, cut.value
+    assert best is not None or limit is not None, "network has no non-root node"
     return best
 
 
@@ -498,8 +505,8 @@ def find_small_cut(
         if tree in seen:
             continue
         seen.add(tree)
-        cut = one_respecting_mincut(net, tree, t)
-        if cut.value < threshold:
+        cut = one_respecting_mincut(net, tree, t, limit=threshold)
+        if cut is not None:
             return cut
     return None
 

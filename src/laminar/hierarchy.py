@@ -10,36 +10,38 @@ skew-density in the graph it was contracted from, which equals the cut
 ratio of the all-singleton min-ratio cut of that node's contracted
 subgraph.
 
-An exact round is checked by one certificate (`densecore.certify_round`)
-instead of one `verify_core` per set.  Why it is exact: let
-f(X) = c(E[X]) - tau*(|X|-1), where tau* is the search's density; f is 0
-on single vertices and supermodular on intersecting pairs,
-f(X | Y) + f(X & Y) >= f(X) + f(Y) (Picard & Queyranne 1982).  Let the
-sets S_1..S_r be pairwise disjoint with f(S_j) = 0, and let no subset of
-any S_j be strictly denser than tau*, so f <= 0 on every nonempty subset
-of an S_j.  Contracting S_j into one node leaves f unchanged on every set
-that contains S_j or avoids it, as c(E[S_j]) = tau*(|S_j|-1).  Let G' be
-the graph with every S_j contracted.  Claim: G' has no set of two nodes or
-more with f >= 0 iff tau* is the maximum skew-density and the S_j are
-exactly the maximal densest sets; each S_j is then a dense core.
-- Take X with |X| >= 2 and f(X) >= 0 that lies inside no S_j.  For each
-  S_j that X meets, f(X & S_j) <= 0, so f(X | S_j) >= f(X).  Growing X by
-  every S_j it meets gives a set that contains or avoids each S_j and is
-  not a single S_j, with f >= 0; its image in G' has two nodes or more and
-  the same f.  So when G' has no such set, every X with f(X) >= 0 lies
-  inside some S_j, where f <= 0: tau* is the maximum, every densest set
-  lies inside some S_j, and the S_j are the maximal densest sets.  A
-  proper superset of S_j lies inside no S_k, so it is strictly sparser,
-  and S_j is a dense core.
-- Conversely, a set of G' with two nodes or more and f >= 0 expands to a
-  densest set that lies inside no S_j, hence in no maximal densest set
-  among them.
-Scores f are multiples of 1/den(tau*), so on G' the sets with two nodes or
-more and f >= 0 are exactly those denser than tau* - delta, with
-delta = 1/(n' den(tau*)) and n' the node count of G': one exact probe
-decides it.  A two-vertex set has no proper subset of two vertices or
-more, so only sets of three or more need the subset check.  G' is the next
-round's graph.
+An exact hierarchy is checked once, when it is complete, by a certificate
+of the whole tree (`_certify_tree`) instead of once per round.  For an
+internal node X with children C_1..C_r, let G_X be the graph on the
+children, each contracted to one node, with the edges charged to X: those
+of G[X] that join two different children.  Besides the tree's shape, the
+certificate checks at every X:
+(a) G_X is connected and no set of its nodes is denser than the whole of
+    G_X: c(G_X) > 0 and one exact probe at c(G_X)/(r-1) misses (with r = 2
+    only the whole set has two nodes; with r >= 3 the probe also finds a
+    split, as of two parts with no edge between them one is denser than the
+    whole);
+(b) sigma rises strictly from X to each internal child;
+(c) sigma(X) = c(G_X)/(r-1).
+Why it is exact.  Load each edge e with y_e = w_e/sigma(X_e), where X_e is
+the node it is charged to.  Claim: on G[X], y lies in the spanning-tree
+polytope, y(E[X]) = |X|-1 and y(E[S]) <= |S|-1 for every nonempty S inside
+X.  By induction from the leaves: the edges charged to X carry
+c(G_X)/sigma(X) = r-1 by (c), and each child C carries |C|-1 inside it,
+which sums to |X|-1.  Let S meet the children in I, with S_i = S & C_i:
+its edges charged to X join children in I and carry at most |I|-1 by (a)
+(none when |I| = 1), and those inside C_i carry at most |S_i|-1; the sum is
+at most |S|-1.  Now let P partition X into p >= 2 parts.  The loads inside
+the parts are at most |X|-p, so the edges crossing P carry at least p-1.
+By (b) every edge e of G[X] has sigma(X_e) >= sigma(X), so w_e >=
+sigma(X) y_e and c(delta P) >= sigma(X)(p-1): with (c), sigma(X) is the
+strength of G[X] and the children attain it (so G[X] is connected).  When P
+attains it, every crossing edge has w_e = sigma(X) y_e, which (b) allows
+only for edges charged to X; each child, connected, then lies inside one
+part of P, so P is the children's partition or coarser, and the children
+are the maximal min-ratio cut.  Applied at every node, the tree is the
+canonical hierarchy.  A tree's G_X hold m edges in total, and a probe runs
+only where r >= 3.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .densecore import certify_round, find_star, find_star_full, verify_core
+from .densecore import _probe, find_star, find_star_full, verify_core
 from .dircut import EPSILON
-from .graph import GraphError, MultiwayCut, WeightedGraph, contract, skew_density
+from .graph import GraphError, MultiwayCut, WeightedGraph, _checked, contract, skew_density
 
 #: full randomized size sweeps, each on fresh RNG streams, before the exact
 #: search takes over for one contraction
@@ -203,6 +205,10 @@ def build_hierarchy(
                 frozenset().union(*(c.vertex_set for c in children)), children, sigma
             )
         registry = nodes
+    if mode == "exact":
+        violations = _certify_tree(graph, registry[0])
+        if violations:
+            raise RuntimeError(f"the exact hierarchy fails its certificate: {violations[0]}")
     return HierarchyTree(root=registry[0], graph=graph)
 
 
@@ -224,14 +230,13 @@ def _accept_star_sets(
 
     Returns them, their common skew-density in cur, and cur with each of
     them contracted, with the contraction's forward map.  Exact mode takes
-    every maximal densest set of one exact search, under one round
-    certificate; randomized mode takes one verified set (see
-    `_randomized_star`).
+    every maximal densest set of one exact search, which the tree
+    certificate checks once the hierarchy is complete; randomized mode
+    takes one verified set (see `_randomized_star`).
     """
     if mode == "exact":
         search = find_star_full(cur, cur.n, mode="exact", epsilon=epsilon)
-        sets, tau = search.sets, search.tau_star
-        return sets, tau, *certify_round(cur, tau, sets)
+        return search.sets, search.tau_star, *contract(cur, *search.sets)
     star = _randomized_star(cur, rng, epsilon)
     return (star,), skew_density(cur, star), *contract(cur, star)
 
@@ -322,22 +327,23 @@ def _charge_edges(
     return edge_node, charged
 
 
-def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
-    """Structural checks, then each internal node's sigma certificate; on
-    small graphs also compares each internal node's children against the
-    brute-force maximal min-ratio cut.  Returns a list of violation
-    descriptions, empty when the tree is consistent.
+def _certify_tree(graph: WeightedGraph, root: HierarchyNode) -> list[str]:
+    """The tree's violations of the certificate above, empty iff root is the
+    canonical cut hierarchy of graph.
 
-    The certificate holds at any size: an internal node's sigma is the
-    weight charged to it, that of its edges that join different children,
-    divided by the number of children minus one.  It runs once the tree's
-    shape is sound, so that every edge has one node to be charged to.
+    The shape comes first: the root covers the vertices, leaves are
+    singletons without a ratio, and every internal node has a ratio and two
+    children or more that partition it.  Checks (a)-(c) run once the shape
+    is sound, so that every edge has one node to be charged to.  Children
+    come before their parents, and a union-find over the vertices, merged
+    as each node is certified, names the child that holds each end of an
+    edge charged to it.
     """
     violations: list[str] = []
-    ratios: list[str] = []  # sigma violations, listed after the shape's
-    if tree.root.vertex_set != frozenset(range(graph.n)):
+    if root.vertex_set != frozenset(range(graph.n)):
         violations.append("root does not cover the vertex set")
-    for node in tree.nodes():
+    nodes = list(root.walk())
+    for node in nodes:
         if node.is_leaf:
             if len(node.vertex_set) != 1:
                 violations.append(f"leaf {sorted(node.vertex_set)} is not a singleton")
@@ -350,33 +356,62 @@ def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
             violations.append(f"internal node {sorted(node.vertex_set)} has < 2 children")
         union: set[int] = set()
         for child in node.children:
-            if union & child.vertex_set:
-                violations.append(
-                    f"children of {sorted(node.vertex_set)} overlap"
-                )
-            union |= child.vertex_set
-            if (
-                not child.is_leaf
-                and child.sigma is not None
-                and node.sigma is not None
-                and child.sigma < node.sigma
-            ):
-                ratios.append(
-                    f"ratio decreases from {sorted(node.vertex_set)} to "
-                    f"{sorted(child.vertex_set)}"
-                )
+            if not union.isdisjoint(child.vertex_set):
+                violations.append(f"children of {sorted(node.vertex_set)} overlap")
+            union.update(child.vertex_set)
         if union != node.vertex_set:
             violations.append(f"children of {sorted(node.vertex_set)} do not partition it")
-    if not violations:
-        _, charged = _charge_edges(graph, tree.root)
-        for node in tree.internal_nodes():
-            ratio = Fraction(charged.get(node.vertex_set, 0), len(node.children) - 1)
-            if ratio != node.sigma:
-                ratios.append(
-                    f"ratio of {sorted(node.vertex_set)} is {node.sigma}, the "
-                    f"weight between its children gives {ratio}"
+    if violations:
+        return violations
+    edge_node, weight = _charge_edges(graph, root)
+    between: dict[frozenset[int], list[tuple[int, int, int]]] = {}
+    for edge, key in zip(graph.edges, edge_node):
+        between.setdefault(key, []).append(edge)
+    rep = list(range(graph.n))
+
+    def find(v: int) -> int:
+        while rep[v] != v:
+            rep[v] = v = rep[rep[v]]  # path halving
+        return v
+
+    for node in reversed(nodes):
+        if node.is_leaf:
+            continue
+        heads = [find(next(iter(child.vertex_set))) for child in node.children]
+        ratio = Fraction(weight.get(node.vertex_set, 0), len(heads) - 1)
+        if not ratio:
+            violations.append(f"no edge joins the children of {sorted(node.vertex_set)}")
+        elif len(heads) > 2:
+            slot = {head: i for i, head in enumerate(heads)}
+            edges = between[node.vertex_set]
+            g_x = _checked(len(heads), tuple((slot[find(u)], slot[find(v)], w) for u, v, w in edges))
+            if _probe(g_x, ratio, g_x.n)[0]:
+                violations.append(
+                    f"the children of {sorted(node.vertex_set)} hold a set denser than {ratio}"
                 )
-    violations += ratios
+        for head in heads:
+            rep[head] = heads[0]
+        for child in node.children:
+            if not child.is_leaf and child.sigma <= node.sigma:
+                violations.append(
+                    f"ratio does not rise from {sorted(node.vertex_set)} to "
+                    f"{sorted(child.vertex_set)}"
+                )
+        if ratio != node.sigma:
+            violations.append(
+                f"ratio of {sorted(node.vertex_set)} is {node.sigma}, the weight between its "
+                f"children gives {ratio}"
+            )
+    return violations
+
+
+def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
+    """The tree certificate's violations (see above), at any size; on small
+    graphs also compares each internal node's children against the
+    brute-force maximal min-ratio cut.  Returns a list of violation
+    descriptions, empty when the tree is consistent.
+    """
+    violations = _certify_tree(graph, tree.root)
     if graph.n <= ORACLE_LIMIT:
         from .graph import induced_subgraph
         from .oracle import brute_min_ratio_cut

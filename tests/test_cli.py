@@ -262,6 +262,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert flag in err and value in err
 
+    @pytest.mark.parametrize("oracle", ["min-ratio-cut", "max-skew-density", "dense-core"])
+    def test_oracle_without_a_tree_refuses_dot(self, capsys, path_file, oracle):
+        argv = ["oracle", oracle, path_file, "--set", "2,3", "--format", "dot"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"oracle {oracle} has no dot format" in err
+
+    def test_oracle_hierarchy_renders_dot(self, capsys, path_file):
+        code, out, _ = run_cli(capsys, "oracle", "hierarchy", path_file, "--format", "dot")
+        assert code == 0 and out.startswith("digraph")
+
     def test_malformed_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 1\n0 2 5\n")

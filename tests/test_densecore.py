@@ -21,7 +21,7 @@ from laminar import (
     skew_density,
     verify_core,
 )
-from laminar.densecore import _denser_subset, certify_round, tau_core, verify_core_explain
+from laminar.densecore import _denser_subset, _maximal_densest, tau_core, verify_core_explain
 from laminar.flow import max_flow, t_mincut_exhaustive
 from laminar.goldberg import build_goldberg, build_modified
 from laminar.graph import GraphError, contract, induced_subgraph
@@ -246,6 +246,17 @@ class TestFindStar:
         with pytest.raises(RuntimeError, match="not above"):
             find_star_full(trubin_path, 4)
 
+    def test_overlapping_maximal_sides_raise(self, unit_triangle):
+        # {0, 1} and {1, 2} both have density 1 in the unit triangle and
+        # neither holds the other, so they cannot both be maximal densest
+        # sets; the last search contracts its sets only when disjoint.
+        pair, other = frozenset({0, 1}), frozenset({1, 2})
+        assert _maximal_densest(unit_triangle, Fr(1), [pair], pair) == (pair,)
+        with pytest.raises(RuntimeError, match="overlap"):
+            _maximal_densest(unit_triangle, Fr(1), [pair, other], pair)
+        with pytest.raises(RuntimeError, match="density"):
+            _maximal_densest(unit_triangle, Fr(3, 2), [pair], pair)
+
     def test_probe_successes_are_downward_closed(self):
         # Along any binary search, the succeeding thresholds form a prefix of
         # the sorted probe sequence.
@@ -348,31 +359,31 @@ class TestTauCore:
         self, monkeypatch
     ):
         # The heaviest pair is the whole core of every round, so the
-        # search's scan has two sources, however long the path; the round
-        # certificate's probe peels the contracted path to nothing.  A round
-        # ends when its certificate returns, so its scans count too.
+        # search's scan has two sources, however long the path.  A round
+        # ends when it contracts; the tree certificate after the last round
+        # probes nothing, as every node of the path has two children.
         import laminar.densecore as dc
         import laminar.hierarchy as hierarchy
 
         flows: list[int] = []
         rounds: list[int] = []
-        scan, certify = dc.t_cuts_below, hierarchy.certify_round
+        scan, contract_round = dc.t_cuts_below, hierarchy.contract
 
         def counting_scan(net, t, **kwargs):
             flows.append(len(set(kwargs["sources"]) - {t}))
             return scan(net, t, **kwargs)
 
-        def counting_certify(*args):
-            result = certify(*args)
+        def counting_contract(*args):
+            result = contract_round(*args)
             rounds.append(sum(flows))
             flows.clear()
             return result
 
         monkeypatch.setattr(dc, "t_cuts_below", counting_scan)
-        monkeypatch.setattr(hierarchy, "certify_round", counting_certify)
+        monkeypatch.setattr(hierarchy, "contract", counting_contract)
         tree = build_hierarchy(rising_path(100))
         assert len(rounds) == 99 == sum(1 for _ in tree.internal_nodes())
-        assert max(rounds) <= 2
+        assert max(rounds) <= 2 and flows == []
 
     def test_verify_core_accepts_each_path_star_without_a_rooted_network(
         self, monkeypatch
@@ -535,99 +546,6 @@ class TestVerifyCore:
         assert peak < 1 << 20
         with pytest.raises(GraphError, match="^the candidate set is not a subset of the vertices$"):
             verify_core_explain(g, g.n, {0, 10**6})
-
-
-class TestCertifyRound:
-    def test_accepts_iff_every_set_is_a_dense_core_and_none_is_missing(self):
-        # Against brute force at n <= 10, on rounds of disjoint sets of one
-        # density tau: the search's own round, that round less one set, and
-        # random families of one to three disjoint sets of equal density.
-        # The certificate accepts exactly when every set is a dense core and
-        # every maximal densest set is among them.
-        rng = random.Random(1018)
-        verdicts: dict[tuple[bool, bool], int] = {}
-        for trial in range(60):
-            g = graph_with_tied_blocks(rng, trial)
-            _, maximal = maximal_densest_sets(g)
-            sets = find_star_full(g, g.n).sets
-            families = [sets]
-            if len(sets) > 1:
-                families += [sets[:i] + sets[i + 1 :] for i in range(len(sets))]
-            for _ in range(12):
-                order = list(range(g.n))
-                rng.shuffle(order)
-                family, start = [], 0
-                for _ in range(rng.randint(1, 3)):
-                    size = rng.randint(2, 4)
-                    if start + size > g.n:
-                        break
-                    family.append(frozenset(order[start : start + size]))
-                    start += size
-                densities = {skew_density(g, s) for s in family}
-                if len(densities) == 1 and min(densities) > 0:
-                    families.append(tuple(family))
-            for family in families:
-                cores = all(brute_dense_core(g, s) for s in family)
-                expected = cores and maximal <= set(family)
-                try:
-                    certify_round(g, skew_density(g, family[0]), family)
-                    accepted = True
-                except RuntimeError:
-                    accepted = False
-                assert accepted == expected, (g.edges, family)
-                verdicts[accepted, cores] = verdicts.get((accepted, cores), 0) + 1
-        # Accepted rounds, rounds of dense cores missing a maximal densest
-        # set, and rounds holding a set that is no dense core all occur.
-        assert verdicts[True, True] >= 60
-        assert verdicts[False, True] >= 30 and verdicts[False, False] >= 200
-
-    def test_mutated_rounds_raise(self):
-        # Dropping a set, replacing one by a proper subset, adding an outside
-        # vertex to one, or moving tau* by one unit of its denominator makes
-        # the certificate raise; a dropped set shows up in the probe on the
-        # contracted graph.
-        rng = random.Random(1019)
-        mutants = dropped = 0
-        for trial in range(30):
-            g = graph_with_tied_blocks(rng, trial)
-            result = find_star_full(g, g.n)
-            tau, sets = result.tau_star, result.sets
-            certify_round(g, tau, sets)
-            unit = Fr(1, tau.denominator)
-            rounds = [(tau + unit, sets), (tau - unit, sets)]
-            outside = set(range(g.n)).difference(*sets)
-            for i, star in enumerate(sets):
-                rest = sets[:i] + sets[i + 1 :]
-                for v in star:
-                    rounds.append((tau, rest + (star - {v},)))
-                for v in outside:
-                    rounds.append((tau, rest + (star | {v},)))
-                if rest:
-                    with pytest.raises(RuntimeError, match="after contracting"):
-                        certify_round(g, tau, rest)
-                    dropped += 1
-            for mutant_tau, mutant in rounds:
-                with pytest.raises(RuntimeError):
-                    certify_round(g, mutant_tau, mutant)
-                mutants += 1
-        assert dropped >= 15 and mutants >= 200
-
-    def test_denser_subset_is_caught_where_the_probe_sees_nothing(self):
-        # {0, 1, 2} has density 7 but holds {0, 1} at density 10; contracted,
-        # it leaves a pair of density 1, which the probe at 7 cannot see.
-        g = WeightedGraph.from_edges(4, [(0, 1, 10), (0, 2, 4), (2, 3, 1)])
-        with pytest.raises(RuntimeError, match="subset"):
-            certify_round(g, Fr(7), (frozenset({0, 1, 2}),))
-        # The whole graph leaves nothing to probe at all.
-        with pytest.raises(RuntimeError, match="subset"):
-            certify_round(g, Fr(5), (frozenset(range(4)),))
-
-    def test_returns_the_contraction_of_the_sets(self, trubin_path, unit_triangle):
-        contracted, forward = certify_round(trubin_path, Fr(100), (frozenset({2, 3}),))
-        assert (contracted, forward) == contract(trubin_path, {2, 3})
-        assert certify_round(unit_triangle, Fr(3, 2), (frozenset(range(3)),))[0].n == 1
-        with pytest.raises(RuntimeError, match="overlap"):
-            certify_round(trubin_path, Fr(100), (frozenset({2, 3}), frozenset({3})))
 
 
 def reference_denser_subset(graph: WeightedGraph, s_set, rho: Fr) -> str | None:

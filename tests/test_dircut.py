@@ -437,6 +437,46 @@ class TestOneRespecting:
             if fast.value != INF:
                 assert net.cut_value(fast.source_side) == fast.value
 
+    def test_limit_keeps_the_earliest_least_cut(self):
+        # Against one unlimited flow per tree arc on its own network, arcs in
+        # node order, a cut kept only when strictly smaller: without a limit
+        # the same cut, side and all; with one, that cut when it is below the
+        # limit and None otherwise.  Infinite arcs make some cuts infinite,
+        # and some limits lie past every finite cut.
+        from laminar import min_st_cut
+
+        rng = random.Random(46)
+        outcomes: Counter[bool] = Counter()
+        for _ in range(80):
+            n = rng.randint(2, 8)
+            t = rng.randrange(n)
+            net = random_digraph(rng, n, arc_prob=0.4, max_cap=3)
+            extra = [(rng.randrange(n), rng.randrange(n), rng.choice([0, INF])) for _ in range(2)]
+            net = net.extended((u, v, c) for u, v, c in extra if u != v)
+            order = [v for v in range(n) if v != t]
+            rng.shuffle(order)
+            parent = [-1] * n
+            for i, v in enumerate(order):
+                parent[v] = rng.choice([t, *order[:i]])
+            tree = Arborescence(t=t, parent=tuple(parent), arc_ids=tuple(parent))
+            best = None
+            for u in range(n):
+                if u == t:
+                    continue
+                pinned = net.extended((v, parent[v], INF) for v in order if v != u)
+                cut = min_st_cut(pinned, u, t)
+                if best is None or cut.value < best.value:
+                    best = cut
+            assert one_respecting_mincut(net, tree, t) == best
+            finite = best.value if best.value != INF else net.finite_total()
+            past = net.finite_total() + 5
+            for limit in {0, finite - 1, finite, finite + 1, Fr(2 * finite + 1, 2), past}:
+                below = best.value < limit
+                expected = best if below else None
+                assert one_respecting_mincut(net, tree, t, limit=limit) == expected
+                outcomes[below] += 1
+        assert min(outcomes.values()) >= 80
+
     def test_one_network_and_engine_per_call(self, engine_builds):
         net = random_digraph(random.Random(45), 7, ensure_sink_path=6)
         tree = min_cost_arborescence(net, 6, [1.0] * net.arc_count)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as Fr
 from itertools import combinations
 
@@ -22,9 +26,10 @@ from laminar import (
     validate_hierarchy,
     verify_core,
 )
-from laminar.graph import GraphError
+from laminar.graph import GraphError, contract, induced_subgraph
 
 from .conftest import random_connected_graph
+from .test_densecore import graph_with_tied_blocks
 
 
 def tree_shape(tree: HierarchyTree):
@@ -135,7 +140,7 @@ class TestOracleEquivalence:
             def check(node):
                 for child in node.children:
                     if not child.is_leaf:
-                        assert child.sigma >= node.sigma
+                        assert child.sigma > node.sigma
                         check(child)
 
             check(tree.root)
@@ -218,16 +223,17 @@ class TestOracleEquivalence:
 class TestAcceptStarSet:
     @staticmethod
     def record(monkeypatch):
-        """Log hierarchy's searches, verify_core verdicts and round certificates.
+        """Log hierarchy's searches, verify_core verdicts and tree certificates.
 
         A find event, from find_star or find_star_full, carries the mode,
         which both accept only as a keyword, and the size of the graph
-        searched; a certify event, the sets its certificate accepted.
+        searched; a certify event, the size of the graph whose tree the end
+        certificate checked.
         """
         import laminar.hierarchy as hz
 
         events: list[tuple] = []
-        real_verify, real_certify = hz.verify_core, hz.certify_round
+        real_verify, real_certify = hz.verify_core, hz._certify_tree
 
         def logged(real):
             def finding(cur, k, **kwargs):
@@ -241,47 +247,39 @@ class TestAcceptStarSet:
             events.append(("verify", verdict))
             return verdict
 
-        def certifying(cur, tau, sets):
-            result = real_certify(cur, tau, sets)
-            events.append(("certify", sets))
-            return result
+        def certifying(graph, root):
+            violations = real_certify(graph, root)
+            events.append(("certify", graph.n))
+            return violations
 
         monkeypatch.setattr(hz, "find_star", logged(hz.find_star))
         monkeypatch.setattr(hz, "find_star_full", logged(hz.find_star_full))
         monkeypatch.setattr(hz, "verify_core", verifying)
-        monkeypatch.setattr(hz, "certify_round", certifying)
+        monkeypatch.setattr(hz, "_certify_tree", certifying)
         return events
 
     @staticmethod
     def record_contractions(monkeypatch):
-        """Log each contraction of an exact round, as (sets, graph built).
-
-        Round certificates contract; the hierarchy itself must not.
-        """
-        import laminar.densecore as dc
+        """Log each contraction of a round, as (sets, graph built)."""
         import laminar.hierarchy as hz
 
         contracted: list[tuple] = []
-        real = dc.contract
+        real = hz.contract
 
         def contracting(cur, *sets):
             result = real(cur, *sets)
             contracted.append((sets, result[0]))
             return result
 
-        def contracting_again(cur, *sets):
-            pytest.fail("the hierarchy contracted an exact round again")
-
-        monkeypatch.setattr(dc, "contract", contracting)
-        monkeypatch.setattr(hz, "contract", contracting_again)
+        monkeypatch.setattr(hz, "contract", contracting)
         return contracted
 
     def test_exact_searches_once_per_round_and_verifies_once_per_node(self, monkeypatch):
-        # An exact round is one search, one certificate of exactly the sets
-        # the search returns, whose subset check runs once per set of three
-        # vertices or more, and one contraction of exactly those sets, whose
-        # graph the next round searches; the sets of all rounds are the
-        # internal nodes.
+        # An exact round is one search and one contraction of exactly the
+        # sets the search returns, whose graph the next round searches; no
+        # round checks a subset.  The sets of all rounds are the internal
+        # nodes, and one tree certificate at the end checks each of them,
+        # probing those with three children or more once.
         import laminar.densecore as dc
         import laminar.hierarchy as hz
 
@@ -290,7 +288,8 @@ class TestAcceptStarSet:
         found: list[tuple] = []
         checked: list[frozenset[int]] = []
         searched: list[WeightedGraph] = []
-        search, subset_check = hz.find_star_full, dc._denser_subset
+        probed: list[int] = []
+        search, subset_check, node_probe = hz.find_star_full, dc._denser_subset, hz._probe
 
         def searching(cur, k, **kwargs):
             searched.append(cur)
@@ -302,14 +301,19 @@ class TestAcceptStarSet:
             checked.append(s_set)
             return subset_check(cur, s_set, rho)
 
+        def probing(g_x, tau, k):
+            probed.append(g_x.n)
+            return node_probe(g_x, tau, k)
+
         monkeypatch.setattr(hz, "find_star_full", searching)
         monkeypatch.setattr(dc, "_denser_subset", checking)
+        monkeypatch.setattr(hz, "_probe", probing)
         rng = random.Random(71)
-        batched = checked_sets = 0
+        batched = probes = 0
         for _ in range(16):
             # Light weights tie often enough that some round has two sets.
             g = random_connected_graph(rng, rng.randint(2, 12), max_weight=3)
-            for log in (events, contracted, found, checked, searched):
+            for log in (events, contracted, found, checked, searched, probed):
                 log.clear()
             tree = build_hierarchy(g)
             internal = sum(1 for _ in tree.internal_nodes())
@@ -317,30 +321,26 @@ class TestAcceptStarSet:
             assert all(cur is built for cur, (_, built) in zip(searched[1:], contracted))
             assert len(searched) == len(contracted) and contracted[-1][1].n == 1
             assert sum(len(sets) for sets in found) == internal
-            assert events == [
-                event
-                for cur, sets in zip(searched, found)
-                for event in (("find", "exact", cur.n), ("certify", sets))
-            ]
-            assert checked == [s for sets in found for s in sets if len(s) > 2]
+            assert events == [("find", "exact", cur.n) for cur in searched] + [("certify", g.n)]
+            assert checked == []
+            wide = [len(node.children) for node in tree.internal_nodes() if len(node.children) > 2]
+            assert sorted(probed) == sorted(wide)
             batched += any(len(sets) >= 2 for sets in found)
-            checked_sets += len(checked)
-        assert batched >= 2 and checked_sets > 0
+            probes += len(probed)
+        assert batched >= 2 and probes > 0
 
     def test_one_exact_search_contracts_three_equal_triangles(self, monkeypatch):
         # Three triangles of weight-2 edges (density 3) chained by unit edges:
-        # the first round's one search finds all three, its certificate
-        # accepts them, and one contraction merges them; the second round
-        # merges what is left.
+        # the first round's one search finds all three, and one contraction
+        # merges them; the second round merges what is left, and the tree
+        # certificate accepts the result.
         triangles = {frozenset({0, 3, 6}), frozenset({1, 4, 7}), frozenset({2, 5, 8})}
         edges = [(u, v, 2) for tri in triangles for u, v in combinations(sorted(tri), 2)]
         g = WeightedGraph.from_edges(9, edges + [(6, 1, 1), (7, 2, 1)])
         events = self.record(monkeypatch)
         contracted = self.record_contractions(monkeypatch)
         tree = build_hierarchy(g)
-        assert events[0] == ("find", "exact", 9)
-        assert events[1][0] == "certify" and set(events[1][1]) == triangles
-        assert [event[0] for event in events] == ["find", "certify"] * 2
+        assert events == [("find", "exact", 9), ("find", "exact", 3), ("certify", 9)]
         assert set(contracted[0][0]) == triangles and len(contracted[0][0]) == 3
         assert [len(entry[0]) for entry in contracted] == [3, 1]
         assert tree == brute_hierarchy(g)
@@ -394,20 +394,19 @@ class TestContractionSafety:
         import laminar.hierarchy as hz
         from laminar import brute_dense_core
 
-        real_certify = hz.certify_round
+        real_contract = hz.contract
         rng = random.Random(55)
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 7))
             accepted: list[tuple[int, int]] = []  # (graph size, set size)
 
-            def recording(cur, tau, sets, _accepted=accepted):
-                result = real_certify(cur, tau, sets)
+            def recording(cur, *sets, _accepted=accepted):
                 for candidate in sets:
                     assert brute_dense_core(cur, candidate)
                     _accepted.append((cur.n, len(candidate)))
-                return result
+                return real_contract(cur, *sets)
 
-            monkeypatch.setattr(hz, "certify_round", recording)
+            monkeypatch.setattr(hz, "contract", recording)
             build_hierarchy(g)
             assert len(accepted) <= g.n - 1
             shrink = sum(size - 1 for _, size in accepted)
@@ -415,52 +414,362 @@ class TestContractionSafety:
             assert all(size >= 2 for _, size in accepted)
 
 
+def differential_graphs():
+    """300 seeded graphs up to n = 300: n <= 7 on two trials in three, else
+    log-uniform on 11..299 (one n = 9); a fifth are rising paths with
+    shuffled labels (or unit-weight paths), the deepest trees."""
+    rng = random.Random(97)
+    for trial in range(300):
+        if trial % 3 != 1:
+            n = rng.randint(2, 7)
+        else:
+            n = 9 if trial == 1 else int(11 * (300 / 11) ** rng.random())
+        weight = rng.choice((1, 3, 20))
+        if trial % 5 == 4:
+            label = list(range(n))
+            rng.shuffle(label)
+            yield WeightedGraph.from_edges(
+                n, [(label[i], label[i + 1], 1 if weight == 1 else i + 1) for i in range(n - 1)]
+            )
+        else:
+            extra = rng.choice((0, n // 4, n))
+            yield random_connected_graph(rng, n, max_weight=weight, extra_edges=extra)
+
+
+def tree_digest(trees) -> str:
+    """SHA-256 of each tree's internal nodes, as (vertex set, sigma) sorted."""
+    digest = hashlib.sha256()
+    for tree in trees:
+        nodes = sorted((tuple(sorted(x.vertex_set)), x.sigma) for x in tree.internal_nodes())
+        digest.update(repr(nodes).encode())
+    return digest.hexdigest()
+
+
+#: `tree_digest` of `differential_graphs`' trees as built when every exact
+#: round still ran its own certificate: a probe of the contracted graph and
+#: a subset check of each set of three vertices or more
+ROUND_CERTIFIED_DIGEST = "5eca62f633116bda7c55c0726c29dd6acac734c56d5bb6f09bb8d8e308d712ff"
+
+
 class TestRoundCertificate:
     def test_certified_sets_pass_verify_core_and_match_brute_force(self, monkeypatch):
         # 300 graphs up to n = 300, past every brute-force guard: each set a
-        # round certificate accepts is also a dense core by the public
-        # per-set check against the graph it was found in, and wherever
-        # n <= 10 the tree is brute_hierarchy's.  A fifth are rising paths
-        # with shuffled labels (or unit-weight paths), the deepest trees.
+        # round contracts is also a dense core by the public per-set check
+        # against the graph it was found in, wherever n <= 10 the tree is
+        # brute_hierarchy's, and the trees and sigmas are those the builds
+        # with a certificate per round gave.
         import laminar.hierarchy as hz
 
-        real_certify = hz.certify_round
+        real_contract = hz.contract
         rounds: list[tuple[WeightedGraph, tuple]] = []
 
-        def recording(cur, tau, sets):
-            result = real_certify(cur, tau, sets)
+        def recording(cur, *sets):
             rounds.append((cur, sets))
-            return result
+            return real_contract(cur, *sets)
 
-        monkeypatch.setattr(hz, "certify_round", recording)
-        rng = random.Random(97)
+        monkeypatch.setattr(hz, "contract", recording)
         checked = large = 0
-        for trial in range(300):
-            if trial % 3 != 1:
-                n = rng.randint(2, 7)
-            else:  # log-uniform on 11..299, except one n = 9
-                n = 9 if trial == 1 else int(11 * (300 / 11) ** rng.random())
-            weight = rng.choice((1, 3, 20))
-            if trial % 5 == 4:
-                label = list(range(n))
-                rng.shuffle(label)
-                g = WeightedGraph.from_edges(
-                    n, [(label[i], label[i + 1], 1 if weight == 1 else i + 1) for i in range(n - 1)]
-                )
-            else:
-                extra = rng.choice((0, n // 4, n))
-                g = random_connected_graph(rng, n, max_weight=weight, extra_edges=extra)
+        trees = []
+        for g in differential_graphs():
             rounds.clear()
             tree = build_hierarchy(g)
+            trees.append(tree)
             assert sum(len(sets) for _, sets in rounds) == sum(1 for _ in tree.internal_nodes())
             for cur, sets in rounds:
                 for star in sets:
                     assert verify_core(cur, cur.n, star)
                     checked += 1
-            if n <= 10:
+            if g.n <= 10:
                 assert tree == brute_hierarchy(g)
-            large += n > 100
+            large += g.n > 100
         assert checked > 3000 and large >= 20
+        assert tree_digest(trees) == ROUND_CERTIFIED_DIGEST
+
+
+def nested(node: HierarchyNode):
+    """A tree as nested lists: [sigma, children] per internal node, and the
+    vertex per leaf."""
+    if node.is_leaf:
+        return next(iter(node.vertex_set))
+    return [node.sigma, [nested(child) for child in node.children]]
+
+
+def frozen(item, graph: WeightedGraph, recompute: bool = False) -> HierarchyNode:
+    """The HierarchyNode of a nested-list tree.  A sigma of None, or every
+    sigma with `recompute`, becomes the node's charged ratio: the weight
+    between its children over their number less one."""
+    if isinstance(item, int):
+        return HierarchyNode(frozenset({item}), (), None)
+    children = tuple(
+        sorted((frozen(kid, graph, recompute) for kid in item[1]), key=lambda c: min(c.vertex_set))
+    )
+    vertex_set = frozenset().union(*(child.vertex_set for child in children))
+    sigma = item[0]
+    if sigma is None or recompute:
+        between = graph.weight_inside(vertex_set) - sum(
+            graph.weight_inside(child.vertex_set) for child in children
+        )
+        sigma = Fr(between, len(children) - 1)
+    return HierarchyNode(vertex_set, children, sigma)
+
+
+def internal_items(tree) -> list[tuple[list, list | None]]:
+    """(item, parent) for every internal item of a nested-list tree, in
+    preorder; the root's parent is None."""
+    found, stack = [], [(tree, None)]
+    while stack:
+        item, parent = stack.pop()
+        if isinstance(item, list):
+            found.append((item, parent))
+            stack.extend((kid, item) for kid in reversed(item[1]))
+    return found
+
+
+def substitute(tree, parent: list | None, old, new: list):
+    """Put the items `new` where `old` stood under parent; returns the tree,
+    which is new[0] when old was the root."""
+    if parent is None:
+        (root,) = new
+        return root
+    kids = parent[1]
+    at = next(i for i, kid in enumerate(kids) if kid is old)
+    kids[at : at + 1] = new
+    return tree
+
+
+def group(items: list):
+    """One item for several: a new node of unknown ratio, or the item itself."""
+    return items[0] if len(items) == 1 else [None, items]
+
+
+def tree_mutants(root: HierarchyNode, rng: random.Random):
+    """(kind, nested-list tree) for mutants of a tree at every internal node:
+    sigma moved by one unit of its denominator either way; two children
+    merged into one node that holds their children, or grouped under a new
+    node; the node split into two nodes, which take its place in its parent
+    (at the root, which has no parent, they become its only children); and
+    one of its leaf children moved under another internal node, the node
+    giving way to its last child if it keeps only one."""
+    base = nested(root)
+    shape = internal_items(base)
+    count = len(shape)
+
+    def fresh():
+        tree = copy.deepcopy(base)
+        return tree, internal_items(tree)
+
+    for i in range(count):
+        for sign in (1, -1):
+            tree, items = fresh()
+            item = items[i][0]
+            item[0] += sign * Fr(1, item[0].denominator)
+            yield "sigma", tree
+        size = len(shape[i][0][1])
+        if size >= 3:
+            a, b = rng.sample(range(size), 2)
+            for flatten in (True, False):
+                tree, items = fresh()
+                kids = items[i][0][1]
+                pair = [kids[a], kids[b]]
+                if flatten:
+                    pair = [x for kid in pair for x in (kid[1] if isinstance(kid, list) else [kid])]
+                kids[:] = [kid for j, kid in enumerate(kids) if j not in (a, b)] + [[None, pair]]
+                yield "merged", tree
+        if size >= 3 or shape[i][1] is not None:
+            tree, items = fresh()
+            item, parent = items[i]
+            cut = set(rng.sample(range(size), rng.randint(1, size - 1)))
+            halves = [
+                group([kid for j, kid in enumerate(item[1]) if (j in cut) == side])
+                for side in (True, False)
+            ]
+            if parent is None:
+                item[1] = halves
+            else:
+                tree = substitute(tree, parent, item, halves)
+            yield "split", tree
+        leaves = [j for j, kid in enumerate(shape[i][0][1]) if isinstance(kid, int)]
+        if leaves and count > 1:
+            tree, items = fresh()
+            item, parent = items[i]
+            target = items[rng.choice([t for t in range(count) if t != i])][0]
+            target[1].append(item[1].pop(rng.choice(leaves)))
+            if len(item[1]) == 1:
+                tree = substitute(tree, parent, item, item[1])
+            yield "moved", tree
+
+
+def node_graph(graph: WeightedGraph, node: HierarchyNode) -> WeightedGraph:
+    """G_X built apart from the certificate: the induced subgraph on the
+    node with each child contracted."""
+    sub, to_orig = induced_subgraph(graph, node.vertex_set)
+    index = {v: i for i, v in enumerate(to_orig)}
+    return contract(sub, *({index[v] for v in child.vertex_set} for child in node.children))[0]
+
+
+def internal_sets(root: HierarchyNode) -> set:
+    return {(node.vertex_set, node.sigma) for node in root.walk() if not node.is_leaf}
+
+
+class TestTreeCertificate:
+    def test_accepts_exactly_the_brute_force_tree_among_mutants(self):
+        # At n <= 9 the certificate accepts a tree iff it is brute_hierarchy's.
+        # Each mutant comes with its ratios as they stood (new nodes get
+        # their charged ratio) and with every ratio recomputed, so that (c)
+        # holds and (a) or (b) must catch it.  Wherever the shape holds,
+        # (a) says a node's children hold a denser set exactly when the
+        # brute-force maximum skew-density of its G_X exceeds c(G_X)/(r-1).
+        import laminar.hierarchy as hz
+        from laminar import brute_max_skew_density
+
+        rng = random.Random(1018)
+        rejected: Counter[str] = Counter()
+        denser = nines = 0
+        for trial in range(40):
+            g = graph_with_tied_blocks(rng, trial)
+            if g.n > 9 or (g.n == 9 and nines == 2):  # brute force takes ~0.3 s at n = 9
+                continue
+            nines += g.n == 9
+            truth = brute_hierarchy(g).root
+            assert hz._certify_tree(g, truth) == []
+            for kind, mutant in tree_mutants(truth, rng):
+                for recompute in (False, True) if kind != "sigma" else (False,):
+                    node = frozen(mutant, g, recompute)
+                    violations = hz._certify_tree(g, node)
+                    assert (not violations) == (internal_sets(node) == internal_sets(truth)), (
+                        g.edges, kind, node
+                    )
+                    rejected[kind] += bool(violations)
+                    for x in node.walk():
+                        if x.is_leaf:
+                            continue
+                        g_x = node_graph(g, x)
+                        expected = not g_x.is_connected() or (
+                            g_x.n > 2
+                            and brute_max_skew_density(g_x)[0] > Fr(g_x.total_weight(), g_x.n - 1)
+                        )
+                        name = sorted(x.vertex_set)
+                        found = any(
+                            v == f"no edge joins the children of {name}"
+                            or v.startswith(f"the children of {name} ")
+                            for v in violations
+                        )
+                        assert found == expected, (g.edges, node, name)
+                        denser += found
+        assert min(rejected[kind] for kind in ("sigma", "merged", "split", "moved")) >= 80
+        assert denser >= 300
+
+    def test_restated_round_mutants_are_rejected(self):
+        # The trees that wrong rounds would build: a round set dropped
+        # (its children join its parent), a proper subset (one
+        # child leaves it for its parent), an outside vertex added (a
+        # sibling joins it; a parent left with one child gives way to it),
+        # and tau* moved by one unit of its denominator.  Every one fails,
+        # with ratios as they stood and with every ratio recomputed; a
+        # dropped set always shows up in (a) at its parent.
+        import laminar.hierarchy as hz
+
+        rng = random.Random(1019)
+        mutants = dropped = 0
+        for trial in range(30):
+            g = graph_with_tied_blocks(rng, trial)
+            truth = build_hierarchy(g).root
+            base = nested(truth)
+            shape = internal_items(base)
+            for i, (node, up) in enumerate(shape):
+
+                def copied():
+                    tree = copy.deepcopy(base)
+                    return (tree, *internal_items(tree)[i])
+
+                trees = []
+                for sign in (1, -1):
+                    tree, item, _ = copied()
+                    item[0] += sign * Fr(1, item[0].denominator)
+                    trees.append(("tau", tree))
+                if up is not None:
+                    tree, item, parent = copied()
+                    trees.append(("dropped", substitute(tree, parent, item, item[1])))
+                    for j in range(len(node[1])):
+                        tree, item, parent = copied()
+                        child = item[1].pop(j)
+                        tree = substitute(tree, parent, item, [group(item[1]), child])
+                        trees.append(("subset", tree))
+                    for j in range(len(up[1]) - 1):
+                        tree, item, parent = copied()
+                        sibling = [kid for kid in parent[1] if kid is not item][j]
+                        parent[1].remove(sibling)
+                        item[1].append(sibling)
+                        if len(parent[1]) == 1:
+                            grand = next(p for it, p in internal_items(tree) if it is parent)
+                            tree = substitute(tree, grand, parent, [item])
+                        trees.append(("added", tree))
+                for kind, tree in trees:
+                    for recompute in (False, True) if kind != "tau" else (False,):
+                        violations = hz._certify_tree(g, frozen(tree, g, recompute))
+                        assert violations, (g.edges, kind, recompute)
+                        mutants += 1
+                    if kind == "dropped":
+                        assert any(" hold a set denser than " in v for v in violations)
+                        dropped += 1
+        assert dropped >= 60 and mutants >= 800
+
+    def test_denser_subset_inside_a_node_is_caught(self):
+        # {0, 1, 2} has density 7 but holds {0, 1} at density 10, which only
+        # (a) at that node can see: its ratio is right, and it rises from
+        # the root's.  Nor may the whole graph be one node at density 5.
+        import laminar.hierarchy as hz
+
+        g = WeightedGraph.from_edges(4, [(0, 1, 10), (0, 2, 4), (2, 3, 1)])
+        triple = frozen([None, [0, 1, 2]], g)
+        assert triple.sigma == 7
+        root = HierarchyNode(frozenset(range(4)), (triple, frozen(3, g)), Fr(1))
+        assert hz._certify_tree(g, root) == ["the children of [0, 1, 2] hold a set denser than 7"]
+        flat = frozen([None, [0, 1, 2, 3]], g)
+        assert flat.sigma == 5
+        violations = hz._certify_tree(g, flat)
+        assert violations == ["the children of [0, 1, 2, 3] hold a set denser than 5"]
+
+    def test_exact_build_raises_on_a_mutated_round(self, monkeypatch, trubin_path, unit_k4):
+        # The end certificate is what stands behind an exact round: a round
+        # whose density is off by one unit, or that contracts a proper
+        # subset of its densest set, makes the build raise.  A round that
+        # drops one of several sets builds the same tree, as the set is
+        # contracted, at the same density, a round later.
+        import laminar.hierarchy as hz
+
+        real = hz.find_star_full
+        first = [True]
+
+        def mutating(mutate):
+            def search(cur, k, **kwargs):
+                result = real(cur, k, **kwargs)
+                if first[0]:
+                    first[0] = False
+                    result = mutate(result)
+                return result
+
+            return search
+
+        cases = [
+            (trubin_path, lambda r: replace(r, tau_star=r.tau_star + 1), True),
+            (unit_k4, lambda r: replace(r, sets=(frozenset({0, 1, 2}),)), True),
+        ]
+        triangles = [frozenset({0, 3, 6}), frozenset({1, 4, 7}), frozenset({2, 5, 8})]
+        edges = [(u, v, 2) for tri in triangles for u, v in combinations(sorted(tri), 2)]
+        three = WeightedGraph.from_edges(9, edges + [(6, 1, 1), (7, 2, 1)])
+        cases.append((three, lambda r: replace(r, sets=r.sets[1:]), False))
+        for g, mutate, raises in cases:
+            expected = build_hierarchy(g)
+            first[0] = True
+            monkeypatch.setattr(hz, "find_star_full", mutating(mutate))
+            if raises:
+                with pytest.raises(RuntimeError, match="fails its certificate"):
+                    build_hierarchy(g)
+            else:
+                assert build_hierarchy(g) == expected
+            assert not first[0]
+            monkeypatch.setattr(hz, "find_star_full", real)
 
 
 class TestValidate:
@@ -506,6 +815,36 @@ class TestValidate:
         assert len(violations) == 1
         assert violations[0].startswith("ratio of [300, 301,")
         assert "between its children gives 301" in violations[0]
+
+    def test_merged_root_children_past_the_oracle_guard(self):
+        # Two root children grouped under a new node, on the benchmark's
+        # sparse family at n = 80.  With every ratio recomputed, each sigma
+        # matches its charged weight, and only (a) or (b) can tell.
+        rng = random.Random(43)
+        g = random_connected_graph(rng, 80, max_weight=20, extra_edges=20)
+        tree = build_hierarchy(g)
+        assert validate_hierarchy(g, tree) == [] and len(tree.root.children) >= 3
+        root = nested(tree.root)
+        root[1][:2] = [[None, root[1][:2]]]
+        assert validate_hierarchy(g, HierarchyTree(frozen(root, g), g))
+        violations = validate_hierarchy(g, HierarchyTree(frozen(root, g, recompute=True), g))
+        assert violations and not any(v.startswith("ratio of ") for v in violations)
+
+    def test_strict_rise_rejects_a_tie(self):
+        # On the unit path 0 - 1 - 2 every ratio is 1 and the root's
+        # children are three singletons.  Nesting {0, 1} at ratio 1 keeps
+        # every charged ratio right and sigma monotone; only a strict rise
+        # (and the oracle, at this size) rejects it.
+        import laminar.hierarchy as hz
+
+        g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        pair = frozen([None, [0, 1]], g)
+        root = HierarchyNode(frozenset(range(3)), (pair, frozen(2, g)), Fr(1))
+        assert pair.sigma == 1
+        assert hz._certify_tree(g, root) == ["ratio does not rise from [0, 1, 2] to [0, 1]"]
+        violations = validate_hierarchy(g, HierarchyTree(root, g))
+        assert violations[0] == "ratio does not rise from [0, 1, 2] to [0, 1]"
+        assert any("min-ratio" in v for v in violations[1:])
 
     def test_swapped_children_partition_violation(self, trubin_path):
         leaves = [HierarchyNode(frozenset({v}), (), None) for v in range(4)]
