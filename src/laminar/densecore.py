@@ -27,15 +27,17 @@ t-cut side below scale*tau lies inside the core, and a core of fewer than
 two vertices holds no set denser than tau.
 
 A set S is a dense core when no subset is strictly denser and every proper
-superset is strictly sparser.  `verify_core` checks one set: subsets by one
-exact probe of the induced subgraph at rho(S); supersets on the rooted
-network of the contracted graph's rho(S)-core, rooted at S's node, where S
-is a dense core iff the trivial source side is the unique maximal min cut.
-(Checking the flow value alone cannot work: the trivial side always achieves
-exactly scale*(c(E[V/S]) + rho(S)), so a superset tying rho(S) leaves the
-value unchanged and only shows up in the argmax.)  The sets of an exact
-search need no such check one by one: the `hierarchy` module certifies the
-whole tree they build once it is complete.
+superset is strictly sparser.  `verify_core` asks each half as one exact
+probe: subsets, of G[S] at rho(S); supersets, of G/S rooted at S's node s.
+A rooted probe at tau asks whether some X that contains the root, of two
+vertices or more, has c(E[X]) > tau(|X|-1): the root is never peeled and is
+the scan's only source, and an unsaturated density network's side W, with
+c(E[W]) > tau|W|, proves it through W | {root}.  A proper superset S | Y is
+at least as dense as S iff X = {s} | Y has c(E[X]) >= rho(S)(|X|-1) in G/S.
+As |X|-1 < n' = |G/S|, exactly those X beat rho(S) - 1/(n' den rho(S))
+(see `_below`), so the rooted probe there decides the superset half.  The
+sets of an exact search need no such check one by one: the `hierarchy`
+module certifies the whole tree they build once it is complete.
 """
 
 from __future__ import annotations
@@ -188,24 +190,32 @@ def _probe(
     rng: random.Random | None = None,
     epsilon: Fraction = EPSILON,
     sides: list[frozenset[int]] | None = None,
+    *,
+    root: int | None = None,
 ) -> tuple[bool, frozenset[int] | None]:
-    """`probe` past its guards: any graph, connected or not, and tau > 0."""
+    """`probe` past its guards: any graph, connected or not, and tau > 0.
+
+    With `root` (exact mode only), asks whether some set of two vertices or
+    more that contains the root beats tau, and witnesses one (see above).
+    """
+    if root is not None and mode != "exact":
+        raise ValueError("a rooted probe runs in exact mode only")
     degree = _degrees(graph)
-    core = tau_core(graph, tau, degree=degree)
+    core = tau_core(graph, tau, root, degree=degree)
     if len(core) < 2:
         return False, None
     sub = graph if len(core) == graph.n else induced_subgraph(graph, core)[0]
     side, shortcut = _saturate(sub, tau)
     if shortcut is None:
-        return True, frozenset(core[v] for v in side)
+        witness = frozenset(core[v] for v in side)
+        return True, witness if root is None else witness | {root}
     threshold = shortcut.tau.numerator  # scale * tau
     if mode == "exact":
-        cuts = t_cuts_below(
-            shortcut.network,
-            shortcut.t,
-            limit=threshold,
-            sources=[i for i, v in enumerate(core) if degree[v] * tau.denominator > tau.numerator],
-        )
+        if root is None:
+            sources = [i for i, v in enumerate(core) if degree[v] * tau.denominator > tau.numerator]
+        else:
+            sources = [core.index(root)]
+        cuts = t_cuts_below(shortcut.network, shortcut.t, limit=threshold, sources=sources)
         if sides is not None:
             sides.extend(frozenset(core[v] for v in cut.source_side) for cut in cuts)
         cut = min(cuts, key=lambda cut: cut.value, default=None)
@@ -342,7 +352,8 @@ def _denser_subset(graph: WeightedGraph, s_set: frozenset[int], rho: Fraction) -
 def verify_core_explain(
     graph: WeightedGraph, k: int, candidate
 ) -> tuple[bool, str | None]:
-    """Dense-core check returning (verdict, failed condition or None)."""
+    """Dense-core check returning (verdict, failed condition or None): the
+    size bound, then one exact probe per half (see above)."""
     s_set = frozenset(candidate)
     if not s_set:
         raise GraphError("the candidate set is empty")
@@ -361,17 +372,8 @@ def verify_core_explain(
     if denser is not None:
         return False, denser
     contracted, forward = contract(graph, s_set)
-    merged = forward[min(s_set)]
-    core = tau_core(contracted, rho, root=merged)
-    if len(core) == 1:  # no vertex outside S can join a set as dense as S
-        return True, None
-    if len(core) < contracted.n:
-        contracted, _ = induced_subgraph(contracted, core)
-        merged = core.index(merged)
-    h2 = build_goldberg(contracted, rho, root=merged)
-    f2 = max_flow(h2.network, h2.s, h2.t)
-    densest_side = min_cut_vertex_side(h2, f2)
-    if densest_side != frozenset({merged}):
+    root = forward[min(s_set)]
+    if _probe(contracted, _below(rho, contracted.n), contracted.n, root=root)[0]:
         return False, "a proper superset is at least as dense"
     return True, None
 

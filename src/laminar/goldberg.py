@@ -8,7 +8,8 @@ identities below carry that factor.
 
 The shortcut network is built from the residual graph of a saturating s-t max
 flow by splicing out the edge nodes; its cuts over vertex sets X have value
-scale * (tau|X| - c(E[X])).
+scale * (tau|X| - c(E[X])).  Every density question the library asks, rooted
+at a vertex or not, is read off these two networks (see `densecore`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .flow import (
     FlowError,
     FlowResult,
     _derived,
-    max_flow,
+    max_flow,  # noqa: F401  (bench/test_bench.py looks it up here)
     max_source_side,
     validate_flow,
 )
@@ -50,7 +51,6 @@ class GoldbergNetwork:
     scale: int
     endpoint_arcs: tuple[tuple[int, int], ...]  # per edge: arcs e->u, e->v
     sink_arcs: tuple[int, ...]  # per vertex: arc v -> t
-    root: int | None = None  # vertex forced into the source side, if any
 
     def edge_node(self, edge_index: int) -> int:
         return self.graph.n + edge_index
@@ -73,24 +73,18 @@ class ModifiedNetwork:
     edge_arcs: tuple[tuple[int, int], ...]
 
 
-def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = None) -> GoldbergNetwork:
-    """Density network for (graph, tau); tau must be positive.
-
-    With `root`, an extra INF arc s->root forces the root vertex into every
-    finite source side.
-    """
+def build_goldberg(graph: WeightedGraph, tau: Fraction) -> GoldbergNetwork:
+    """Density network for (graph, tau); tau must be positive."""
     tau = Fraction(tau)
     if tau <= 0:
         raise GoldbergError("tau must be positive")
     scale = tau.denominator
     sink_cap = tau.numerator  # scale * tau
     n, m = graph.n, graph.m
-    if root is not None and not 0 <= root < n:
-        raise GoldbergError("root vertex out of range")
     s = n + m
     t = n + m + 1
     # Per edge e: arcs 3e (s -> e), 3e+1 (e -> u), 3e+2 (e -> v); then one
-    # arc v -> t per vertex, and s -> root last.
+    # arc v -> t per vertex.
     tails: list[int] = []
     heads: list[int] = []
     caps: list[int | float] = []
@@ -102,10 +96,6 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = No
     tails += range(n)
     heads += [t] * n
     caps += [sink_cap] * n
-    if root is not None:
-        tails.append(s)
-        heads.append(root)
-        caps.append(INF)
     return GoldbergNetwork(
         graph=graph,
         network=_derived(n + m + 2, tails, heads, caps),
@@ -115,7 +105,6 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction, *, root: int | None = No
         scale=scale,
         endpoint_arcs=tuple((3 * i + 1, 3 * i + 2) for i in range(m)),
         sink_arcs=tuple(range(3 * m, 3 * m + n)),
-        root=root,
     )
 
 
@@ -123,13 +112,10 @@ def expected_cut_value(h: GoldbergNetwork, side_vertices, side_edges) -> int | f
     """Closed-form cut value of source side {s} + side_edges + side_vertices.
 
     scale * (c(E) - c(S_E) + tau * |S_V|) when every chosen edge has both
-    endpoints chosen, INF otherwise (an INF arc would cross).  The rooted
-    variant additionally needs the root inside S_V.
+    endpoints chosen, INF otherwise (an INF arc would cross).
     """
     sv = frozenset(side_vertices)
     se = frozenset(side_edges)
-    if h.root is not None and h.root not in sv:
-        return INF
     for idx in se:
         u, v, _ = h.graph.edges[idx]
         if u not in sv or v not in sv:
@@ -150,24 +136,19 @@ def min_cut_vertex_side(h: GoldbergNetwork, flow: FlowResult) -> frozenset[int]:
     return frozenset(v for v in side if v < h.graph.n)
 
 
-def build_modified(h: GoldbergNetwork, flow: FlowResult | None = None) -> ModifiedNetwork:
-    """Shortcut network of h from a saturating max flow.
+def build_modified(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
+    """Shortcut network of h from a saturating max flow on it.
 
     The flow must have value scale*c(E) (all s-arcs saturated); otherwise the
-    construction's cut identity does not hold and this raises.  When `flow` is
-    omitted it is computed here; when given with assertions enabled it is
-    validated rather than trusted (a feasible flow at the saturation value is
-    necessarily maximum, so a linear check suffices).  Without them, a given
-    flow that leaves a shortcut capacity negative still raises FlowError.
+    construction's cut identity does not hold and this raises.  With
+    assertions enabled the flow is validated rather than trusted (a feasible
+    flow at the saturation value is necessarily maximum, so a linear check
+    suffices).  Without them, a flow that leaves a shortcut capacity negative
+    still raises FlowError.
     """
-    if h.root is not None:
-        raise GoldbergError("shortcut network is only defined for the unrooted variant")
-    target = h.saturation_target()
-    if flow is None:
-        flow = max_flow(h.network, h.s, h.t, limit=target)
-    elif __debug__:
+    if __debug__:
         validate_flow(h.network, flow, h.s, h.t)
-    if flow.value < target:
+    if flow.value < h.saturation_target():
         raise GoldbergError(
             "s-t max flow does not saturate the source arcs; "
             "shortcut network is undefined"

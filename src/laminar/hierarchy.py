@@ -10,8 +10,9 @@ skew-density in the graph it was contracted from, which equals the cut
 ratio of the all-singleton min-ratio cut of that node's contracted
 subgraph.
 
-An exact hierarchy is checked once, when it is complete, by a certificate
-of the whole tree (`_certify_tree`) instead of once per round.  For an
+Every hierarchy, exact or randomized, is checked once, when it is
+complete, by a certificate of the whole tree (`_certify_tree`), so a
+randomized build cannot return a wrong tree silently.  For an
 internal node X with children C_1..C_r, let G_X be the graph on the
 children, each contracted to one node, with the edges charged to X: those
 of G[X] that join two different children.  Besides the tree's shape, the
@@ -180,7 +181,8 @@ def build_hierarchy(
     mode "exact" wires every internal cut subroutine to the exhaustive exact
     implementations; "randomized" exercises the sparsify/pack/sample pipeline
     and, if MAX_RESTARTS full size sweeps accept nothing, falls back to exact
-    for that iteration rather than failing.
+    for that iteration rather than failing.  In both modes the finished tree
+    must pass the certificate, or this raises RuntimeError.
     """
     if graph.n == 0:
         raise GraphError("hierarchy of the empty graph is undefined")
@@ -205,10 +207,9 @@ def build_hierarchy(
                 frozenset().union(*(c.vertex_set for c in children)), children, sigma
             )
         registry = nodes
-    if mode == "exact":
-        violations = _certify_tree(graph, registry[0])
-        if violations:
-            raise RuntimeError(f"the exact hierarchy fails its certificate: {violations[0]}")
+    violations = _certify_tree(graph, registry[0])
+    if violations:
+        raise RuntimeError(f"the {mode} hierarchy fails its certificate: {violations[0]}")
     return HierarchyTree(root=registry[0], graph=graph)
 
 

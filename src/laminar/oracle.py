@@ -327,8 +327,10 @@ def frank_wolfe_entropy(
     unit edges, at most 200 in total).  The linear step is a minimum-weight
     spanning tree against the gradient 1 + ln x (clipped near zero), the step
     size is 2/(t+2), and the start point is the average of n random spanning
-    trees.
+    trees.  Raises ValueError unless iterations is at least 1.
     """
+    if iterations < 1:
+        raise ValueError(f"Frank-Wolfe needs at least 1 iteration, got {iterations}")
     if not graph.is_connected() or graph.n == 0:
         raise ValueError("entropy oracle needs a connected, nonempty graph")
     if graph.total_weight() > UNIT_EDGE_GUARD:  # the expansion's length, without building it

@@ -18,6 +18,7 @@ from laminar import (
     build_modified,
     compute_arboricity,
     ideal_loads,
+    max_flow,
     min_max_loads,
     t_bar_mincut,
 )
@@ -36,7 +37,7 @@ class TestTBarMincut:
     def test_shortcut_network_of_path_near_max_density(self, trubin_path):
         tau = Fr(100) - Fr(1, 128)
         h = build_goldberg(trubin_path, tau)
-        m = build_modified(h)
+        m = build_modified(h, max_flow(h.network, h.s, h.t, limit=h.saturation_target()))
         cut = t_bar_mincut(m.network, m.t)
         assert cut.source_side == {2, 3}
         assert cut.value < m.tau.numerator  # below scale * tau

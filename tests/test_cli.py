@@ -273,6 +273,12 @@ class TestErrors:
         code, out, _ = run_cli(capsys, "oracle", "hierarchy", path_file, "--format", "dot")
         assert code == 0 and out.startswith("digraph")
 
+    @pytest.mark.parametrize("iterations", ["0", "-5"])
+    def test_entropy_check_needs_an_iteration(self, capsys, path_file, iterations):
+        code, out, err = run_cli(capsys, "entropy-check", path_file, "--iterations", iterations)
+        assert code == 2 and out == ""
+        assert f"at least 1 iteration, got {iterations}" in err
+
     def test_malformed_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 1\n0 2 5\n")

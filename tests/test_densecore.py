@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as Fr
 from itertools import combinations
 
@@ -21,7 +22,13 @@ from laminar import (
     skew_density,
     verify_core,
 )
-from laminar.densecore import _denser_subset, _maximal_densest, tau_core, verify_core_explain
+from laminar.densecore import (
+    _denser_subset,
+    _maximal_densest,
+    _probe,
+    tau_core,
+    verify_core_explain,
+)
 from laminar.flow import max_flow, t_mincut_exhaustive
 from laminar.goldberg import build_goldberg, build_modified
 from laminar.graph import GraphError, contract, induced_subgraph
@@ -388,26 +395,77 @@ class TestTauCore:
     def test_verify_core_accepts_each_path_star_without_a_rooted_network(
         self, monkeypatch
     ):
+        # On a rising path each top pair is a dense core.  Its superset
+        # probe, rooted at the pair's node in the contracted path, peels
+        # every other vertex, so it builds no network; the subset probe
+        # builds one.
         import laminar.densecore as dc
 
-        rooted: list[int] = []
-        build = dc.build_goldberg
+        rooted: list[bool] = []  # per running probe: is it rooted?
+        built: list[bool] = []  # per density network: built by a rooted probe?
+        probe_at, build = dc._probe, dc.build_goldberg
 
-        def counting_build(graph, tau, *, root=None):
-            if root is not None:
-                rooted.append(root)
-            return build(graph, tau, root=root)
+        def probing(*args, root=None, **kwargs):
+            rooted.append(root is not None)
+            try:
+                return probe_at(*args, root=root, **kwargs)
+            finally:
+                rooted.pop()
 
+        def counting_build(graph, tau):
+            built.append(rooted[-1])
+            return build(graph, tau)
+
+        monkeypatch.setattr(dc, "_probe", probing)
         monkeypatch.setattr(dc, "build_goldberg", counting_build)
         g = rising_path(60)
         for top in range(g.n - 1, 0, -1):
             star = {top - 1, top}
             assert verify_core(g, 2, star)
             g, _ = contract(g, star)
-        assert g.n == 1 and rooted == []
+        assert g.n == 1 and built == [False] * 59
         # A superset as dense as the set survives the peel and is found.
         ok, reason = verify_core_explain(WeightedGraph.from_edges(3, [(0, 1, 4), (1, 2, 4)]), 3, {0, 1})
-        assert not ok and "superset" in reason and rooted
+        assert not ok and "superset" in reason and built[-1]
+
+
+class TestRootedProbe:
+    def test_matches_brute_force(self):
+        # Does some X that contains the root, of two vertices or more, have
+        # c(E[X]) > tau(|X|-1)?  Thresholds are densities of random sets
+        # containing the root, each also one unit of its denominator off,
+        # so both answers and ties come up; every third graph is split.
+        rng = random.Random(1703)
+        answers = {True: 0, False: 0}
+        for trial in range(150):
+            n = rng.randint(2, 8)
+            g = random_connected_graph(rng, n, max_weight=rng.choice((1, 3, 9)))
+            if trial % 3 == 0:
+                g = WeightedGraph.from_edges(n, [e for e in g.edges if rng.random() < 0.6])
+            sets = [
+                (frozenset(x), g.weight_inside(x))
+                for size in range(2, n + 1)
+                for x in combinations(range(n), size)
+            ]
+            for _ in range(4):
+                root = rng.randrange(n)
+                x = {root, *rng.sample([v for v in range(n) if v != root], rng.randint(1, n - 1))}
+                tau = Fr(g.weight_inside(x), len(x) - 1)
+                tau += rng.choice((-1, 0, 1)) * Fr(1, tau.denominator * rng.randint(1, 3))
+                if tau <= 0:
+                    continue
+                expected = any(root in y and inside > tau * (len(y) - 1) for y, inside in sets)
+                found, witness = _probe(g, tau, n, root=root)
+                assert found == expected, (g.edges, root, tau)
+                if found:
+                    assert root in witness and len(witness) >= 2
+                    assert g.weight_inside(witness) > tau * (len(witness) - 1)
+                answers[found] += 1
+        assert min(answers.values()) >= 100
+
+    def test_rooted_probe_is_exact_only(self, trubin_path):
+        with pytest.raises(ValueError, match="exact mode only"):
+            _probe(trubin_path, Fr(1), 2, "randomized", random.Random(0), root=0)
 
 
 class TestPastTheOracleGuards:
@@ -450,6 +508,86 @@ class TestPastTheOracleGuards:
             # The floor held at every root, so tau is the maximum density.
             assert skew_density(g, result.candidate) == tau
             assert verify_core(g, g.n, result.candidate)
+
+
+    def test_superset_half_against_networkx_rooted_networks(self):
+        # Past the brute-force guards, an independent density network on
+        # networkx decides the superset half.  With every vertex of S tied
+        # to s by an infinite arc, at tau = rho(S) - 1/(n den rho(S)), its
+        # min cut is scale*(c(E) - max over X containing S of
+        # (c(E[X]) - tau|X|)).  For X = S | Y the score exceeds S's own
+        # iff c(E[X]) - c(E[S]) - rho|Y| > -|Y|/(n den rho), which holds iff
+        # X is at least as dense as S; so the cut falls below S's own side
+        # iff some proper superset is at least as dense.  Sets are edges or
+        # densest sets of connected induced subgraphs, which pass the subset
+        # half; graphs are connected or split in two.
+        nx = pytest.importorskip("networkx")
+
+        def superset_as_dense(g, s_set):
+            rho = skew_density(g, s_set)
+            tau = rho - Fr(1, g.n * rho.denominator)
+            scale, sink_cap = tau.denominator, tau.numerator
+            net = nx.DiGraph()
+            for idx, (u, v, w) in enumerate(g.edges):
+                net.add_edge("s", ("e", idx), capacity=scale * w)
+                net.add_edge(("e", idx), u)  # no capacity: infinite
+                net.add_edge(("e", idx), v)
+            for v in range(g.n):
+                net.add_edge(v, "t", capacity=sink_cap)
+            for v in s_set:
+                net.add_edge("s", v)
+            own = scale * (g.total_weight() - g.weight_inside(s_set)) + sink_cap * len(s_set)
+            return nx.minimum_cut_value(net, "s", "t") < own
+
+        def split_graph(rng, n, max_weight):
+            a = rng.randint(1, n - 1)
+            label = list(range(n))
+            rng.shuffle(label)
+            edges = [
+                (label[u + offset], label[v + offset], w)
+                for offset, size in ((0, a), (a, n - a))
+                for u, v, w in random_connected_graph(rng, size, max_weight).edges
+            ]
+            return WeightedGraph.from_edges(n, edges)
+
+        def grown_set(rng, g, size):
+            adjacent = [[] for _ in range(g.n)]
+            for u, v, _ in g.edges:
+                adjacent[u].append(v)
+                adjacent[v].append(u)
+            start = rng.randrange(g.n)
+            grown, frontier = {start}, list(adjacent[start])
+            while frontier and len(grown) < size:
+                v = frontier.pop(rng.randrange(len(frontier)))
+                if v not in grown:
+                    grown.add(v)
+                    frontier += adjacent[v]
+            return grown
+
+        rng = random.Random(1717)
+        outcomes: Counter = Counter()
+        for trial in range(400):
+            n = rng.randint(8, 30)
+            max_weight = rng.choice((1, 4, 20))
+            split = trial % 2 == 1
+            g = (split_graph if split else random_connected_graph)(rng, n, max_weight)
+            for _ in range(4):
+                if rng.random() < 0.5:
+                    u, v, _ = rng.choice(g.edges)
+                    s_set = {u, v}
+                else:
+                    sub, to_orig = induced_subgraph(g, grown_set(rng, g, rng.randint(2, n)))
+                    if sub.n < 2:
+                        continue
+                    s_set = {to_orig[x] for x in find_star_full(sub, sub.n).candidate}
+                ok, reason = verify_core_explain(g, g.n, s_set)
+                assert reason is None or "subset" not in reason, (g.edges, s_set)
+                if outcomes[split, ok] < 50:
+                    assert ok != superset_as_dense(g, s_set), (g.edges, sorted(s_set))
+                    outcomes[split, ok] += 1
+            if len(outcomes) == 4 and min(outcomes.values()) >= 40:
+                break
+        assert len(outcomes) == 4 and min(outcomes.values()) >= 40, outcomes
 
 
 class TestVerifyCore:

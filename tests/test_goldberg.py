@@ -25,6 +25,11 @@ def subsets(items):
         yield from (frozenset(c) for c in combinations(items, size))
 
 
+def saturating_flow(h):
+    """The density network's max flow, stopped at the saturation value."""
+    return max_flow(h.network, h.s, h.t, limit=h.saturation_target())
+
+
 def network_side(h, side_vertices, side_edges):
     return {h.s} | set(side_vertices) | {h.edge_node(i) for i in side_edges}
 
@@ -119,46 +124,10 @@ class TestMinCutSide:
                     assert len(x) <= len(side)
 
 
-class TestRooted:
-    def test_path_rooted_at_heavy_vertex(self, trubin_path):
-        h = build_goldberg(trubin_path, Fr(50), root=2)
-        flow = max_flow(h.network, h.s, h.t)
-        assert min_cut_vertex_side(h, flow) == {2, 3}
-
-    def test_isolated_root_with_large_tau(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 2)])
-        h = build_goldberg(g, Fr(1000), root=2)
-        flow = max_flow(h.network, h.s, h.t)
-        assert min_cut_vertex_side(h, flow) == {2}
-
-    def test_path_rooted_at_light_vertex(self, trubin_path):
-        # Over sets containing a, both {a} and {a,c,d} reach the maximum -50;
-        # the extraction takes the larger.
-        h = build_goldberg(trubin_path, Fr(50), root=0)
-        flow = max_flow(h.network, h.s, h.t)
-        assert min_cut_vertex_side(h, flow) == {0, 2, 3}
-
-    def test_rooted_matches_enumeration(self):
-        rng = random.Random(77)
-        for _ in range(15):
-            g = random_connected_graph(rng, rng.randint(2, 6))
-            root = rng.randrange(g.n)
-            tau = Fr(rng.randint(1, g.total_weight() + 3), rng.randint(1, 3))
-            h = build_goldberg(g, tau, root=root)
-            flow = max_flow(h.network, h.s, h.t)
-            side = min_cut_vertex_side(h, flow)
-
-            def objective(x):
-                return g.weight_inside(x) - tau * len(x)
-
-            best = max(objective(x) for x in subsets(range(g.n)) if root in x)
-            assert root in side and objective(side) == best
-
-
 class TestModifiedNetwork:
     def test_unit_triangle_pair(self, unit_triangle):
         h = build_goldberg(unit_triangle, Fr(2))
-        m = build_modified(h)
+        m = build_modified(h, saturating_flow(h))
         assert m.network.cut_value({0, 1}) == 3  # 2*2 - 1
         assert expected_modified_cut_value(m, {0, 1}) == 3
         assert m.network.cut_value(set()) == 0
@@ -166,17 +135,14 @@ class TestModifiedNetwork:
     def test_precondition_rejected_when_tau_too_small(self, trubin_path):
         # At tau=2 the densest side keeps the flow below c(E).
         h = build_goldberg(trubin_path, Fr(2))
+        flow = saturating_flow(h)
+        assert flow.value < h.saturation_target()
         with pytest.raises(GoldbergError):
-            build_modified(h)
-
-    def test_rooted_variant_rejected(self, unit_triangle):
-        h = build_goldberg(unit_triangle, Fr(2), root=0)
-        with pytest.raises(GoldbergError):
-            build_modified(h)
+            build_modified(h, flow)
 
     def test_structure_counts(self, trubin_path):
         h = build_goldberg(trubin_path, Fr(201, 2))
-        m = build_modified(h)
+        m = build_modified(h, saturating_flow(h))
         # One arc per (edge, direction) plus one per vertex into t.
         assert m.network.arc_count == 2 * trubin_path.m + trubin_path.n
         for idx, (uv, vu) in enumerate(m.edge_arcs):

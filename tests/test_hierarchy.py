@@ -351,7 +351,8 @@ class TestAcceptStarSet:
     def test_randomized_fallback_is_one_exact_search(self, monkeypatch):
         # With the sampler always missing, a contraction either accepts a
         # randomized candidate or, after every restart's full size sweep,
-        # runs one exact search and accepts its candidate.
+        # runs one exact search and accepts its candidate.  One tree
+        # certificate follows the last contraction, as in exact mode.
         import laminar.densecore as dc
         import laminar.dircut as dircut
         from laminar.hierarchy import MAX_RESTARTS, _sweep_sizes
@@ -371,7 +372,7 @@ class TestAcceptStarSet:
                 rounds[-1].append(event)
                 if event == ("verify", True):
                     rounds.append([])
-            assert rounds.pop() == []
+            assert rounds.pop() == [("certify", g.n)]
             assert len(rounds) == sum(1 for _ in tree.internal_nodes())
             for events_of_round in rounds:
                 finds = [event for event in events_of_round if event[0] == "find"]
@@ -385,6 +386,19 @@ class TestAcceptStarSet:
                 assert modes == ["randomized"] * sweep + ["exact"]
                 assert events_of_round[-2:] == [finds[-1], ("verify", True)]
         assert fallbacks > 0
+
+
+    def test_randomized_build_raises_on_a_star_that_fails_the_certificate(
+        self, monkeypatch, unit_triangle
+    ):
+        # Contracting the 2-set {0, 1} of the unit triangle first gives a
+        # node at density 1 under a root at density 2: sigma falls instead
+        # of rising, so the end certificate refuses the randomized tree.
+        import laminar.hierarchy as hz
+
+        monkeypatch.setattr(hz, "_randomized_star", lambda cur, rng, eps: frozenset(range(2)))
+        with pytest.raises(RuntimeError, match="randomized hierarchy fails its certificate"):
+            build_hierarchy(unit_triangle, mode="randomized", rng=random.Random(0))
 
 
 class TestContractionSafety:

@@ -213,6 +213,13 @@ class TestFrankWolfe:
         with pytest.raises(ValueError):
             frank_wolfe_entropy(WeightedGraph.from_edges(3, [(0, 1, 1)]), 10)
 
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_rejects_fewer_than_one_iteration_first(self, iterations):
+        # Before any other check: an oversized graph still gets this error.
+        for g in (WeightedGraph.from_edges(2, [(0, 1, 2)]), WeightedGraph.from_edges(2, [(0, 1, 10**6)])):
+            with pytest.raises(ValueError, match="at least 1 iteration"):
+                frank_wolfe_entropy(g, iterations)
+
     def test_size_guard_refuses_before_expanding(self):
         # 200 unit edges are allowed; one more is refused before the
         # expansion into unit edges is built, whatever the weight.
