@@ -74,27 +74,6 @@ def hierarchy_to_json(tree: HierarchyTree) -> dict:
     return top
 
 
-def hierarchy_from_json(data: dict, graph: WeightedGraph) -> HierarchyTree:
-    # Nodes are immutable, so each is built after its children: an entry is
-    # pushed once to expand it and once more to build it.
-    built: dict[int, HierarchyNode] = {}
-    stack = [(data, False)]
-    while stack:
-        entry, expanded = stack.pop()
-        children = entry.get("children", [])
-        if not expanded:
-            stack.append((entry, True))
-            stack.extend((child, False) for child in children)
-            continue
-        sigma = Fraction(entry["sigma"]) if "sigma" in entry else None
-        built[id(entry)] = HierarchyNode(
-            frozenset(entry["vertices"]),
-            tuple(built[id(child)] for child in children),
-            sigma,
-        )
-    return HierarchyTree(root=built[id(data)], graph=graph)
-
-
 def hierarchy_json_text(tree: HierarchyTree) -> str:
     """json.dumps(hierarchy_to_json(tree), indent=2), without recursion.
 
@@ -342,6 +321,8 @@ def _cmd_ideal_loads(args) -> int:
 
 
 def _cmd_densest(args) -> int:
+    if args.k is not None and args.mode == "exact":
+        raise CliError("--k sizes the randomized search only; exact mode takes no --k")
     graph = _read_graph(args.file)
     _require_connected(graph, "densest set search")
     k = args.k if args.k is not None else max(1, graph.n)
@@ -498,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("densest", help="maximum skew-densest vertex set")
     _add_input(p)
     _add_search(p)
-    p.add_argument("--k", type=int, default=None, help="size bound for the search")
+    p.add_argument("--k", type=int, help="size parameter of the randomized search (default n)")
     p.set_defaults(func=_cmd_densest)
 
     p = sub.add_parser("verify-core", help="dense-core check for a vertex set")

@@ -1,7 +1,7 @@
 """Flow networks whose min cuts locate skew-dense vertex sets.
 
 For a weighted graph G and a threshold tau > 0 the density network has a node
-per edge and per vertexplus s and t; its s-t min cuts encode
+per edge and per vertex plus s and t; its s-t min cuts encode
 argmax(c(E[X]) - tau|X|).  Because tau is rational and the flow engine wants
 integers, every capacity is multiplied by scale = denominator(tau); all cut
 identities below carry that factor.
@@ -10,6 +10,10 @@ The shortcut network is built from the residual graph of a saturating s-t max
 flow by splicing out the edge nodes; its cuts over vertex sets X have value
 scale * (tau|X| - c(E[X])).  Every density question the library asks, rooted
 at a vertex or not, is read off these two networks (see `densecore`).
+
+Arc layout, for a graph with n vertices and m edges.  Density network: arcs
+3e, 3e+1, 3e+2 are s->e, e->u, e->v for edge e = (u, v), and arc 3m+v is
+v->t.  Shortcut network: arcs 2e, 2e+1 are u->v, v->u, and arc 2m+v is v->t.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ class GoldbergError(ValueError):
 
 @dataclass(frozen=True)
 class GoldbergNetwork:
-    """The density network for (graph, tau), with node/arc bookkeeping.
+    """The density network for (graph, tau), arcs laid out as above.
 
     Node layout: original vertices keep their ids, edge nodes follow
     (n .. n+m-1), then s and t.  Arcs: s->e with capacity scale*c_e, e->u and
@@ -49,8 +53,6 @@ class GoldbergNetwork:
     t: int
     tau: Fraction
     scale: int
-    endpoint_arcs: tuple[tuple[int, int], ...]  # per edge: arcs e->u, e->v
-    sink_arcs: tuple[int, ...]  # per vertex: arc v -> t
 
     def edge_node(self, edge_index: int) -> int:
         return self.graph.n + edge_index
@@ -62,15 +64,14 @@ class GoldbergNetwork:
 
 @dataclass(frozen=True)
 class ModifiedNetwork:
-    """Shortcut network over the original vertices plus t (node id n)."""
+    """Shortcut network over the original vertices plus t (node id n), arcs
+    laid out as above."""
 
     graph: WeightedGraph
     network: DirectedNetwork
     t: int
     tau: Fraction
     scale: int
-    # per original edge: arc ids for the spliced (u,v) and (v,u) arcs
-    edge_arcs: tuple[tuple[int, int], ...]
 
 
 def build_goldberg(graph: WeightedGraph, tau: Fraction) -> GoldbergNetwork:
@@ -83,8 +84,6 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction) -> GoldbergNetwork:
     n, m = graph.n, graph.m
     s = n + m
     t = n + m + 1
-    # Per edge e: arcs 3e (s -> e), 3e+1 (e -> u), 3e+2 (e -> v); then one
-    # arc v -> t per vertex.
     tails: list[int] = []
     heads: list[int] = []
     caps: list[int | float] = []
@@ -103,8 +102,6 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction) -> GoldbergNetwork:
         t=t,
         tau=tau,
         scale=scale,
-        endpoint_arcs=tuple((3 * i + 1, 3 * i + 2) for i in range(m)),
-        sink_arcs=tuple(range(3 * m, 3 * m + n)),
     )
 
 
@@ -157,21 +154,20 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
     n = graph.n
     flows = flow.arc_flows()
     t = n
-    # Per edge: arcs 2e (u -> v) and 2e+1 (v -> u); then v -> t per vertex.
     tails: list[int] = []
     heads: list[int] = []
-    caps: list[int | float] = []
-    for idx, (u, v, _) in enumerate(graph.edges):
-        arc_to_u, arc_to_v = h.endpoint_arcs[idx]
-        # Residual of the reverse of e->u is the flow pushed into u; splicing
-        # u->e->v therefore carries capacity flow(e->u), and symmetrically.
+    for u, v, _ in graph.edges:
         tails += (u, v)
         heads += (v, u)
-        caps += (flows[arc_to_u], flows[arc_to_v])
-    sink_cap = h.tau.numerator
     tails += range(n)
     heads += [t] * n
-    caps += [sink_cap - flows[a] for a in h.sink_arcs]
+    # Splicing u->e->v carries the flow pushed into u, flow(e->u), and
+    # symmetrically; dropping h's s->e arcs, every third before the v->t
+    # arcs, leaves those flows in edge order.
+    sink = 3 * graph.m
+    caps: list[int | float] = flows[:sink]
+    del caps[::3]
+    caps += [h.tau.numerator - f for f in flows[sink:]]
     if min(caps, default=0) < 0:
         raise FlowError("the flow violates an arc capacity")
     return ModifiedNetwork(
@@ -180,7 +176,6 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
         t=t,
         tau=h.tau,
         scale=h.scale,
-        edge_arcs=tuple((2 * i, 2 * i + 1) for i in range(graph.m)),
     )
 
 

@@ -3,12 +3,12 @@
 Construction contracts star sets in rounds: find candidate dense sets,
 check that they are dense cores, contract them, repeat.  An exact round
 contracts every maximal densest set of the current graph at once (they are
-pairwise disjoint, and one search finds them all); a randomized round, and
-its exact fallback, contracts one set, which `verify_core` checks.  Each
-accepted set becomes an internal node whose sigma is the set's
-skew-density in the graph it was contracted from, which equals the cut
-ratio of the all-singleton min-ratio cut of that node's contracted
-subgraph.
+pairwise disjoint, and one search finds them all); a randomized round
+contracts one set that `verify_core` accepts, or else the exact search's
+largest densest set.  Each accepted set becomes an internal node whose
+sigma is the set's skew-density in the graph it was contracted from, which
+equals the cut ratio of the all-singleton min-ratio cut of that node's
+contracted subgraph.
 
 Every hierarchy, exact or randomized, is checked once, when it is
 complete, by a certificate of the whole tree (`_certify_tree`), so a
@@ -79,40 +79,20 @@ class HierarchyNode:
 
     # Equality and repr are what the dataclass would generate, and the hash
     # agrees with equality; all three walk the tree with a stack instead of
-    # recursing through the children.
+    # recursing through the children.  A preorder with each node's number of
+    # children fixes an ordered tree, so walks that agree entry by entry end
+    # together, and zip compares whole trees.
+
+    def _preorder(self) -> Iterator[tuple]:
+        return ((x.__class__, x.vertex_set, x.sigma, len(x.children)) for x in self.walk())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if (
-                b.__class__ is not a.__class__
-                or a.vertex_set != b.vertex_set
-                or a.sigma != b.sigma
-                or len(a.children) != len(b.children)
-            ):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+        return all(a == b for a, b in zip(self._preorder(), other._preorder()))
 
     def __hash__(self):
-        # Bottom up: a node hashes its vertex set, its children's hashes and
-        # its sigma, so equal trees hash equal.
-        hashes: dict[int, int] = {}
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                children = tuple(hashes[id(child)] for child in node.children)
-                hashes[id(node)] = hash((node.vertex_set, children, node.sigma))
-            elif id(node) not in hashes:
-                stack.append((node, True))
-                stack.extend((child, False) for child in node.children)
-        return hashes[id(self)]
+        return hash(tuple(self._preorder()))
 
     def __repr__(self):
         parts: list[str] = []
@@ -233,7 +213,7 @@ def _accept_star_sets(
     them contracted, with the contraction's forward map.  Exact mode takes
     every maximal densest set of one exact search, which the tree
     certificate checks once the hierarchy is complete; randomized mode
-    takes one verified set (see `_randomized_star`).
+    takes one set (see `_randomized_star`).
     """
     if mode == "exact":
         search = find_star_full(cur, cur.n, mode="exact", epsilon=epsilon)
@@ -246,8 +226,10 @@ def _randomized_star(cur: WeightedGraph, rng: random.Random, epsilon: Fraction) 
     """A dense core of cur from the sampling pipeline, else from the exact search.
 
     Sweeps doubling sizes k, accepting a candidate of more than k/2 and at
-    most k vertices that verifies, for MAX_RESTARTS rounds.  The exact
-    search then runs once, ignoring k, and its candidate must verify.
+    most k vertices that verifies, for MAX_RESTARTS rounds.  Then the exact
+    search runs once, ignoring k: the largest maximal densest set is a dense
+    core (no subset is denser, no proper superset as dense), and the end
+    certificate checks it with the rest of the tree.
     """
     for _ in range(MAX_RESTARTS):
         for k in _sweep_sizes(cur.n):
@@ -255,11 +237,7 @@ def _randomized_star(cur: WeightedGraph, rng: random.Random, epsilon: Fraction) 
             candidate = find_star(cur, k, mode="randomized", rng=sub_rng, epsilon=epsilon)
             if k // 2 < len(candidate) <= k and verify_core(cur, k, candidate):
                 return candidate
-    sub_rng = random.Random(rng.getrandbits(64))
-    star = find_star(cur, cur.n, mode="exact", rng=sub_rng, epsilon=epsilon)
-    if not verify_core(cur, cur.n, star):
-        raise RuntimeError(f"{sorted(star)} from the exact search is not a dense core")
-    return star
+    return find_star(cur, cur.n, mode="exact")
 
 
 def node_sigma(tree: HierarchyTree, vertex_set) -> Fraction:

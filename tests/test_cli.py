@@ -10,12 +10,12 @@ import pytest
 
 from laminar import HierarchyNode, HierarchyTree, WeightedGraph, build_hierarchy
 from laminar.cli import (
-    hierarchy_from_json,
     hierarchy_json_text,
     hierarchy_to_dot,
     hierarchy_to_json,
     hierarchy_to_text,
     main,
+    rational,
 )
 from laminar.graph import format_edge_list, parse_edge_list
 
@@ -69,7 +69,12 @@ class TestCommands:
         assert "sum: 3/1" in out
 
     def test_densest(self, capsys, path_file):
-        code, out, _ = run_cli(capsys, "densest", path_file, "--k", "2")
+        code, out, _ = run_cli(capsys, "densest", path_file)
+        assert code == 0
+        assert "densest: 2,3" in out and "density: 100/1" in out
+        code, out, _ = run_cli(
+            capsys, "densest", path_file, "--mode", "randomized", "--k", "2", "--seed", "4"
+        )
         assert code == 0
         assert "densest: 2,3" in out and "density: 100/1" in out
 
@@ -107,15 +112,35 @@ class TestCommands:
         assert code == 0 and "sigma=100/1" in out
 
 
+def json_preorder(data: dict) -> list[tuple]:
+    """(vertices, sigma, number of children) per node of a JSON hierarchy, in
+    preorder, without recursion; a leaf's sigma is None."""
+    entries = []
+    stack = [data]
+    while stack:
+        entry = stack.pop()
+        entries.append((entry["vertices"], entry.get("sigma"), len(entry["children"])))
+        stack.extend(reversed(entry["children"]))
+    return entries
+
+
+def tree_preorder(tree: HierarchyTree) -> list[tuple]:
+    """The same entries read from the tree's nodes."""
+    return [
+        (sorted(x.vertex_set), None if x.sigma is None else rational(x.sigma), len(x.children))
+        for x in tree.nodes()
+    ]
+
+
 class TestJsonRoundTrip:
-    def test_tree_round_trips(self):
+    def test_json_is_the_tree_in_preorder(self):
+        # A preorder with each node's number of children fixes the tree.
         import random
 
         for trial in range(5):
             g = random_connected_graph(random.Random(trial), 6)
             tree = build_hierarchy(g)
-            rebuilt = hierarchy_from_json(hierarchy_to_json(tree), g)
-            assert rebuilt.root == tree.root
+            assert json_preorder(hierarchy_to_json(tree)) == tree_preorder(tree)
 
     def test_json_text_matches_the_standard_encoder(self):
         import random
@@ -174,9 +199,7 @@ class TestDeepHierarchy:
         assert len(dot) == 2 + (2 * depth + 1) + 2 * depth
         assert dot[-2] == "  n0 -> n2;"  # the root's arc to its deep child comes last
 
-        data = hierarchy_to_json(tree)
-        rebuilt = hierarchy_from_json(data, tree.graph)
-        assert hierarchy_to_text(rebuilt) == "\n".join(text)
+        assert json_preorder(hierarchy_to_json(tree)) == tree_preorder(tree)
 
     def test_node_equality_hash_and_repr_at_depth_5000(self):
         depth = self.DEPTH
@@ -278,6 +301,19 @@ class TestErrors:
         code, out, err = run_cli(capsys, "entropy-check", path_file, "--iterations", iterations)
         assert code == 2 and out == ""
         assert f"at least 1 iteration, got {iterations}" in err
+
+    def test_densest_refuses_k_in_exact_mode(self, capsys, tmp_path):
+        # K4 with weights 5 plus a pendant edge: the exact search finds all
+        # of K4, which --k 2 could not bound, so exact mode refuses --k, and
+        # does so before it reads the file.
+        k4 = tmp_path / "k4.txt"
+        k4.write_text("5 7\n0 1 5\n0 2 5\n0 3 5\n1 2 5\n1 3 5\n2 3 5\n3 4 5\n")
+        code, out, _ = run_cli(capsys, "densest", str(k4))
+        assert code == 0 and "densest: 0,1,2,3" in out
+        for path in (str(k4), str(tmp_path / "missing.txt")):
+            code, out, err = run_cli(capsys, "densest", path, "--k", "2")
+            assert code == 2 and out == ""
+            assert "exact mode takes no --k" in err
 
     def test_malformed_line_number(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

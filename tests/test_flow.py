@@ -683,8 +683,8 @@ class TestDerivedNetworks:
         flow = max_flow(h.network, h.s, h.t)
         assert flow.value == h.saturation_target()
         build_modified(h, flow)
-        sink = h.sink_arcs[1]
-        into = h.endpoint_arcs[0][0]
+        sink = 3 * graph.m + 1  # arc 3m+v is v -> t
+        into = 1  # arc 3e+1 is e -> u
         for arc, bad in ((sink, h.tau.numerator + 1), (into, -1)):
             residual = list(flow.residual)
             residual[2 * arc + 1] = bad

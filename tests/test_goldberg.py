@@ -75,7 +75,7 @@ class TestCutValueFormula:
         h = build_goldberg(trubin_path, Fr(7, 3))
         assert h.scale == 3
         assert all(c == INF or isinstance(c, int) for c in h.network.caps)
-        assert h.network.caps[h.sink_arcs[0]] == 7  # scale * tau
+        assert h.network.caps[3 * trubin_path.m] == 7  # arc 3m+v is v -> t, at scale * tau
 
     def test_network_size(self, trubin_path):
         h = build_goldberg(trubin_path, Fr(1))
@@ -145,9 +145,9 @@ class TestModifiedNetwork:
         m = build_modified(h, saturating_flow(h))
         # One arc per (edge, direction) plus one per vertex into t.
         assert m.network.arc_count == 2 * trubin_path.m + trubin_path.n
-        for idx, (uv, vu) in enumerate(m.edge_arcs):
-            pair_sum = m.network.caps[uv] + m.network.caps[vu]
-            assert pair_sum == m.scale * trubin_path.edges[idx][2]
+        for idx, (_, _, w) in enumerate(trubin_path.edges):
+            # arcs 2e and 2e+1 are u -> v and v -> u
+            assert m.network.caps[2 * idx] + m.network.caps[2 * idx + 1] == m.scale * w
 
     def test_cut_identity_on_all_sides(self):
         rng = random.Random(13)

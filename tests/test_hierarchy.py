@@ -259,8 +259,9 @@ class TestAcceptStarSet:
         return events
 
     @staticmethod
-    def record_contractions(monkeypatch):
-        """Log each contraction of a round, as (sets, graph built)."""
+    def record_contractions(monkeypatch, events=None):
+        """Log each contraction of a round, as (sets, graph built), and add a
+        contract event to `events` when given."""
         import laminar.hierarchy as hz
 
         contracted: list[tuple] = []
@@ -269,6 +270,8 @@ class TestAcceptStarSet:
         def contracting(cur, *sets):
             result = real(cur, *sets)
             contracted.append((sets, result[0]))
+            if events is not None:
+                events.append(("contract",))
             return result
 
         monkeypatch.setattr(hz, "contract", contracting)
@@ -350,9 +353,10 @@ class TestAcceptStarSet:
 
     def test_randomized_fallback_is_one_exact_search(self, monkeypatch):
         # With the sampler always missing, a contraction either accepts a
-        # randomized candidate or, after every restart's full size sweep,
-        # runs one exact search and accepts its candidate.  One tree
-        # certificate follows the last contraction, as in exact mode.
+        # randomized candidate that verifies or, after every restart's full
+        # size sweep, runs one exact search and contracts its candidate
+        # without a check of its own.  One tree certificate follows the last
+        # contraction, as in exact mode.
         import laminar.densecore as dc
         import laminar.dircut as dircut
         from laminar.hierarchy import MAX_RESTARTS, _sweep_sizes
@@ -360,6 +364,7 @@ class TestAcceptStarSet:
         monkeypatch.setattr(dc, "find_small_cut", lambda *args, **kwargs: None)
         monkeypatch.setattr(dircut, "find_small_cut", lambda *args, **kwargs: None)
         events = self.record(monkeypatch)
+        self.record_contractions(monkeypatch, events)
         fallbacks = 0
         for trial in range(6):
             g = random_connected_graph(random.Random(500 + trial), 6)
@@ -370,7 +375,7 @@ class TestAcceptStarSet:
             rounds: list[list[tuple]] = [[]]
             for event in events:
                 rounds[-1].append(event)
-                if event == ("verify", True):
+                if event == ("contract",):
                     rounds.append([])
             assert rounds.pop() == [("certify", g.n)]
             assert len(rounds) == sum(1 for _ in tree.internal_nodes())
@@ -379,12 +384,14 @@ class TestAcceptStarSet:
                 modes = [mode for _, mode, _ in finds]
                 if modes[-1] == "randomized":
                     assert set(modes) == {"randomized"}
+                    assert events_of_round[-2:] == [("verify", True), ("contract",)]
                     continue
                 fallbacks += 1
                 n = finds[-1][2]
                 sweep = MAX_RESTARTS * len(_sweep_sizes(n))
                 assert modes == ["randomized"] * sweep + ["exact"]
-                assert events_of_round[-2:] == [finds[-1], ("verify", True)]
+                assert events_of_round[-2:] == [finds[-1], ("contract",)]
+                assert ("verify", True) not in events_of_round
         assert fallbacks > 0
 
 
@@ -875,3 +882,123 @@ class TestValidate:
         root = HierarchyNode(frozenset(range(3)), (pair, leaves[2]), Fr(2))
         violations = validate_hierarchy(unit_triangle, HierarchyTree(root, unit_triangle))
         assert any("min-ratio" in v for v in violations)
+
+
+def pairwise_eq(self, other):
+    """`HierarchyNode.__eq__` as it was before it compared preorder walks:
+    a pairwise stack, kept here as the reference."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if (
+            b.__class__ is not a.__class__
+            or a.vertex_set != b.vertex_set
+            or a.sigma != b.sigma
+            or len(a.children) != len(b.children)
+        ):
+            return False
+        stack.extend(zip(a.children, b.children))
+    return True
+
+
+def bottom_up_hash(self):
+    """`HierarchyNode.__hash__` as it was: bottom up, each node hashing its
+    vertex set, its children's hashes and its sigma."""
+    hashes: dict[int, int] = {}
+    stack = [(self, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            children = tuple(hashes[id(child)] for child in node.children)
+            hashes[id(node)] = hash((node.vertex_set, children, node.sigma))
+        elif id(node) not in hashes:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+    return hashes[id(self)]
+
+
+def pairwise_verdict(a, b) -> bool:
+    """a == b under `pairwise_eq`, falling back to identity as `==` does when
+    both sides return NotImplemented."""
+    verdict = pairwise_eq(a, b)
+    if verdict is NotImplemented:
+        verdict = pairwise_eq(b, a)
+    return a is b if verdict is NotImplemented else verdict
+
+
+class SubNode(HierarchyNode):
+    """A subclass: its instances never equal a HierarchyNode's."""
+
+
+def copied(root: HierarchyNode, edit=None, at: int = -1) -> HierarchyNode:
+    """A copy of root made of new nodes; the node at preorder position `at`
+    is passed through `edit` once its children are copied."""
+    position = {id(node): i for i, node in enumerate(root.walk())}
+
+    def copy_node(node):
+        new = node.__class__(node.vertex_set, tuple(map(copy_node, node.children)), node.sigma)
+        return edit(new) if position[id(node)] == at else new
+
+    return copy_node(root)
+
+
+class TestNodeEquality:
+    def test_preorder_equality_and_hash_match_the_pairwise_walk(self):
+        # Pairs of built trees, brute-force trees, copies and mutants: sigma
+        # moved by 1/den, children merged, split, moved or reordered, a node
+        # swapped for a subclass instance, and a last grandchild lifted to be
+        # the last child, which keeps the preorder of vertex sets and sigmas
+        # and changes only the child counts.  Both verdicts come up often,
+        # and equal trees hash equal.
+        rng = random.Random(1812)
+        pool = []
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randint(2, 7), max_weight=3)
+            root = build_hierarchy(g).root
+            mutants = [frozen(tree, g) for _, tree in tree_mutants(root, rng)]
+            nodes = list(root.walk())
+
+            def shuffled(x):
+                return replace(x, children=tuple(rng.sample(x.children, len(x.children))))
+
+            def subclassed(x):
+                return SubNode(x.vertex_set, x.children, x.sigma)
+
+            def lifted(x):
+                *rest, last = x.children
+                kept = replace(last, children=last.children[:-1])
+                return replace(x, children=(*rest, kept, last.children[-1]))
+
+            for at, node in enumerate(nodes):
+                if not node.is_leaf:
+                    mutants.append(copied(root, shuffled, at))
+                if not node.is_leaf and not node.children[-1].is_leaf:
+                    mutants.append(copied(root, lifted, at))
+            for at in rng.sample(range(len(nodes)), min(3, len(nodes))):
+                mutants.append(copied(root, subclassed, at))
+            pool.append((root, brute_hierarchy(g).root, mutants))
+        verdicts = Counter()
+        for _ in range(2400):
+            root, brute, mutants = rng.choice(pool)
+            kind = rng.randrange(4)
+            if kind == 0:
+                a = rng.choice([root, *mutants])
+                b = rng.choice((a, copied(a), brute if a is root else copied(a)))
+            elif kind == 1:
+                a, b = root, rng.choice(mutants)
+            elif kind == 2:
+                a, b = root, rng.choice(pool)[0]
+            else:
+                a, b = rng.choice(mutants), rng.choice(mutants)
+            if rng.random() < 0.5:
+                a, b = b, a
+            expected = pairwise_verdict(a, b)
+            assert (a == b) is expected and (a != b) is not expected
+            if expected:
+                assert hash(a) == hash(b) and bottom_up_hash(a) == bottom_up_hash(b)
+            verdicts[expected] += 1
+        assert verdicts[True] >= 200 and verdicts[False] >= 200, verdicts
