@@ -479,7 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("densest", help="maximum skew-densest vertex set")
     _add_input(p)
     _add_search(p)
-    p.add_argument("--k", type=int, help="size parameter of the randomized search (default n)")
+    p.add_argument(
+        "--k",
+        type=int,
+        help=(
+            "set size the randomized sampler searches for (default n); it does "
+            "not bound the printed set, which can be larger"
+        ),
+    )
     p.set_defaults(func=_cmd_densest)
 
     p = sub.add_parser("verify-core", help="dense-core check for a vertex set")

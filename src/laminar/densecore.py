@@ -26,6 +26,24 @@ among the sets that contain the root, and every scanned source's minimal
 t-cut side below scale*tau lies inside the core, and a core of fewer than
 two vertices holds no set denser than tau.
 
+The density network's max flow starts with Dinic's first phase in closed
+form: each edge, in edge order, sends scale*w into u and then into v, as
+far as each one's sink arc has room.  That is exactly the engine's first
+phase.  Its BFS levels are s, the edge nodes, the vertices with an edge,
+and t, since s-arcs (scale*w), e-arcs (INF) and sink arcs (scale*tau) all
+have room and every reverse slot is empty.  Current arcs walk each node's
+arcs in arc order: s takes the edges in edge order, an edge node tries u
+before v, and a vertex's only arc one level deeper is its sink arc.  An INF
+arc never binds, as its substitute exceeds every s-arc, so each path
+s, e, x, t carries what s->e and x->t both have left, and a vertex whose
+sink arc is full is a dead end for the rest of the phase.  After the phase
+the flow has reached scale*c(E), which ends the run, or n*scale*tau, every
+sink arc full, which makes the whole vertex set the largest maximizer; only
+otherwise does Dinic go on, from that residual, and build the engine.  The
+exact scan then runs on the shortcut network's paired layout (see
+`goldberg`): the residual capacities are the same, so the cuts are, with
+half the arcs.
+
 A set S is a dense core when no subset is strictly denser and every proper
 superset is strictly sparser.  `verify_core` asks each half as one exact
 probe: subsets, of G[S] at rho(S); supersets, of G/S rooted at S's node s.
@@ -47,8 +65,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dircut import EPSILON, find_small_cut, size_bounded_t_mincut
-from .flow import max_flow, t_cuts_below
-from .goldberg import ModifiedNetwork, build_goldberg, build_modified, min_cut_vertex_side
+from .flow import FlowResult, max_flow, t_cuts_below
+from .goldberg import (
+    GoldbergNetwork,
+    ModifiedNetwork,
+    _first_phase,
+    build_goldberg,
+    build_modified,
+    build_modified_pairs,
+    min_cut_vertex_side,
+)
 from .graph import (
     GraphError,
     WeightedGraph,
@@ -129,22 +155,32 @@ def _below(tau: Fraction, n: int) -> Fraction:
     return tau - Fraction(1, n * tau.denominator)
 
 
+def _density_flow(h: GoldbergNetwork) -> FlowResult:
+    """`max_flow(h.network, h.s, h.t, limit=scale*c(E))`, its first phase in
+    closed form; Dinic continues only while the target is unmet and some
+    sink arc has room."""
+    flow = _first_phase(h)
+    if flow.reached_limit or flow.value == h.graph.n * h.tau.numerator:
+        return flow
+    more = max_flow(h.network, h.s, h.t, limit=h.saturation_target() - flow.value, start=flow)
+    return FlowResult(flow.value + more.value, more.residual, more.reached_limit)
+
+
 def _saturate(
-    graph: WeightedGraph, tau: Fraction
+    graph: WeightedGraph, tau: Fraction, build=build_modified
 ) -> tuple[frozenset[int] | None, ModifiedNetwork | None]:
     """The density network's max flow at tau, read one of two ways.
 
     When the flow falls short of scale*c(E), returns the largest maximizer of
     c(E[X]) - tau|X| (positive, so denser than tau) and no shortcut network;
-    otherwise no side and the shortcut network.  Neither the density network
-    nor its flow outlives the call.
+    otherwise no side and the shortcut network, laid out by `build`.
+    Neither the density network nor its flow outlives the call.
     """
     h = build_goldberg(graph, tau)
-    target = h.saturation_target()
-    flow = max_flow(h.network, h.s, h.t, limit=target)
-    if flow.value < target:
-        return min_cut_vertex_side(h, flow), None
-    return None, build_modified(h, flow)
+    flow = _density_flow(h)
+    if flow.reached_limit:
+        return None, build(h, flow)
+    return min_cut_vertex_side(h, flow), None
 
 
 def probe(
@@ -205,7 +241,8 @@ def _probe(
     if len(core) < 2:
         return False, None
     sub = graph if len(core) == graph.n else induced_subgraph(graph, core)[0]
-    side, shortcut = _saturate(sub, tau)
+    build = build_modified_pairs if mode == "exact" else build_modified
+    side, shortcut = _saturate(sub, tau, build)
     if shortcut is None:
         witness = frozenset(core[v] for v in side)
         return True, witness if root is None else witness | {root}
@@ -215,7 +252,9 @@ def _probe(
             sources = [i for i, v in enumerate(core) if degree[v] * tau.denominator > tau.numerator]
         else:
             sources = [core.index(root)]
-        cuts = t_cuts_below(shortcut.network, shortcut.t, limit=threshold, sources=sources)
+        cuts = t_cuts_below(
+            shortcut.network, shortcut.t, limit=threshold, sources=sources, start=shortcut.start
+        )
         if sides is not None:
             sides.extend(frozenset(core[v] for v in cut.source_side) for cut in cuts)
         cut = min(cuts, key=lambda cut: cut.value, default=None)

@@ -385,6 +385,7 @@ def t_cuts_below(
     *,
     limit: int | None = None,
     sources: Iterable[int] | None = None,
+    start: FlowResult | None = None,
 ) -> list[STCut]:
     """Per scanned source, its minimal min t-cut when that is below `limit`.
 
@@ -409,6 +410,12 @@ def t_cuts_below(
     minimal side all come out as a flow from zero gives them.  A flow that
     stops at the limit is still a flow to carry, and INF arcs keep their
     finite substitute throughout.
+
+    With `start`, as in `max_flow`, the scan runs on the residual network
+    `start` leaves, each residual slot an arc with what is left on it as
+    capacity: every cut value and side above is that network's, and the
+    first flow continues `start` (used up) as each later one continues the
+    flow before it.
     """
     if net.n < 2:
         raise FlowError("t-mincut needs at least 2 nodes")
@@ -418,7 +425,7 @@ def t_cuts_below(
         sources = range(net.n)
     retired = {t}
     cuts: list[STCut] = []
-    flow = None
+    flow = start
     for s in sources:
         if s in retired:
             continue

@@ -11,9 +11,12 @@ flow by splicing out the edge nodes; its cuts over vertex sets X have value
 scale * (tau|X| - c(E[X])).  Every density question the library asks, rooted
 at a vertex or not, is read off these two networks (see `densecore`).
 
-Arc layout, for a graph with n vertices and m edges.  Density network: arcs
-3e, 3e+1, 3e+2 are s->e, e->u, e->v for edge e = (u, v), and arc 3m+v is
-v->t.  Shortcut network: arcs 2e, 2e+1 are u->v, v->u, and arc 2m+v is v->t.
+Arc layouts, for a graph with n vertices and m edges.  Density network:
+arcs 3e, 3e+1, 3e+2 are s->e, e->u, e->v for edge e = (u, v), and arc 3m+v
+is v->t.  Shortcut network, one-way: arcs 2e, 2e+1 are u->v, v->u, and arc
+2m+v is v->t.  Shortcut network, paired: arc e is u->v and arc m+v is v->t;
+the two residual slots of arc e carry u->v and v->u, so one slot pair per
+edge replaces two one-way arcs that each bring an empty reverse slot.
 """
 
 from __future__ import annotations
@@ -65,13 +68,19 @@ class GoldbergNetwork:
 @dataclass(frozen=True)
 class ModifiedNetwork:
     """Shortcut network over the original vertices plus t (node id n), arcs
-    laid out as above."""
+    laid out as above.
+
+    In the one-way layout `start` is None and the cuts are those of the
+    network's capacities.  In the paired layout they are those of the
+    residual network `start` leaves; a flow run from `start` uses it up.
+    """
 
     graph: WeightedGraph
     network: DirectedNetwork
     t: int
     tau: Fraction
     scale: int
+    start: FlowResult | None = None
 
 
 def build_goldberg(graph: WeightedGraph, tau: Fraction) -> GoldbergNetwork:
@@ -128,13 +137,62 @@ def min_cut_vertex_side(h: GoldbergNetwork, flow: FlowResult) -> frozenset[int]:
     Min-cut source sides of the density network form a lattice; the maximal
     one (everything that cannot reach t in the residual graph) corresponds to
     the unique largest argmax, which is the side downstream extraction wants.
+    A flow of value n*scale*tau fills every sink arc, so nothing reaches t
+    and the side is every vertex, read without a walk.
     """
+    if flow.value == h.graph.n * h.tau.numerator:
+        return frozenset(range(h.graph.n))
     side = max_source_side(h.network, flow, h.t)
     return frozenset(v for v in side if v < h.graph.n)
 
 
+def _first_phase(h: GoldbergNetwork) -> FlowResult:
+    """Dinic's first phase on h in closed form: the residual array, value and
+    limit flag that `max_flow` with limit scale*c(E) holds after it.  Each
+    edge, in edge order, sends scale*w into u and then into v, as far as each
+    one's sink arc has room; `densecore` says why that is the engine's phase.
+    """
+    graph = h.graph
+    n, m, scale = graph.n, graph.m, h.scale
+    sink_cap = h.tau.numerator
+    room = [sink_cap] * n
+    into_u = [0] * m
+    into_v = [0] * m
+    for e, (u, v, w) in enumerate(graph.edges):
+        left = scale * w
+        f = into_u[e] = min(left, room[u])
+        room[u] -= f
+        left -= f
+        f = into_v[e] = min(left, room[v])
+        room[v] -= f
+    big = h.network.finite_total() + 1  # the engine's INF substitute
+    sent = [a + b for a, b in zip(into_u, into_v)]
+    value = sum(sent)
+    # Arc i's residual slots are 2i (left) and 2i+1 (flow), arc ids as above.
+    residual = [0] * (6 * m + 2 * n)
+    residual[0 : 6 * m : 6] = [scale * w - f for (_, _, w), f in zip(graph.edges, sent)]
+    residual[1 : 6 * m : 6] = sent
+    residual[2 : 6 * m : 6] = [big - f for f in into_u]
+    residual[3 : 6 * m : 6] = into_u
+    residual[4 : 6 * m : 6] = [big - f for f in into_v]
+    residual[5 : 6 * m : 6] = into_v
+    residual[6 * m :: 2] = room
+    residual[6 * m + 1 :: 2] = [sink_cap - r for r in room]
+    return FlowResult(value=value, residual=residual, reached_limit=value >= h.saturation_target())
+
+
+def _check_saturating(h: GoldbergNetwork, flow: FlowResult) -> None:
+    if __debug__:
+        validate_flow(h.network, flow, h.s, h.t)
+    if flow.value < h.saturation_target():
+        raise GoldbergError(
+            "s-t max flow does not saturate the source arcs; "
+            "shortcut network is undefined"
+        )
+
+
 def build_modified(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
-    """Shortcut network of h from a saturating max flow on it.
+    """Shortcut network of h from a saturating max flow on it, one-way layout.
 
     The flow must have value scale*c(E) (all s-arcs saturated); otherwise the
     construction's cut identity does not hold and this raises.  With
@@ -143,13 +201,7 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
     suffices).  Without them, a flow that leaves a shortcut capacity negative
     still raises FlowError.
     """
-    if __debug__:
-        validate_flow(h.network, flow, h.s, h.t)
-    if flow.value < h.saturation_target():
-        raise GoldbergError(
-            "s-t max flow does not saturate the source arcs; "
-            "shortcut network is undefined"
-        )
+    _check_saturating(h, flow)
     graph = h.graph
     n = graph.n
     flows = flow.arc_flows()
@@ -176,6 +228,42 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
         t=t,
         tau=h.tau,
         scale=h.scale,
+    )
+
+
+def build_modified_pairs(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
+    """`build_modified` in the paired layout: the same residual capacities.
+
+    Edge e = (u, v) becomes arc u->v, its forward slot seeded with
+    flow(e->u) and its reverse slot with flow(e->v); arc m+v is v->t with
+    capacity scale*tau - flow(v->t).  Each arc's capacity is the sum of its
+    two slots, and `start` holds the slots.  The same checks apply as in
+    `build_modified`, which raises on the same flows.
+    """
+    _check_saturating(h, flow)
+    graph = h.graph
+    n, m = graph.n, graph.m
+    flows = flow.residual[1::2]  # flow on density-network arc i at i
+    sink = 3 * m
+    slots = [0] * (2 * (m + n))
+    slots[0 : 2 * m : 2] = flows[1:sink:3]  # e->u
+    slots[1 : 2 * m : 2] = flows[2:sink:3]  # e->v
+    slots[2 * m :: 2] = [h.tau.numerator - f for f in flows[sink:]]
+    if min(slots, default=0) < 0:
+        raise FlowError("the flow violates an arc capacity")
+    tails = [u for u, _, _ in graph.edges]
+    heads = [v for _, v, _ in graph.edges]
+    tails += range(n)
+    heads += [n] * n
+    caps: list[int | float] = [a + b for a, b in zip(slots[0 : 2 * m : 2], slots[1 : 2 * m : 2])]
+    caps += slots[2 * m :: 2]
+    return ModifiedNetwork(
+        graph=graph,
+        network=_derived(n + 1, tails, heads, caps),
+        t=n,
+        tau=h.tau,
+        scale=h.scale,
+        start=FlowResult(value=0, residual=slots),
     )
 
 

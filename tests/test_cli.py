@@ -78,6 +78,21 @@ class TestCommands:
         assert code == 0
         assert "densest: 2,3" in out and "density: 100/1" in out
 
+    def test_densest_k_does_not_bound_the_printed_set(self, capsys, tmp_path):
+        # K4 with weights 5 plus a pendant edge: the sampler's k sizes its
+        # search only, and the printed set is the whole K4 for every k.
+        graph = tmp_path / "k4.txt"
+        graph.write_text("5 7\n0 1 5\n0 2 5\n0 3 5\n1 2 5\n1 3 5\n2 3 5\n3 4 1\n")
+        for k in ("1", "2", "3"):
+            code, out, _ = run_cli(
+                capsys, "densest", str(graph), "--mode", "randomized", "--k", k, "--seed", "1"
+            )
+            assert (code, out) == (0, "densest: 0,1,2,3\ndensity: 10/1\n")
+        with pytest.raises(SystemExit):
+            main(["densest", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "does not bound the printed set" in help_text
+
     def test_verify_core(self, capsys, path_file):
         code, out, _ = run_cli(capsys, "verify-core", path_file, "--set", "2,3")
         assert code == 0 and out.strip() == "true"

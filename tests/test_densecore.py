@@ -23,14 +23,23 @@ from laminar import (
     verify_core,
 )
 from laminar.densecore import (
+    _below,
+    _degrees,
     _denser_subset,
+    _density_flow,
     _maximal_densest,
     _probe,
+    _saturate,
     tau_core,
     verify_core_explain,
 )
-from laminar.flow import max_flow, t_mincut_exhaustive
-from laminar.goldberg import build_goldberg, build_modified
+from laminar.flow import max_flow, max_source_side, t_cuts_below, t_mincut_exhaustive
+from laminar.goldberg import (
+    _first_phase,
+    build_goldberg,
+    build_modified,
+    build_modified_pairs,
+)
 from laminar.graph import GraphError, contract, induced_subgraph
 
 from .conftest import random_connected_graph
@@ -740,3 +749,109 @@ class TestDenserSubset:
                 outcomes[split, expected] = outcomes.get((split, expected), 0) + 1
                 cases += 1
         assert len(outcomes) == 6 and min(outcomes.values()) >= 40
+
+
+def probe_inputs(rng: random.Random):
+    """Endless (core graph, tau, root in it or None) as the exact probe makes
+    them: random graphs of up to 30 vertices, some with a duplicated edge
+    and some with a unit path hanging off to the root, so that the root can
+    lose every edge to the peel; tau near the density of a random set, often
+    one unit of its denominator off, sometimes that minus delta."""
+    while True:
+        n = rng.randint(2, 28)
+        g = random_connected_graph(rng, n, max_weight=rng.choice((1, 5, 20)))
+        edges = list(g.edges)
+        if rng.random() < 0.3:
+            edges.append(rng.choice(edges))
+        root = None
+        if rng.random() < 0.5:
+            root = rng.randrange(n)
+            if rng.random() < 0.5:
+                edges += [(rng.randrange(n), n, 1), (n, n + 1, 1)]
+                n, root = n + 2, n + 1
+        g = WeightedGraph.from_edges(n, edges)
+        x = rng.sample(range(n), rng.randint(2, n))
+        inside = g.weight_inside(x)
+        if inside == 0:
+            continue
+        tau = Fr(inside, len(x) - rng.randint(0, 1))
+        tau += rng.choice((-1, 0, 0, 1)) * Fr(1, tau.denominator * rng.randint(1, 4))
+        if rng.random() < 0.3:
+            tau = _below(tau, n)
+        if tau <= 0:
+            continue
+        core = tau_core(g, tau, root)
+        if len(core) < 2:
+            continue
+        sub, _ = induced_subgraph(g, core)
+        yield sub, tau, None if root is None else core.index(root)
+
+
+class TestDensityFlow:
+    def test_closed_form_first_phase_is_dinics(self, engine_builds):
+        # The closed form and Dinic's continuation from it leave the same
+        # value, residual array and limit flag as a run from zero, and the
+        # probe's flow, shortcut network and side build no engine when the
+        # first phase saturates every s-arc or every sink arc.
+        rng = random.Random(191)
+        endings = Counter()
+        isolated_roots = fractional = parallel = 0
+        inputs = probe_inputs(rng)
+        for _ in range(2400):
+            sub, tau, root = next(inputs)
+            h = build_goldberg(sub, tau)
+            target = h.saturation_target()
+            first = _first_phase(h)
+            if first.reached_limit:
+                ending = "target"
+            elif first.value == sub.n * tau.numerator:
+                ending = "sinks full"
+            else:
+                ending = "dinic"
+            endings[ending] += 1
+            engine_builds.clear()
+            got = _density_flow(h)
+            side, _ = _saturate(sub, tau, build_modified_pairs)
+            assert len(engine_builds) == 2 * (ending == "dinic")
+            ref = max_flow(h.network, h.s, h.t, limit=target)
+            assert (got.value, got.residual, got.reached_limit) == (
+                ref.value, ref.residual, ref.reached_limit
+            ), (sub.edges, tau)
+            if not ref.reached_limit:
+                walked = max_source_side(h.network, ref, h.t)
+                assert side == walked.intersection(range(sub.n))
+            isolated_roots += root is not None and _degrees(sub)[root] == 0
+            fractional += tau.denominator > 1
+            parallel += len(sub.merged_edges()) < sub.m
+        assert min(endings.values()) >= 100, endings
+        assert isolated_roots >= 50 and fractional >= 1000 and parallel >= 200
+
+    def test_paired_scan_records_the_one_way_scans_cuts(self):
+        # On saturated probes, the scan of the paired shortcut network from
+        # its seeded residual records the same sides, values and order as
+        # the scan of the one-way network, rooted or from every vertex of
+        # degree above tau.
+        rng = random.Random(192)
+        scans = Counter()
+        inputs = probe_inputs(rng)
+        while sum(scans.values()) < 1200:
+            sub, tau, root = next(inputs)
+            h = build_goldberg(sub, tau)
+            flow = max_flow(h.network, h.s, h.t, limit=h.saturation_target())
+            if not flow.reached_limit:
+                continue
+            if root is None:
+                degree = _degrees(sub)
+                sources = [v for v in range(sub.n) if degree[v] * tau.denominator > tau.numerator]
+            else:
+                sources = [root]
+            one_way = build_modified(h, flow)
+            paired = build_modified_pairs(h, flow)
+            limit = tau.numerator
+            expected = t_cuts_below(one_way.network, one_way.t, limit=limit, sources=sources)
+            got = t_cuts_below(
+                paired.network, paired.t, limit=limit, sources=sources, start=paired.start
+            )
+            assert got == expected, (sub.edges, tau, root)
+            scans[root is None, bool(expected)] += 1
+        assert len(scans) == 4 and min(scans.values()) >= 50, scans

@@ -657,6 +657,8 @@ class TestDerivedNetworks:
             if flow.value == h.saturation_target():
                 shortcut = build_modified(h, flow)
                 same(shortcut.network, add_arc_copy(shortcut.network))
+                paired = goldberg.build_modified_pairs(h, flow)
+                same(paired.network, add_arc_copy(paired.network))
                 modified += 1
             n = rng.randint(2, 8)
             net = random_digraph(rng, n, arc_prob=0.4, max_cap=rng.choice((9, 10**6)))
@@ -690,6 +692,26 @@ class TestDerivedNetworks:
             residual[2 * arc + 1] = bad
             with pytest.raises(FlowError):
                 build_modified(h, FlowResult(flow.value, residual))
+
+    @pytest.mark.parametrize("validated", [True, False])
+    def test_paired_shortcut_rejects_a_flow_above_a_capacity(self, monkeypatch, validated):
+        # As build_modified: with validate_flow skipped, as under -O, a flow
+        # that leaves a residual slot negative still raises.
+        if not validated:
+            monkeypatch.setattr(goldberg, "validate_flow", lambda *args: None)
+        graph = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
+        h = build_goldberg(graph, Fraction(3))
+        flow = max_flow(h.network, h.s, h.t)
+        assert flow.value == h.saturation_target()
+        paired = goldberg.build_modified_pairs(h, flow)
+        assert paired.start.residual == [2, 0, 1, 0, 1, 0, 2, 0, 3, 0]
+        assert paired.network.caps == [2, 1, 1, 2, 3]
+        sink = 3 * graph.m + 1  # arc 3m+v is v -> t
+        for arc, bad in ((sink, h.tau.numerator + 1), (1, -1), (2, -1)):
+            residual = list(flow.residual)
+            residual[2 * arc + 1] = bad
+            with pytest.raises(FlowError):
+                goldberg.build_modified_pairs(h, FlowResult(flow.value, residual))
 
     @pytest.mark.parametrize("arc", [(3, 0, 1), (0, -1, 1), (0, 1, -1), (0, 1, 1.5)])
     def test_extended_checks_the_new_arcs(self, arc):
