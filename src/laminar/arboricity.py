@@ -3,7 +3,7 @@
 The fractional arboricity is the maximum skew-density over all vertex sets;
 the (integer) arboricity is its ceiling.  The exact densest-set search in
 densecore finds it with a few threshold probes, each one a density-network
-max flow and, when that saturates, a rooted min-cut scan of the shortcut
+max flow and, when that saturates, a per-source t-cut scan of the shortcut
 network.
 """
 

@@ -39,10 +39,12 @@ s, e, x, t carries what s->e and x->t both have left, and a vertex whose
 sink arc is full is a dead end for the rest of the phase.  After the phase
 the flow has reached scale*c(E), which ends the run, or n*scale*tau, every
 sink arc full, which makes the whole vertex set the largest maximizer; only
-otherwise does Dinic go on, from that residual, and build the engine.  The
-exact scan then runs on the shortcut network's paired layout (see
-`goldberg`): the residual capacities are the same, so the cuts are, with
-half the arcs.
+otherwise does Dinic go on, from that residual, and build the engine.  One
+builder, `goldberg.build_modified`, lays the shortcut network out with one
+residual slot pair per edge, and the exact scan runs on it from those
+slots.  The sampling pipeline reads its one-way view instead, the same
+residual capacities as a network of their own, one arc per slot (see
+`goldberg`).
 
 A set S is a dense core when no subset is strictly denser and every proper
 superset is strictly sparser.  `verify_core` asks each half as one exact
@@ -72,7 +74,6 @@ from .goldberg import (
     _first_phase,
     build_goldberg,
     build_modified,
-    build_modified_pairs,
     min_cut_vertex_side,
 )
 from .graph import (
@@ -167,19 +168,19 @@ def _density_flow(h: GoldbergNetwork) -> FlowResult:
 
 
 def _saturate(
-    graph: WeightedGraph, tau: Fraction, build=build_modified
+    graph: WeightedGraph, tau: Fraction
 ) -> tuple[frozenset[int] | None, ModifiedNetwork | None]:
     """The density network's max flow at tau, read one of two ways.
 
     When the flow falls short of scale*c(E), returns the largest maximizer of
     c(E[X]) - tau|X| (positive, so denser than tau) and no shortcut network;
-    otherwise no side and the shortcut network, laid out by `build`.
+    otherwise no side and the shortcut network.
     Neither the density network nor its flow outlives the call.
     """
     h = build_goldberg(graph, tau)
     flow = _density_flow(h)
     if flow.reached_limit:
-        return None, build(h, flow)
+        return None, build_modified(h, flow)
     return min_cut_vertex_side(h, flow), None
 
 
@@ -241,8 +242,7 @@ def _probe(
     if len(core) < 2:
         return False, None
     sub = graph if len(core) == graph.n else induced_subgraph(graph, core)[0]
-    build = build_modified_pairs if mode == "exact" else build_modified
-    side, shortcut = _saturate(sub, tau, build)
+    side, shortcut = _saturate(sub, tau)
     if shortcut is None:
         witness = frozenset(core[v] for v in side)
         return True, witness if root is None else witness | {root}
@@ -261,9 +261,7 @@ def _probe(
     elif mode == "randomized":
         if rng is None:
             raise GraphError("randomized mode needs an RNG stream")
-        cut = find_small_cut(
-            shortcut.network, shortcut.t, threshold, k, rng, epsilon=epsilon
-        )
+        cut = find_small_cut(shortcut.one_way(), shortcut.t, threshold, k, rng, epsilon=epsilon)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if cut is not None and cut.value < threshold:
@@ -354,7 +352,7 @@ def find_star_full(
     # the density network's own min cut then carries a denser set.
     candidate, shortcut = _saturate(graph, _below(tau, graph.n))
     if shortcut is not None:
-        cut = size_bounded_t_mincut(shortcut.network, shortcut.t, k, rng, epsilon=epsilon)
+        cut = size_bounded_t_mincut(shortcut.one_way(), shortcut.t, k, rng, epsilon=epsilon)
         candidate = frozenset(cut.source_side)
     if not candidate or skew_density(graph, candidate) < tau:
         candidate = witness

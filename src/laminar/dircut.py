@@ -6,8 +6,7 @@ t-arborescences fractionally by multiplicative weights, sample a few trees
 from the packing, and take the best cut that crosses a sampled tree on
 exactly one tree arc.  Every candidate is evaluated against the original
 capacities; a miss is a legal outcome and the caller retries or falls back
-to the exhaustive scan, `flow.t_mincut_exhaustive`, which is the only exact
-t-cut search.
+to an exact search, the per-source scan `flow.t_cuts_below`.
 
 Randomness is explicit everywhere: operations take a `random.Random` stream
 or a 64-bit seed, and substreams are derived with getrandbits(64).
@@ -526,7 +525,7 @@ def size_bounded_t_mincut(
     first miss, so each call either lowers the value or ends the search.  It
     is correct w.h.p. when some t-mincut source side has at most k nodes,
     and can only miss (return a cut that is not minimum, never an invalid
-    one); `flow.t_mincut_exhaustive` is the exact search.
+    one); `flow.t_cuts_below` scans for it exactly.
     """
     if any(c == INF for c in net.caps):
         raise DircutError("the sampling pipeline requires finite capacities")

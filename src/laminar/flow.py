@@ -9,9 +9,9 @@ Each network builds its engine once, on first use: residual arrays `to`,
 `base_cap` and `adj` in which arc 2i is network arc i and arc 2i+1 its
 reverse.  A flow is one array over those arcs: `FlowResult.residual` is what
 the engine's run left, so the flow on arc i is residual[2i+1].  Min-cut sides
-are read by walking `adj`/`to` over that array, and per-arc flows are sliced
-out only when asked.  `_Engine.set_cap` edits a capacity in place between
-runs: the 1-respecting cut search in `dircut` lowers one tree arc at a time.
+are read by walking `adj`/`to` over that array.  `_Engine.set_cap` edits a
+capacity in place between runs: the 1-respecting cut search in `dircut`
+lowers one tree arc at a time.
 
 The engine is plain Dinic (blocking flows along shortest augmenting paths,
 strongly polynomial).  Each phase's BFS stops at the level of the nearest
@@ -135,10 +135,6 @@ class FlowResult:
     value: int
     residual: list[int]
     reached_limit: bool = False
-
-    def arc_flows(self) -> list[int]:
-        """The flow on each network arc, in arc order."""
-        return self.residual[1::2]
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,12 @@ at a vertex or not, is read off these two networks (see `densecore`).
 
 Arc layouts, for a graph with n vertices and m edges.  Density network:
 arcs 3e, 3e+1, 3e+2 are s->e, e->u, e->v for edge e = (u, v), and arc 3m+v
-is v->t.  Shortcut network, one-way: arcs 2e, 2e+1 are u->v, v->u, and arc
-2m+v is v->t.  Shortcut network, paired: arc e is u->v and arc m+v is v->t;
-the two residual slots of arc e carry u->v and v->u, so one slot pair per
-edge replaces two one-way arcs that each bring an empty reverse slot.
+is v->t.  Shortcut network, as `build_modified` builds it (paired): arc e is
+u->v and arc m+v is v->t; the two residual slots of arc e carry u->v and
+v->u, so one slot pair per edge replaces two one-way arcs that each bring
+an empty reverse slot.  Its one-way view (`ModifiedNetwork.one_way`), which
+the sampling pipeline reads: arcs 2e, 2e+1 are u->v, v->u with the two
+slots as capacities, and arc 2m+v is v->t.
 """
 
 from __future__ import annotations
@@ -67,12 +69,11 @@ class GoldbergNetwork:
 
 @dataclass(frozen=True)
 class ModifiedNetwork:
-    """Shortcut network over the original vertices plus t (node id n), arcs
-    laid out as above.
+    """Shortcut network over the original vertices plus t (node id n), in the
+    paired layout above.
 
-    In the one-way layout `start` is None and the cuts are those of the
-    network's capacities.  In the paired layout they are those of the
-    residual network `start` leaves; a flow run from `start` uses it up.
+    Its cuts are those of the residual network `start` leaves, not of the
+    network's own capacities; a flow run from `start` uses it up.
     """
 
     graph: WeightedGraph
@@ -80,7 +81,22 @@ class ModifiedNetwork:
     t: int
     tau: Fraction
     scale: int
-    start: FlowResult | None = None
+    start: FlowResult
+
+    def one_way(self) -> DirectedNetwork:
+        """The one-way layout of the same residual capacities, a network
+        whose own cuts are the shortcut network's; read before a flow uses
+        `start` up."""
+        n, m = self.graph.n, self.graph.m
+        tails: list[int] = []
+        heads: list[int] = []
+        for u, v, _ in self.graph.edges:
+            tails += (u, v)
+            heads += (v, u)
+        tails += range(n)
+        heads += [self.t] * n
+        slots = self.start.residual
+        return _derived(n + 1, tails, heads, slots[: 2 * m] + slots[2 * m :: 2])
 
 
 def build_goldberg(graph: WeightedGraph, tau: Fraction) -> GoldbergNetwork:
@@ -181,7 +197,22 @@ def _first_phase(h: GoldbergNetwork) -> FlowResult:
     return FlowResult(value=value, residual=residual, reached_limit=value >= h.saturation_target())
 
 
-def _check_saturating(h: GoldbergNetwork, flow: FlowResult) -> None:
+def build_modified(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
+    """Shortcut network of h from a saturating max flow on it.
+
+    Edge e = (u, v) becomes arc u->v, its forward slot seeded with
+    flow(e->u) and its reverse slot with flow(e->v): splicing u->e->v
+    carries the flow pushed into u, and symmetrically.  Arc m+v is v->t
+    with capacity scale*tau - flow(v->t).  Each arc's capacity is the sum
+    of its two slots, and `start` holds the slots.
+
+    The flow must have value scale*c(E) (all s-arcs saturated); otherwise
+    the construction's cut identity does not hold and this raises.  With
+    assertions enabled the flow is validated rather than trusted (a feasible
+    flow at the saturation value is necessarily maximum, so a linear check
+    suffices).  Without them, a flow that leaves a slot negative still
+    raises FlowError.
+    """
     if __debug__:
         validate_flow(h.network, flow, h.s, h.t)
     if flow.value < h.saturation_target():
@@ -189,58 +220,6 @@ def _check_saturating(h: GoldbergNetwork, flow: FlowResult) -> None:
             "s-t max flow does not saturate the source arcs; "
             "shortcut network is undefined"
         )
-
-
-def build_modified(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
-    """Shortcut network of h from a saturating max flow on it, one-way layout.
-
-    The flow must have value scale*c(E) (all s-arcs saturated); otherwise the
-    construction's cut identity does not hold and this raises.  With
-    assertions enabled the flow is validated rather than trusted (a feasible
-    flow at the saturation value is necessarily maximum, so a linear check
-    suffices).  Without them, a flow that leaves a shortcut capacity negative
-    still raises FlowError.
-    """
-    _check_saturating(h, flow)
-    graph = h.graph
-    n = graph.n
-    flows = flow.arc_flows()
-    t = n
-    tails: list[int] = []
-    heads: list[int] = []
-    for u, v, _ in graph.edges:
-        tails += (u, v)
-        heads += (v, u)
-    tails += range(n)
-    heads += [t] * n
-    # Splicing u->e->v carries the flow pushed into u, flow(e->u), and
-    # symmetrically; dropping h's s->e arcs, every third before the v->t
-    # arcs, leaves those flows in edge order.
-    sink = 3 * graph.m
-    caps: list[int | float] = flows[:sink]
-    del caps[::3]
-    caps += [h.tau.numerator - f for f in flows[sink:]]
-    if min(caps, default=0) < 0:
-        raise FlowError("the flow violates an arc capacity")
-    return ModifiedNetwork(
-        graph=graph,
-        network=_derived(n + 1, tails, heads, caps),
-        t=t,
-        tau=h.tau,
-        scale=h.scale,
-    )
-
-
-def build_modified_pairs(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
-    """`build_modified` in the paired layout: the same residual capacities.
-
-    Edge e = (u, v) becomes arc u->v, its forward slot seeded with
-    flow(e->u) and its reverse slot with flow(e->v); arc m+v is v->t with
-    capacity scale*tau - flow(v->t).  Each arc's capacity is the sum of its
-    two slots, and `start` holds the slots.  The same checks apply as in
-    `build_modified`, which raises on the same flows.
-    """
-    _check_saturating(h, flow)
     graph = h.graph
     n, m = graph.n, graph.m
     flows = flow.residual[1::2]  # flow on density-network arc i at i

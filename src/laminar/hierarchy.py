@@ -1,14 +1,13 @@
 """Canonical cut hierarchy: laminar min-ratio cuts as a rooted tree.
 
-Construction contracts star sets in rounds: find candidate dense sets,
-check that they are dense cores, contract them, repeat.  An exact round
-contracts every maximal densest set of the current graph at once (they are
-pairwise disjoint, and one search finds them all); a randomized round
-contracts one set that `verify_core` accepts, or else the exact search's
-largest densest set.  Each accepted set becomes an internal node whose
-sigma is the set's skew-density in the graph it was contracted from, which
-equals the cut ratio of the all-singleton min-ratio cut of that node's
-contracted subgraph.
+Construction contracts star sets in rounds: find dense sets, contract them,
+repeat.  An exact round contracts every maximal densest set of the current
+graph at once (they are pairwise disjoint, and one search finds them all);
+a randomized round contracts one set that `verify_core` accepts, or else
+the exact search's largest densest set.  Each accepted set becomes an
+internal node whose sigma is the set's skew-density in the graph it was
+contracted from, which equals the cut ratio of the all-singleton min-ratio
+cut of that node's contracted subgraph.
 
 Every hierarchy, exact or randomized, is checked once, when it is
 complete, by a certificate of the whole tree (`_certify_tree`), so a

@@ -38,7 +38,7 @@ class TestTBarMincut:
         tau = Fr(100) - Fr(1, 128)
         h = build_goldberg(trubin_path, tau)
         m = build_modified(h, max_flow(h.network, h.s, h.t, limit=h.saturation_target()))
-        cut = t_bar_mincut(m.network, m.t)
+        cut = t_bar_mincut(m.one_way(), m.t)
         assert cut.source_side == {2, 3}
         assert cut.value < m.tau.numerator  # below scale * tau
 

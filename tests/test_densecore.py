@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -22,6 +23,7 @@ from laminar import (
     skew_density,
     verify_core,
 )
+from laminar import dircut
 from laminar.densecore import (
     _below,
     _degrees,
@@ -34,12 +36,7 @@ from laminar.densecore import (
     verify_core_explain,
 )
 from laminar.flow import max_flow, max_source_side, t_cuts_below, t_mincut_exhaustive
-from laminar.goldberg import (
-    _first_phase,
-    build_goldberg,
-    build_modified,
-    build_modified_pairs,
-)
+from laminar.goldberg import _first_phase, build_goldberg, build_modified
 from laminar.graph import GraphError, contract, induced_subgraph
 
 from .conftest import random_connected_graph
@@ -706,13 +703,14 @@ def reference_denser_subset(graph: WeightedGraph, s_set, rho: Fr) -> str | None:
     if flow.value < target:
         return "a subset is denser (density network not saturated)"
     shortcut = build_modified(h, flow)
+    one_way = shortcut.one_way()
     degree = [0] * sub.n
     for u, v, w in sub.edges:
         degree[u] += w
         degree[v] += w
     sources = [v for v in range(sub.n) if degree[v] * rho.denominator > rho.numerator]
     threshold = shortcut.tau.numerator
-    if t_mincut_exhaustive(shortcut.network, shortcut.t, limit=threshold, sources=sources):
+    if t_mincut_exhaustive(one_way, shortcut.t, limit=threshold, sources=sources):
         return "a subset is denser (shortcut network has a small cut)"
     return None
 
@@ -811,7 +809,7 @@ class TestDensityFlow:
             endings[ending] += 1
             engine_builds.clear()
             got = _density_flow(h)
-            side, _ = _saturate(sub, tau, build_modified_pairs)
+            side, _ = _saturate(sub, tau)
             assert len(engine_builds) == 2 * (ending == "dinic")
             ref = max_flow(h.network, h.s, h.t, limit=target)
             assert (got.value, got.residual, got.reached_limit) == (
@@ -826,11 +824,11 @@ class TestDensityFlow:
         assert min(endings.values()) >= 100, endings
         assert isolated_roots >= 50 and fractional >= 1000 and parallel >= 200
 
-    def test_paired_scan_records_the_one_way_scans_cuts(self):
-        # On saturated probes, the scan of the paired shortcut network from
-        # its seeded residual records the same sides, values and order as
-        # the scan of the one-way network, rooted or from every vertex of
-        # degree above tau.
+    def test_paired_scan_equals_the_one_way_views_scan(self):
+        # On saturated probes, the scan of the shortcut network from its
+        # seeded residual records the same sides, values and order as the
+        # scan of its one-way view, rooted or from every vertex of degree
+        # above tau.
         rng = random.Random(192)
         scans = Counter()
         inputs = probe_inputs(rng)
@@ -845,13 +843,49 @@ class TestDensityFlow:
                 sources = [v for v in range(sub.n) if degree[v] * tau.denominator > tau.numerator]
             else:
                 sources = [root]
-            one_way = build_modified(h, flow)
-            paired = build_modified_pairs(h, flow)
+            paired = build_modified(h, flow)
             limit = tau.numerator
-            expected = t_cuts_below(one_way.network, one_way.t, limit=limit, sources=sources)
+            expected = t_cuts_below(paired.one_way(), paired.t, limit=limit, sources=sources)
             got = t_cuts_below(
                 paired.network, paired.t, limit=limit, sources=sources, start=paired.start
             )
             assert got == expected, (sub.edges, tau, root)
             scans[root is None, bool(expected)] += 1
         assert len(scans) == 4 and min(scans.values()) >= 50, scans
+
+
+class TestRandomizedStream:
+    def test_trees_results_and_next_draws_are_pinned(self, monkeypatch):
+        # Randomized mode reads the shortcut network in its one-way arc
+        # order: sparsify's draws and Edmonds' arc-id tie-break follow it.
+        # On 40 seeded connected graphs (n 3..12) the same seeds must give
+        # the same hierarchy and next draw, the same `find_star_full` result
+        # and next draw, and the same arborescence packings on the way.
+        digest = hashlib.sha256()
+        covered = Counter()
+        pack = dircut.pack_arborescences
+
+        def recorded(*args, **kwargs):
+            packing = pack(*args, **kwargs)
+            digest.update(repr(packing).encode())
+            covered["packings"] += 1
+            return packing
+
+        monkeypatch.setattr(dircut, "pack_arborescences", recorded)
+        for seed in range(40):
+            make = random.Random(5200 + seed)
+            n = 3 + seed % 10
+            g = random_connected_graph(make, n, max_weight=make.choice((1, 4, 9)))
+            k = make.randint(1, n)
+            rng = random.Random(seed)
+            tree = build_hierarchy(g, mode="randomized", rng=rng)
+            digest.update(f"{tree.root!r}|{rng.getrandbits(64)}\n".encode())
+            rng = random.Random(10_000 + seed)
+            result = find_star_full(g, k, mode="randomized", rng=rng)
+            digest.update(f"{result!r}|{rng.getrandbits(64)}\n".encode())
+            covered["several internal nodes"] += sum(1 for _ in tree.internal_nodes()) > 1
+            covered["several probes"] += len(result.probes) > 1
+        assert min(covered.values()) >= 5, covered
+        assert digest.hexdigest() == (
+            "40eb877078c864798b132631faeeda582d13b44cd774cfe71254879ffed51118"
+        )

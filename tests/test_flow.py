@@ -46,8 +46,7 @@ class TestMaxFlow:
         net = network_from_arcs(2, [(0, 1, 5)])
         flow = max_flow(net, 0, 1)
         assert flow.value == 5
-        assert flow.arc_flows() == [5]
-        assert flow.residual == [0, 5]
+        assert flow.residual == [0, 5]  # flow on arc i at 2i+1
         cut = min_st_cut(net, 0, 1)
         assert cut.source_side == {0} and cut.value == 5
 
@@ -71,7 +70,7 @@ class TestMaxFlow:
         for _ in range(30):
             net = random_digraph(rng, rng.randint(3, 8))
             flow = max_flow(net, 0, net.n - 1)
-            flows = flow.arc_flows()
+            flows = flow.residual[1::2]
             balance = [0] * net.n
             for i, (u, v, c) in enumerate(net.arcs()):
                 assert 0 <= flows[i] <= c
@@ -635,9 +634,9 @@ def goldberg_by_add_arc(graph, tau):
 
 class TestDerivedNetworks:
     def test_bulk_built_networks_equal_add_arc_built_ones(self):
-        # build_goldberg, build_modified, sparsify and extended skip the
-        # per-arc checks; their arcs must pass them and give the same lists
-        # and finite total.
+        # build_goldberg, build_modified, its one-way view, sparsify and
+        # extended skip the per-arc checks; their arcs must pass them and
+        # give the same lists and finite total.
         def same(net, public):
             assert (net.n, net.tails, net.heads, net.caps) == (
                 public.n, public.tails, public.heads, public.caps
@@ -657,8 +656,8 @@ class TestDerivedNetworks:
             if flow.value == h.saturation_target():
                 shortcut = build_modified(h, flow)
                 same(shortcut.network, add_arc_copy(shortcut.network))
-                paired = goldberg.build_modified_pairs(h, flow)
-                same(paired.network, add_arc_copy(paired.network))
+                one_way = shortcut.one_way()
+                same(one_way, add_arc_copy(one_way))
                 modified += 1
             n = rng.randint(2, 8)
             net = random_digraph(rng, n, arc_prob=0.4, max_cap=rng.choice((9, 10**6)))
@@ -677,41 +676,24 @@ class TestDerivedNetworks:
     @pytest.mark.parametrize("validated", [True, False])
     def test_modified_rejects_a_flow_above_a_capacity(self, monkeypatch, validated):
         # A given flow is validated only with assertions on; without them,
-        # a flow that leaves a shortcut capacity negative still raises.
+        # as under -O, a flow that leaves a residual slot negative still
+        # raises: a sink arc above its capacity, or an e -> u or e -> v arc
+        # carrying -1.
         if not validated:
             monkeypatch.setattr(goldberg, "validate_flow", lambda *args: None)
         graph = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
         h = build_goldberg(graph, Fraction(3))
         flow = max_flow(h.network, h.s, h.t)
         assert flow.value == h.saturation_target()
-        build_modified(h, flow)
-        sink = 3 * graph.m + 1  # arc 3m+v is v -> t
-        into = 1  # arc 3e+1 is e -> u
-        for arc, bad in ((sink, h.tau.numerator + 1), (into, -1)):
-            residual = list(flow.residual)
-            residual[2 * arc + 1] = bad
-            with pytest.raises(FlowError):
-                build_modified(h, FlowResult(flow.value, residual))
-
-    @pytest.mark.parametrize("validated", [True, False])
-    def test_paired_shortcut_rejects_a_flow_above_a_capacity(self, monkeypatch, validated):
-        # As build_modified: with validate_flow skipped, as under -O, a flow
-        # that leaves a residual slot negative still raises.
-        if not validated:
-            monkeypatch.setattr(goldberg, "validate_flow", lambda *args: None)
-        graph = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
-        h = build_goldberg(graph, Fraction(3))
-        flow = max_flow(h.network, h.s, h.t)
-        assert flow.value == h.saturation_target()
-        paired = goldberg.build_modified_pairs(h, flow)
-        assert paired.start.residual == [2, 0, 1, 0, 1, 0, 2, 0, 3, 0]
-        assert paired.network.caps == [2, 1, 1, 2, 3]
+        shortcut = build_modified(h, flow)
+        assert shortcut.start.residual == [2, 0, 1, 0, 1, 0, 2, 0, 3, 0]
+        assert shortcut.network.caps == [2, 1, 1, 2, 3]
         sink = 3 * graph.m + 1  # arc 3m+v is v -> t
         for arc, bad in ((sink, h.tau.numerator + 1), (1, -1), (2, -1)):
             residual = list(flow.residual)
             residual[2 * arc + 1] = bad
             with pytest.raises(FlowError):
-                goldberg.build_modified_pairs(h, FlowResult(flow.value, residual))
+                build_modified(h, FlowResult(flow.value, residual))
 
     @pytest.mark.parametrize("arc", [(3, 0, 1), (0, -1, 1), (0, 1, -1), (0, 1, 1.5)])
     def test_extended_checks_the_new_arcs(self, arc):

@@ -128,9 +128,10 @@ class TestModifiedNetwork:
     def test_unit_triangle_pair(self, unit_triangle):
         h = build_goldberg(unit_triangle, Fr(2))
         m = build_modified(h, saturating_flow(h))
-        assert m.network.cut_value({0, 1}) == 3  # 2*2 - 1
+        one_way = m.one_way()
+        assert one_way.cut_value({0, 1}) == 3  # 2*2 - 1
         assert expected_modified_cut_value(m, {0, 1}) == 3
-        assert m.network.cut_value(set()) == 0
+        assert one_way.cut_value(set()) == 0
 
     def test_precondition_rejected_when_tau_too_small(self, trubin_path):
         # At tau=2 the densest side keeps the flow below c(E).
@@ -143,11 +144,23 @@ class TestModifiedNetwork:
     def test_structure_counts(self, trubin_path):
         h = build_goldberg(trubin_path, Fr(201, 2))
         m = build_modified(h, saturating_flow(h))
-        # One arc per (edge, direction) plus one per vertex into t.
-        assert m.network.arc_count == 2 * trubin_path.m + trubin_path.n
-        for idx, (_, _, w) in enumerate(trubin_path.edges):
-            # arcs 2e and 2e+1 are u -> v and v -> u
-            assert m.network.caps[2 * idx] + m.network.caps[2 * idx + 1] == m.scale * w
+        # One arc per edge and one per vertex into t; the view lays each
+        # edge's two residual slots out as one arc per direction.
+        g = trubin_path
+        assert m.network.arc_count == g.m + g.n
+        one_way = m.one_way()
+        assert one_way.arc_count == 2 * g.m + g.n
+        for idx, (u, v, w) in enumerate(g.edges):
+            # arc e is u -> v; view arcs 2e and 2e+1 are u -> v and v -> u
+            assert (m.network.tails[idx], m.network.heads[idx]) == (u, v)
+            assert m.network.caps[idx] == m.scale * w
+            assert one_way.tails[2 * idx : 2 * idx + 2] == [u, v]
+            assert one_way.heads[2 * idx : 2 * idx + 2] == [v, u]
+            assert one_way.caps[2 * idx : 2 * idx + 2] == m.start.residual[2 * idx : 2 * idx + 2]
+        for v in range(g.n):
+            arc = 2 * g.m + v
+            assert (one_way.tails[arc], one_way.heads[arc]) == (v, m.t)
+            assert one_way.caps[arc] == m.network.caps[g.m + v]
 
     def test_cut_identity_on_all_sides(self):
         rng = random.Random(13)
@@ -160,7 +173,8 @@ class TestModifiedNetwork:
             if flow.value < h.saturation_target():
                 continue
             m = build_modified(h, flow)
+            one_way = m.one_way()
             for x in subsets(range(g.n)):
-                assert m.network.cut_value(x) == expected_modified_cut_value(m, x)
+                assert one_way.cut_value(x) == expected_modified_cut_value(m, x)
             checked += 1
         assert checked >= 20
