@@ -676,9 +676,27 @@ class TestDerivedNetworks:
     @pytest.mark.parametrize("validated", [True, False])
     def test_modified_rejects_a_flow_above_a_capacity(self, monkeypatch, validated):
         # A given flow is validated only with assertions on; without them,
-        # as under -O, a flow that leaves a residual slot negative still
-        # raises: a sink arc above its capacity, or an e -> u or e -> v arc
-        # carrying -1.
+        # a flow that leaves a shortcut capacity negative still raises.
+        if not validated:
+            monkeypatch.setattr(goldberg, "validate_flow", lambda *args: None)
+        graph = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
+        h = build_goldberg(graph, Fraction(3))
+        flow = max_flow(h.network, h.s, h.t)
+        assert flow.value == h.saturation_target()
+        build_modified(h, flow)
+        sink = 3 * graph.m + 1  # arc 3m+v is v -> t
+        into = 1  # arc 3e+1 is e -> u
+        for arc, bad in ((sink, h.tau.numerator + 1), (into, -1)):
+            residual = list(flow.residual)
+            residual[2 * arc + 1] = bad
+            with pytest.raises(FlowError):
+                build_modified(h, FlowResult(flow.value, residual))
+
+    @pytest.mark.parametrize("validated", [True, False])
+    def test_paired_shortcut_rejects_a_flow_above_a_capacity(self, monkeypatch, validated):
+        # Arc e of the shortcut network is u -> v with residual slots
+        # (f(e -> u), f(e -> v)). With validate_flow skipped, as under -O,
+        # a flow that leaves either slot of a pair negative still raises.
         if not validated:
             monkeypatch.setattr(goldberg, "validate_flow", lambda *args: None)
         graph = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 2, 1)])
