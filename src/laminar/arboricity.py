@@ -4,7 +4,7 @@ The fractional arboricity is the maximum skew-density over all vertex sets;
 the (integer) arboricity is its ceiling.  The exact densest-set search in
 densecore finds it with a few threshold probes, each one a density-network
 max flow and, when that saturates, a per-source t-cut scan of the shortcut
-network.
+network, which stops once the unscanned vertices' tau-core has collapsed.
 """
 
 from __future__ import annotations

@@ -23,8 +23,14 @@ c(E[X]) - tau(|X|-1); the first vertex of X that the peel deletes is such a
 v.  So every maximizer of the first objective, every maximizer of the
 second over nonempty sets that has two vertices or more, every maximizer
 among the sets that contain the root, and every scanned source's minimal
-t-cut side below scale*tau lies inside the core, and a core of fewer than
-two vertices holds no set denser than tau.
+t-cut side below scale*tau lies inside the core.  A set X that beats tau,
+c(E[X]) > tau(|X|-1), keeps a subset that beats tau inside the core, as no
+single vertex beats it: a core of fewer than two vertices holds none.  The
+unrooted exact scan stops early: a source scanned after the first k
+records only a side that beats tau and avoids them, so once the tau-core of
+the core minus those k has fewer than two vertices no later source records
+one, and that prefix of the sources meets every t-cut below scale*tau;
+`_scan_length` finds it by deleting sources in turn, peeling after each.
 
 The density network's max flow starts with Dinic's first phase in closed
 form: each edge, in edge order, sends scale*w into u and then into v, as
@@ -135,12 +141,25 @@ def tau_core(
     if not stack:
         return list(range(graph.n))
     alive = [True] * graph.n
+    _peel(_incident(graph), degree, alive, stack, tau, root)
+    return [v for v in range(graph.n) if alive[v]]
+
+
+def _incident(graph: WeightedGraph) -> list[list[tuple[int, int]]]:
     incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
     for u, v, w in graph.edges:
         incident[u].append((v, w))
         incident[v].append((u, w))
+    return incident
+
+
+def _peel(incident, degree, alive, stack, tau: Fraction, root: int | None = None) -> int:
+    """Deletes the live vertices on `stack`, then every live non-root vertex
+    whose degree among the live ones falls below tau; returns how many."""
+    num, den = tau.numerator, tau.denominator
     for v in stack:
         alive[v] = False
+    deleted = len(stack)
     while stack:
         for u, w in incident[stack.pop()]:
             if alive[u]:
@@ -148,7 +167,20 @@ def tau_core(
                 if degree[u] * den < num and u != root:
                     alive[u] = False
                     stack.append(u)
-    return [v for v in range(graph.n) if alive[v]]
+                    deleted += 1
+    return deleted
+
+
+def _scan_length(core: WeightedGraph, tau: Fraction, sources: list[int]) -> int:
+    """How many of `sources` to scan: the shortest prefix whose deletion from
+    the tau-core `core` leaves a tau-core of fewer than two vertices, or all."""
+    degree, alive, left, incident = _degrees(core), [True] * core.n, core.n, _incident(core)
+    for k, s in enumerate(sources, 1):
+        if alive[s]:
+            left -= _peel(incident, degree, alive, [s], tau)
+            if left < 2:
+                return k
+    return len(sources)
 
 
 def _below(tau: Fraction, n: int) -> Fraction:
@@ -210,6 +242,8 @@ def probe(
     built on the graph's tau-core (see above).  The scan's sources are the
     core's vertices whose degree in the whole graph exceeds tau: a core
     degree equal to tau may leave one out that starts a tied minimum cut.
+    The unrooted scan stops once the unscanned vertices' tau-core has fewer
+    than two; the prefix meets every t-cut below scale*tau (see above).
     """
     if graph.n == 0 or not graph.is_connected():
         raise GraphError("probe needs a connected, nonempty graph")
@@ -250,6 +284,7 @@ def _probe(
     if mode == "exact":
         if root is None:
             sources = [i for i, v in enumerate(core) if degree[v] * tau.denominator > tau.numerator]
+            sources = sources[: _scan_length(sub, tau, sources)]
         else:
             sources = [core.index(root)]
         cuts = t_cuts_below(

@@ -17,6 +17,7 @@ from laminar import (
     brute_hierarchy,
     brute_max_skew_density,
     build_hierarchy,
+    compute_arboricity,
     find_star,
     find_star_full,
     probe,
@@ -32,6 +33,7 @@ from laminar.densecore import (
     _maximal_densest,
     _probe,
     _saturate,
+    _scan_length,
     tau_core,
     verify_core_explain,
 )
@@ -433,6 +435,102 @@ class TestTauCore:
         # A superset as dense as the set survives the peel and is found.
         ok, reason = verify_core_explain(WeightedGraph.from_edges(3, [(0, 1, 4), (1, 2, 4)]), 3, {0, 1})
         assert not ok and "superset" in reason and built[-1]
+
+
+def core_scan(sub: WeightedGraph, tau: Fr, sources: list[int]):
+    """The exact probe's scan of a saturated tau-core's shortcut network
+    over `sources`, or None when the density network does not saturate."""
+    _, shortcut = _saturate(sub, tau)
+    if shortcut is None:
+        return None
+    return t_cuts_below(
+        shortcut.network,
+        shortcut.t,
+        limit=shortcut.tau.numerator,
+        sources=sources,
+        start=shortcut.start,
+    )
+
+
+class TestScanPrefix:
+    def test_prefix_records_what_every_source_records(self):
+        # At every iterate tau of exact searches on 300 graphs (n 3..40), and
+        # just below it, the scan over the prefix `_scan_length` keeps
+        # records the same cuts, values and order as the scan over every
+        # source, and the probe records their sides.  The prefix is the
+        # shortest after which the tau-core of the unscanned core vertices,
+        # peeled here from scratch, has fewer than two vertices.  Two
+        # mutants must change some scan: stopping one source earlier, and
+        # skipping each source outside the tau-core of the vertices not yet
+        # scanned.
+        rng = random.Random(221)
+        covered = Counter()
+        for _ in range(300):
+            n = rng.randint(3, 40)
+            g = random_connected_graph(
+                rng, n, max_weight=rng.choice((1, 5, 20)), extra_edges=rng.randint(0, 3 * n)
+            )
+            for tau, _ in find_star_full(g, g.n).probes:
+                for threshold in (tau, _below(tau, g.n)):
+                    core = tau_core(g, threshold)
+                    if len(core) < 2:
+                        continue
+                    sub, _ = induced_subgraph(g, core)
+                    degree = _degrees(g)
+                    sources = [
+                        i
+                        for i, v in enumerate(core)
+                        if degree[v] * threshold.denominator > threshold.numerator
+                    ]
+                    expected = core_scan(sub, threshold, sources)
+                    if expected is None:
+                        continue
+                    kept = _scan_length(sub, threshold, sources)
+                    cores = [
+                        {left[v] for v in tau_core(induced_subgraph(sub, left)[0], threshold)}
+                        for left in (
+                            [v for v in range(sub.n) if v not in sources[:k]]
+                            for k in range(len(sources) + 1)
+                        )
+                    ]
+                    collapsed = [k for k, c in enumerate(cores) if len(c) < 2]
+                    assert kept == min(collapsed, default=len(sources))
+                    got = core_scan(sub, threshold, sources[:kept])
+                    assert got == expected, (g.edges, threshold)
+                    sides: list[frozenset[int]] = []
+                    _probe(g, threshold, g.n, sides=sides)
+                    assert sides == [frozenset(core[v] for v in cut.source_side) for cut in got]
+                    covered["scans"] += 1
+                    covered["skipped"] += len(sources) - kept
+                    covered["recorded"] += bool(expected)
+                    if kept and core_scan(sub, threshold, sources[: kept - 1]) != expected:
+                        covered["one early"] += 1
+                    inside = [s for k, s in enumerate(sources[:kept]) if s in cores[k]]
+                    if core_scan(sub, threshold, inside) != expected:
+                        covered["outside the core"] += 1
+        assert covered["scans"] >= 800 and covered["skipped"] >= 5000, covered
+        assert covered["recorded"] >= 400 and covered["one early"] >= 50, covered
+        assert covered["outside the core"] >= 3, covered
+
+    def test_last_probe_of_the_desk_scale_smoke_graph_scans_few_sources(self, monkeypatch):
+        # The graph of test_acceptance's smoke benchmark: the last probe, at
+        # tau* - delta, scans 44 of its 200 sources, and the result is the
+        # one a scan of every source gives.
+        import laminar.densecore as dc
+
+        scanned: list[int] = []
+        scan = dc.t_cuts_below
+
+        def counting_scan(net, t, **kwargs):
+            scanned.append(len(kwargs["sources"]))
+            return scan(net, t, **kwargs)
+
+        monkeypatch.setattr(dc, "t_cuts_below", counting_scan)
+        g = random_connected_graph(random.Random(2024), 200, max_weight=9, extra_edges=2000 - 199)
+        result = compute_arboricity(g)
+        assert (result.arboricity, result.fractional) == (50, Fr(9895, 199))
+        assert result.probes == ((Fr(20), True), (Fr(9895, 199), False))
+        assert scanned[-1] <= 60
 
 
 class TestRootedProbe:
