@@ -31,6 +31,13 @@ records only a side that beats tau and avoids them, so once the tau-core of
 the core minus those k has fewer than two vertices no later source records
 one, and that prefix of the sources meets every t-cut below scale*tau;
 `_scan_length` finds it by deleting sources in turn, peeling after each.
+An exact probe, rooted or not, whose core is a pair {a, b} builds no
+network.  The pair is the one set there that can beat tau, and each end
+keeps c = c(E[{a, b}]) after the peel, so the probe misses iff c <= tau.
+If c > 2 tau, the pair is also the one set with c(E[X]) > tau|X|, the
+density network's side.  If tau < c <= 2 tau, no set has that, the network
+saturates, and the scan's first source records the pair, its only side
+below scale*tau: a vertex's cut is scale*tau, the pair's scale*(2 tau - c).
 
 The density network's max flow starts with Dinic's first phase in closed
 form: each edge, in edge order, sends scale*w into u and then into v, as
@@ -243,7 +250,9 @@ def probe(
     core's vertices whose degree in the whole graph exceeds tau: a core
     degree equal to tau may leave one out that starts a tied minimum cut.
     The unrooted scan stops once the unscanned vertices' tau-core has fewer
-    than two; the prefix meets every t-cut below scale*tau (see above).
+    than two; the prefix meets every t-cut below scale*tau (see above).  An
+    exact probe whose core has two vertices reads the answer, the witness
+    and the recorded side off their edge weight, building no network.
     """
     if graph.n == 0 or not graph.is_connected():
         raise GraphError("probe needs a connected, nonempty graph")
@@ -275,6 +284,13 @@ def _probe(
     core = tau_core(graph, tau, root, degree=degree)
     if len(core) < 2:
         return False, None
+    if len(core) == 2 and mode == "exact":  # decided without a network (see above)
+        pair, inside = frozenset(core), graph.weight_inside(core)
+        if inside * tau.denominator <= tau.numerator:
+            return False, None
+        if sides is not None and inside * tau.denominator <= 2 * tau.numerator:
+            sides.append(pair)
+        return True, pair
     sub = graph if len(core) == graph.n else induced_subgraph(graph, core)[0]
     side, shortcut = _saturate(sub, tau)
     if shortcut is None:

@@ -212,24 +212,31 @@ class TestFindStar:
         assert result.sets == (result.candidate,)
 
     def test_exact_search_scans_once_per_probe(self, monkeypatch, trubin_path):
-        # Each exact Newton step is one density-network flow and, when that
-        # saturates, one exhaustive scan; the last step is the extraction of
-        # every maximal densest set, so no further flow or scan runs.
+        # Each exact Newton step is at most one density-network flow and,
+        # when that saturates, one exhaustive scan; only a step whose
+        # tau-core has two vertices or fewer runs no flow.  The last step is
+        # the extraction of every maximal densest set, so no further flow or
+        # scan runs.
         import laminar.densecore as dc
 
-        saturated: list[bool] = []
-        scans = []
-        saturate, scan = dc._saturate, dc.t_cuts_below
+        steps: list[list[int]] = []  # per probe: core size, flows, scans
+        probe_at, saturate, scan = dc._probe, dc._saturate, dc.t_cuts_below
+
+        def counting_probe(graph, tau, *args, **kwargs):
+            steps.append([len(tau_core(graph, tau)), 0, 0])
+            return probe_at(graph, tau, *args, **kwargs)
 
         def counting_saturate(*args):
             side, shortcut = saturate(*args)
-            saturated.append(shortcut is not None)
+            steps[-1][1] += 1
+            steps[-1][2] -= shortcut is not None
             return side, shortcut
 
         def counting_scan(*args, **kwargs):
-            scans.append(args)
+            steps[-1][2] += 1
             return scan(*args, **kwargs)
 
+        monkeypatch.setattr(dc, "_probe", counting_probe)
         monkeypatch.setattr(dc, "_saturate", counting_saturate)
         monkeypatch.setattr(dc, "t_cuts_below", counting_scan)
         rng = random.Random(61)
@@ -237,17 +244,15 @@ class TestFindStar:
             random_connected_graph(rng, rng.randint(2, 9), extra_edges=rng.randint(0, 6))
             for _ in range(30)
         ]
-        all_saturated = 0
+        covered = Counter()
         for g in graphs:
-            saturated.clear()
-            scans.clear()
+            steps.clear()
             result = find_star_full(g, g.n)
-            assert len(saturated) == len(result.probes)
-            assert len(scans) == sum(saturated)
-            if all(saturated):
-                all_saturated += 1
-                assert len(scans) == len(result.probes)
-        assert all_saturated >= 10
+            assert len(steps) == len(result.probes)
+            for core, flows, unscanned in steps:
+                assert flows == (core > 2) and unscanned == 0, (g.edges, steps)
+                covered[core > 2] += 1
+        assert min(covered[False], covered[True]) >= 10, covered
 
     def test_exact_search_rejects_a_missing_or_sparse_witness(self, monkeypatch, trubin_path):
         import laminar.densecore as dc
@@ -405,8 +410,8 @@ class TestTauCore:
     ):
         # On a rising path each top pair is a dense core.  Its superset
         # probe, rooted at the pair's node in the contracted path, peels
-        # every other vertex, so it builds no network; the subset probe
-        # builds one.
+        # every other vertex, and its subset probe's tau-core is the pair,
+        # so neither builds a network.
         import laminar.densecore as dc
 
         rooted: list[bool] = []  # per running probe: is it rooted?
@@ -431,10 +436,12 @@ class TestTauCore:
             star = {top - 1, top}
             assert verify_core(g, 2, star)
             g, _ = contract(g, star)
-        assert g.n == 1 and built == [False] * 59
-        # A superset as dense as the set survives the peel and is found.
-        ok, reason = verify_core_explain(WeightedGraph.from_edges(3, [(0, 1, 4), (1, 2, 4)]), 3, {0, 1})
-        assert not ok and "superset" in reason and built[-1]
+        assert g.n == 1 and built == []
+        # A superset as dense as the set survives the peel and is found;
+        # the pair's own subset probe builds no network.
+        g = WeightedGraph.from_edges(4, [(0, 1, 4), (1, 2, 4), (2, 3, 4)])
+        ok, reason = verify_core_explain(g, 4, {0, 1})
+        assert not ok and "superset" in reason and built == [True]
 
 
 def core_scan(sub: WeightedGraph, tau: Fr, sources: list[int]):
@@ -570,6 +577,151 @@ class TestRootedProbe:
     def test_rooted_probe_is_exact_only(self, trubin_path):
         with pytest.raises(ValueError, match="exact mode only"):
             _probe(trubin_path, Fr(1), 2, "randomized", random.Random(0), root=0)
+
+
+def pair_core_inputs(rng: random.Random):
+    """Endless (graph, tau, root or None) whose tau-core is two vertices a, b.
+
+    A light random graph (weights 1-3, up to 20 vertices) gets one to three
+    parallel edges between a and b, which often share a frozenset hash slot;
+    with c = c(E[{a, b}]), tau is c or c/2, often one unit of a finer
+    denominator off, sometimes that minus delta.  The root, if any, is a, b
+    or any vertex."""
+    while True:
+        n = rng.randint(2, 20)
+        g = random_connected_graph(rng, n, max_weight=3, extra_edges=rng.randint(0, n // 2))
+        a, b = rng.sample(range(n), 2)
+        if n > 8 and rng.random() < 0.3:
+            a = rng.randrange(n - 8)
+            b = a + 8
+        total = rng.randint(12, 60)
+        cuts = sorted(rng.sample(range(1, total), rng.randint(0, 2)))
+        heavy = [(a, b, hi - lo) for lo, hi in zip([0, *cuts], [*cuts, total])]
+        g = WeightedGraph.from_edges(n, [*g.edges, *heavy])
+        tau = Fr(g.weight_inside((a, b)), rng.choice((1, 2)))
+        tau += rng.choice((-1, 0, 0, 1)) * Fr(1, tau.denominator * rng.randint(1, 5))
+        if rng.random() < 0.2:
+            tau = _below(tau, n)
+        root = rng.choice((None, None, a, b, rng.randrange(n)))
+        if len(tau_core(g, tau, root)) == 2:
+            yield g, tau, root
+
+
+def network_probe(g: WeightedGraph, tau: Fr, root: int | None):
+    """The exact probe through its networks: (found, witness) and the sides
+    the scan records, as `_probe` computes them for cores of three or more."""
+    core = tau_core(g, tau, root)
+    sub, _ = induced_subgraph(g, core)
+    side, shortcut = _saturate(sub, tau)
+    if shortcut is None:
+        witness = frozenset(core[v] for v in side)
+        return (True, witness if root is None else witness | {root}), []
+    if root is None:
+        degree = _degrees(g)
+        sources = [i for i, v in enumerate(core) if degree[v] * tau.denominator > tau.numerator]
+        sources = sources[: _scan_length(sub, tau, sources)]
+    else:
+        sources = [core.index(root)]
+    cuts = core_scan(sub, tau, sources)
+    recorded = [frozenset(core[v] for v in cut.source_side) for cut in cuts]
+    cut = min(cuts, key=lambda cut: cut.value, default=None)
+    if cut is None:
+        return (False, None), recorded
+    return (True, frozenset(core[v] for v in cut.source_side)), recorded
+
+
+def pair_rule(pair: frozenset[int], c: int, tau: Fr, sides: list, mutant: str | None = None):
+    """The two-vertex rule of `_probe`, or one of its mutants."""
+    num, den = tau.numerator, tau.denominator
+    if (c * den < num) if mutant == "miss at c < tau" else (c * den <= num):
+        return False, None
+    saturated = c * den < 2 * num if mutant == "append at c < 2 tau" else c * den <= 2 * num
+    if mutant == "append when unsaturated" or (saturated and mutant != "no append"):
+        sides.append(pair)
+    return True, pair
+
+
+class TestPairCore:
+    MUTANTS = ("miss at c < tau", "append at c < 2 tau", "append when unsaturated", "no append")
+
+    def test_matches_the_network_and_mutants_fail(self, monkeypatch):
+        # An exact probe whose tau-core is a pair {a, b} answers, witnesses
+        # and records sides as the density network and the scan would, with
+        # the same reprs, and builds no network.  tau sits on and next to
+        # both boundaries, c = tau and c = 2 tau.  Every mutant of the rule
+        # must disagree with the networks on some probe.
+        import laminar.densecore as dc
+
+        built: list[int] = []
+        build = dc.build_goldberg
+        monkeypatch.setattr(dc, "build_goldberg", lambda *args: built.append(1) or build(*args))
+        rng = random.Random(2301)
+        inputs = pair_core_inputs(rng)
+        covered, caught = Counter(), Counter()
+        for _ in range(600):
+            g, tau, root = next(inputs)
+            expected, recorded = network_probe(g, tau, root)
+            sides: list[frozenset[int]] = []
+            built.clear()
+            got = _probe(g, tau, g.n, sides=sides, root=root)
+            assert _probe(g, tau, g.n, root=root) == got
+            assert built == []
+            assert repr(got) == repr(expected) and got == expected, (g.edges, tau, root)
+            assert repr(sides) == repr(recorded) and sides == recorded, (g.edges, tau, root)
+            core = tau_core(g, tau, root)
+            c, pair = g.weight_inside(core), frozenset(core)
+            for mutant in (None, *self.MUTANTS):
+                mutated: list[frozenset[int]] = []
+                caught[mutant] += (pair_rule(pair, c, tau, mutated, mutant), mutated) != (
+                    got, sides
+                )
+            outcome = "miss" if not got[0] else "recorded" if sides else "unsaturated"
+            covered[root is None, outcome] += 1
+            covered["c = tau"] += c == tau
+            covered["c = 2 tau"] += c == 2 * tau
+            covered["shared hash slot"] += core[0] % 8 == core[1] % 8
+        assert caught[None] == 0 and all(caught[m] >= 5 for m in self.MUTANTS), caught
+        assert len(covered) == 9 and min(covered.values()) >= 20, covered
+
+    def test_randomized_probe_still_samples(self, monkeypatch):
+        # Randomized probes keep the networks: on a two-vertex core whose
+        # density network saturates, the probe calls the sampler once and
+        # leaves the RNG where the network path leaves it.
+        import laminar.densecore as dc
+
+        calls: list[int] = []
+        sample = dc.find_small_cut
+
+        def counting_sample(*args, **kwargs):
+            calls.append(1)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(dc, "find_small_cut", counting_sample)
+        inputs = pair_core_inputs(random.Random(2302))
+        sampled = 0
+        for seed in range(120):
+            g, tau, root = next(inputs)
+            core = tau_core(g, tau)
+            if root is not None or len(core) != 2:
+                continue
+            sub, _ = induced_subgraph(g, core)
+            side, shortcut = _saturate(sub, tau)
+            ref_rng = random.Random(seed)
+            if shortcut is None:
+                expected = (True, frozenset(core[v] for v in side))
+            else:
+                limit = shortcut.tau.numerator
+                cut = sample(shortcut.one_way(), shortcut.t, limit, 2, ref_rng)
+                expected = (False, None)
+                if cut is not None and cut.value < limit:
+                    expected = (True, frozenset(core[v] for v in cut.source_side))
+            calls.clear()
+            rng = random.Random(seed)
+            assert _probe(g, tau, 2, "randomized", rng) == expected, (g.edges, tau)
+            assert calls == [1] * (shortcut is not None)
+            assert rng.getstate() == ref_rng.getstate()
+            sampled += bool(calls)
+        assert sampled >= 25
 
 
 class TestPastTheOracleGuards:
