@@ -29,11 +29,12 @@ single vertex beats it: a core of fewer than two vertices holds none.  The
 unrooted exact scan stops early: a source scanned after the first k
 records only a side that beats tau and avoids them, so once the tau-core of
 the core minus those k has fewer than two vertices no later source records
-one, and that prefix of the sources meets every t-cut below scale*tau;
-`_scan_length` finds it by deleting sources in turn, peeling after each.
-An exact probe, rooted or not, whose core is a pair {a, b} builds no
+one, and that prefix of the sources meets every t-cut below scale*tau.
+The probe finds it by continuing its own peel, deleting the sources in
+turn.  An exact probe, rooted or not, whose core is a pair {a, b} builds no
 network.  The pair is the one set there that can beat tau, and each end
-keeps c = c(E[{a, b}]) after the peel, so the probe misses iff c <= tau.
+keeps c = c(E[{a, b}]) as its degree after the peel, so the probe misses
+iff c <= tau.
 If c > 2 tau, the pair is also the one set with c(E[X]) > tau|X|, the
 density network's side.  If tau < c <= 2 tau, no set has that, the network
 saturates, and the scan's first source records the pair, its only side
@@ -119,45 +120,36 @@ class FindStarResult:
     sets: tuple[frozenset[int], ...]
 
 
-def _degrees(graph: WeightedGraph) -> list[int]:
-    degree = [0] * graph.n
-    for u, v, w in graph.edges:
-        degree[u] += w
-        degree[v] += w
-    return degree
-
-
-def tau_core(
-    graph: WeightedGraph,
-    tau: Fraction,
-    root: int | None = None,
-    *,
-    degree: list[int] | None = None,
-) -> list[int]:
+def tau_core(graph: WeightedGraph, tau: Fraction, root: int | None = None) -> list[int]:
     """The vertices left after peeling every non-root vertex of degree below tau.
 
     Repeatedly deletes a vertex other than `root` whose weighted degree among
     the remaining vertices is strictly below tau, in O(n + m) exact integer
-    arithmetic; returns the survivors in index order.  `degree`, when given,
-    holds the graph's weighted degrees and is left unchanged.
+    arithmetic; returns the survivors in index order.  This is the peel an
+    exact probe starts with.
     """
-    tau = Fraction(tau)
-    num, den = tau.numerator, tau.denominator
-    degree = _degrees(graph) if degree is None else degree.copy()
-    stack = [v for v in range(graph.n) if degree[v] * den < num and v != root]
-    if not stack:
-        return list(range(graph.n))
-    alive = [True] * graph.n
-    _peel(_incident(graph), degree, alive, stack, tau, root)
+    alive = _tau_peel(graph, Fraction(tau), root)[0]
     return [v for v in range(graph.n) if alive[v]]
 
 
-def _incident(graph: WeightedGraph) -> list[list[tuple[int, int]]]:
+def _tau_peel(
+    graph: WeightedGraph, tau: Fraction, root: int | None = None
+) -> tuple[list[bool], list[int], list[list[tuple[int, int]]]]:
+    """The peel of `tau_core` as state a caller can continue with `_peel`:
+    whether each vertex is alive, its degree among the live ones, and its
+    incident (neighbour, weight) pairs in the whole graph."""
+    num, den = tau.numerator, tau.denominator
+    degree = [0] * graph.n
     incident: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
     for u, v, w in graph.edges:
+        degree[u] += w
+        degree[v] += w
         incident[u].append((v, w))
         incident[v].append((u, w))
-    return incident
+    alive = [True] * graph.n
+    stack = [v for v in range(graph.n) if degree[v] * den < num and v != root]
+    _peel(incident, degree, alive, stack, tau, root)
+    return alive, degree, incident
 
 
 def _peel(incident, degree, alive, stack, tau: Fraction, root: int | None = None) -> int:
@@ -176,18 +168,6 @@ def _peel(incident, degree, alive, stack, tau: Fraction, root: int | None = None
                     stack.append(u)
                     deleted += 1
     return deleted
-
-
-def _scan_length(core: WeightedGraph, tau: Fraction, sources: list[int]) -> int:
-    """How many of `sources` to scan: the shortest prefix whose deletion from
-    the tau-core `core` leaves a tau-core of fewer than two vertices, or all."""
-    degree, alive, left, incident = _degrees(core), [True] * core.n, core.n, _incident(core)
-    for k, s in enumerate(sources, 1):
-        if alive[s]:
-            left -= _peel(incident, degree, alive, [s], tau)
-            if left < 2:
-                return k
-    return len(sources)
 
 
 def _below(tau: Fraction, n: int) -> Fraction:
@@ -250,9 +230,11 @@ def probe(
     core's vertices whose degree in the whole graph exceeds tau: a core
     degree equal to tau may leave one out that starts a tied minimum cut.
     The unrooted scan stops once the unscanned vertices' tau-core has fewer
-    than two; the prefix meets every t-cut below scale*tau (see above).  An
-    exact probe whose core has two vertices reads the answer, the witness
-    and the recorded side off their edge weight, building no network.
+    than two, which the probe tracks by continuing the core's own peel; the
+    prefix meets every t-cut below scale*tau (see above).  An exact probe
+    whose core has two vertices reads the answer, the witness and the
+    recorded side off the degree the peel leaves either end, building no
+    network.
     """
     if graph.n == 0 or not graph.is_connected():
         raise GraphError("probe needs a connected, nonempty graph")
@@ -280,12 +262,12 @@ def _probe(
     """
     if root is not None and mode != "exact":
         raise ValueError("a rooted probe runs in exact mode only")
-    degree = _degrees(graph)
-    core = tau_core(graph, tau, root, degree=degree)
+    alive, degree, incident = _tau_peel(graph, tau, root)
+    core = [v for v in range(graph.n) if alive[v]]
     if len(core) < 2:
         return False, None
     if len(core) == 2 and mode == "exact":  # decided without a network (see above)
-        pair, inside = frozenset(core), graph.weight_inside(core)
+        pair, inside = frozenset(core), degree[core[0]]
         if inside * tau.denominator <= tau.numerator:
             return False, None
         if sides is not None and inside * tau.denominator <= 2 * tau.numerator:
@@ -299,8 +281,15 @@ def _probe(
     threshold = shortcut.tau.numerator  # scale * tau
     if mode == "exact":
         if root is None:
-            sources = [i for i, v in enumerate(core) if degree[v] * tau.denominator > tau.numerator]
-            sources = sources[: _scan_length(sub, tau, sources)]
+            sources, left = [], len(core)
+            for i, v in enumerate(core):
+                if left < 2:
+                    break
+                # incident[v] holds every edge at v, so this is v's whole-graph degree
+                if sum(w for _, w in incident[v]) * tau.denominator > tau.numerator:
+                    sources.append(i)
+                    if alive[v]:
+                        left -= _peel(incident, degree, alive, [v], tau)
         else:
             sources = [core.index(root)]
         cuts = t_cuts_below(

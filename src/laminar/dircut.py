@@ -451,6 +451,8 @@ def one_respecting_mincut(
     """
     if tree.n != net.n or tree.t != t:
         raise DircutError("arborescence does not match the network")
+    if net.n < 2:
+        raise DircutError("need at least 2 nodes")
     nodes = [v for v in range(net.n) if v != t]
     pinned = net.extended((v, tree.parent[v], INF) for v in nodes)
     engine = pinned.engine()
@@ -465,7 +467,6 @@ def one_respecting_mincut(
         # cross an infinite arc, so the value is compared too.
         if cut is not None and (bound is None or cut.value < bound):
             best, bound = cut, cut.value
-    assert best is not None or limit is not None, "network has no non-root node"
     return best
 
 

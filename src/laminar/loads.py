@@ -58,6 +58,11 @@ def ideal_loads(graph: WeightedGraph, tree: HierarchyTree) -> IdealLoads:
     node_sigma: dict[frozenset[int], Fraction] = {}
     for node in tree.internal_nodes():
         key = node.vertex_set
+        if len(node.children) < 2:
+            raise LoadsError(
+                f"internal node {sorted(key)} has one child; the tree does not "
+                "structurally fit this graph"
+            )
         if key not in charged:
             raise LoadsError(
                 f"internal node {sorted(key)} has no crossing edges; the tree "

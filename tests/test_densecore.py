@@ -27,13 +27,11 @@ from laminar import (
 from laminar import dircut
 from laminar.densecore import (
     _below,
-    _degrees,
     _denser_subset,
     _density_flow,
     _maximal_densest,
     _probe,
     _saturate,
-    _scan_length,
     tau_core,
     verify_core_explain,
 )
@@ -444,6 +442,30 @@ class TestTauCore:
         assert not ok and "superset" in reason and built == [True]
 
 
+def degrees(graph: WeightedGraph) -> list[int]:
+    """Each vertex's weighted degree in the whole graph."""
+    degree = [0] * graph.n
+    for u, v, w in graph.edges:
+        degree[u] += w
+        degree[v] += w
+    return degree
+
+
+def scan_prefix(core: WeightedGraph, tau: Fr, sources: list[int]) -> tuple[int, list[set[int]]]:
+    """The exact probe's scan prefix, peeled from scratch: how many of
+    `sources` it scans, the fewest whose deletion from the tau-core `core`
+    leaves a tau-core of fewer than two vertices, or all of them; and, for
+    k = 0 .. len(sources), the tau-core of `core` minus the first k."""
+    cores = [
+        {left[v] for v in tau_core(induced_subgraph(core, left)[0], tau)}
+        for left in (
+            [v for v in range(core.n) if v not in sources[:k]] for k in range(len(sources) + 1)
+        )
+    ]
+    kept = min((k for k, c in enumerate(cores) if len(c) < 2), default=len(sources))
+    return kept, cores
+
+
 def core_scan(sub: WeightedGraph, tau: Fr, sources: list[int]):
     """The exact probe's scan of a saturated tau-core's shortcut network
     over `sources`, or None when the density network does not saturate."""
@@ -460,16 +482,25 @@ def core_scan(sub: WeightedGraph, tau: Fr, sources: list[int]):
 
 
 class TestScanPrefix:
-    def test_prefix_records_what_every_source_records(self):
+    def test_prefix_records_what_every_source_records(self, monkeypatch):
         # At every iterate tau of exact searches on 300 graphs (n 3..40), and
-        # just below it, the scan over the prefix `_scan_length` keeps
-        # records the same cuts, values and order as the scan over every
-        # source, and the probe records their sides.  The prefix is the
-        # shortest after which the tau-core of the unscanned core vertices,
-        # peeled here from scratch, has fewer than two vertices.  Two
-        # mutants must change some scan: stopping one source earlier, and
-        # skipping each source outside the tau-core of the vertices not yet
-        # scanned.
+        # just below it, the probe scans the shortest prefix of its sources
+        # after which the tau-core of the unscanned core vertices, peeled
+        # here from scratch, has fewer than two vertices.  That scan records
+        # the same cuts, values and order as the scan over every source, and
+        # the probe records their sides.  Two mutants must change some scan:
+        # stopping one source earlier, and skipping each source outside the
+        # tau-core of the vertices not yet scanned.
+        import laminar.densecore as dc
+
+        scanned: list[list[int]] = []
+        scan = dc.t_cuts_below
+
+        def recording_scan(net, t, **kwargs):
+            scanned.append(list(kwargs["sources"]))
+            return scan(net, t, **kwargs)
+
+        monkeypatch.setattr(dc, "t_cuts_below", recording_scan)
         rng = random.Random(221)
         covered = Counter()
         for _ in range(300):
@@ -483,7 +514,7 @@ class TestScanPrefix:
                     if len(core) < 2:
                         continue
                     sub, _ = induced_subgraph(g, core)
-                    degree = _degrees(g)
+                    degree = degrees(g)
                     sources = [
                         i
                         for i, v in enumerate(core)
@@ -492,20 +523,14 @@ class TestScanPrefix:
                     expected = core_scan(sub, threshold, sources)
                     if expected is None:
                         continue
-                    kept = _scan_length(sub, threshold, sources)
-                    cores = [
-                        {left[v] for v in tau_core(induced_subgraph(sub, left)[0], threshold)}
-                        for left in (
-                            [v for v in range(sub.n) if v not in sources[:k]]
-                            for k in range(len(sources) + 1)
-                        )
-                    ]
-                    collapsed = [k for k, c in enumerate(cores) if len(c) < 2]
-                    assert kept == min(collapsed, default=len(sources))
+                    kept, cores = scan_prefix(sub, threshold, sources)
                     got = core_scan(sub, threshold, sources[:kept])
                     assert got == expected, (g.edges, threshold)
                     sides: list[frozenset[int]] = []
+                    scanned.clear()
                     _probe(g, threshold, g.n, sides=sides)
+                    # a pair core is decided without a scan (see TestPairCore)
+                    assert scanned == ([sources[:kept]] if len(core) > 2 else [])
                     assert sides == [frozenset(core[v] for v in cut.source_side) for cut in got]
                     covered["scans"] += 1
                     covered["skipped"] += len(sources) - kept
@@ -617,9 +642,9 @@ def network_probe(g: WeightedGraph, tau: Fr, root: int | None):
         witness = frozenset(core[v] for v in side)
         return (True, witness if root is None else witness | {root}), []
     if root is None:
-        degree = _degrees(g)
+        degree = degrees(g)
         sources = [i for i, v in enumerate(core) if degree[v] * tau.denominator > tau.numerator]
-        sources = sources[: _scan_length(sub, tau, sources)]
+        sources = sources[: scan_prefix(sub, tau, sources)[0]]
     else:
         sources = [core.index(root)]
     cuts = core_scan(sub, tau, sources)
@@ -647,7 +672,8 @@ class TestPairCore:
     def test_matches_the_network_and_mutants_fail(self, monkeypatch):
         # An exact probe whose tau-core is a pair {a, b} answers, witnesses
         # and records sides as the density network and the scan would, with
-        # the same reprs, and builds no network.  tau sits on and next to
+        # the same reprs.  It builds no network and reads the pair's weight
+        # off its peel, with no `weight_inside` pass.  tau sits on and next to
         # both boundaries, c = tau and c = 2 tau.  Every mutant of the rule
         # must disagree with the networks on some probe.
         import laminar.densecore as dc
@@ -655,6 +681,11 @@ class TestPairCore:
         built: list[int] = []
         build = dc.build_goldberg
         monkeypatch.setattr(dc, "build_goldberg", lambda *args: built.append(1) or build(*args))
+        reads: list[int] = []
+        inside = WeightedGraph.weight_inside
+        monkeypatch.setattr(
+            WeightedGraph, "weight_inside", lambda *args: reads.append(1) or inside(*args)
+        )
         rng = random.Random(2301)
         inputs = pair_core_inputs(rng)
         covered, caught = Counter(), Counter()
@@ -663,9 +694,10 @@ class TestPairCore:
             expected, recorded = network_probe(g, tau, root)
             sides: list[frozenset[int]] = []
             built.clear()
+            reads.clear()
             got = _probe(g, tau, g.n, sides=sides, root=root)
             assert _probe(g, tau, g.n, root=root) == got
-            assert built == []
+            assert built == [] and reads == []
             assert repr(got) == repr(expected) and got == expected, (g.edges, tau, root)
             assert repr(sides) == repr(recorded) and sides == recorded, (g.edges, tau, root)
             core = tau_core(g, tau, root)
@@ -1068,7 +1100,7 @@ class TestDensityFlow:
             if not ref.reached_limit:
                 walked = max_source_side(h.network, ref, h.t)
                 assert side == walked.intersection(range(sub.n))
-            isolated_roots += root is not None and _degrees(sub)[root] == 0
+            isolated_roots += root is not None and degrees(sub)[root] == 0
             fractional += tau.denominator > 1
             parallel += len(sub.merged_edges()) < sub.m
         assert min(endings.values()) >= 100, endings
@@ -1089,7 +1121,7 @@ class TestDensityFlow:
             if not flow.reached_limit:
                 continue
             if root is None:
-                degree = _degrees(sub)
+                degree = degrees(sub)
                 sources = [v for v in range(sub.n) if degree[v] * tau.denominator > tau.numerator]
             else:
                 sources = [root]

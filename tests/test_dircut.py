@@ -477,6 +477,15 @@ class TestOneRespecting:
                 outcomes[below] += 1
         assert min(outcomes.values()) >= 80
 
+    def test_network_without_a_non_root_node_raises(self):
+        # No tree arc to cut at: an error, with or without a limit, and not
+        # an assertion that python -O would skip.
+        net = network_from_arcs(1, [])
+        tree = Arborescence(t=0, parent=(-1,), arc_ids=(-1,))
+        for limit in (None, 5):
+            with pytest.raises(DircutError, match="at least 2 nodes"):
+                one_respecting_mincut(net, tree, 0, limit=limit)
+
     def test_one_network_and_engine_per_call(self, engine_builds):
         net = random_digraph(random.Random(45), 7, ensure_sink_path=6)
         tree = min_cost_arborescence(net, 6, [1.0] * net.arc_count)

@@ -98,6 +98,16 @@ class TestIdealLoads:
         with pytest.raises(LoadsError):
             ideal_loads(trubin_path, tree)
 
+    def test_structural_error_for_one_child_node(self):
+        # An edge charged to an internal node with one child has no cut
+        # ratio to divide by: the tree is rejected, not divided by zero.
+        g = WeightedGraph.from_edges(2, [(0, 1, 3)])
+        leaf = HierarchyNode(frozenset({1}), (), None)
+        tree = HierarchyTree(HierarchyNode(frozenset({0}), (leaf,), Fr(3)), g)
+        for read in (ideal_loads, entropy_certificate):
+            with pytest.raises(LoadsError, match="structurally fit"):
+                read(g, tree)
+
 
 class TestMinMaxLoads:
     def test_path_unit_extremes(self, trubin_path):
