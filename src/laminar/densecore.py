@@ -320,10 +320,13 @@ def _maximal_densest(
     first source scanned inside a maximal densest set yields that set, and
     every later one a proper subset of it.  The witness, the earliest
     largest side, comes first.  Raises RuntimeError unless the sides kept
-    have density tau, the witness leads them, and they are disjoint.
+    have density tau, the witness leads them, and they are disjoint; the
+    search has already matched the witness's own density to tau.
     """
     top = [side for side in sides if not any(side < other for other in sides)]
     for side in top:
+        if side == witness:
+            continue
         density = skew_density(graph, side)
         if density != tau:
             raise RuntimeError(f"a maximal scanned side has density {density}, not {tau}")

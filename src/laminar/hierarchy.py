@@ -262,113 +262,101 @@ def maximal_min_ratio_cut(tree: HierarchyTree) -> MultiwayCut:
     return MultiwayCut(tree.graph, [c.vertex_set for c in tree.root.children])
 
 
-def _charge_edges(
-    graph: WeightedGraph, root: HierarchyNode
-) -> tuple[list[frozenset[int]], dict[frozenset[int], int]]:
-    """Charge each edge to the deepest node holding both its ends.
+def _charged_edges(
+    graph: WeightedGraph, nodes: list[HierarchyNode]
+) -> Iterator[tuple[HierarchyNode, dict[int, tuple[int, int, int]]]]:
+    """Each internal node of the preorder `nodes`, children first, with the
+    edges charged to it.
 
-    Returns each edge's node, as its vertex set, and the weight charged to
-    each node.  The node is the lowest common ancestor of the ends' leaves:
-    the shallowest node between them on an Euler tour of the tree, read in
-    O(1) per edge from a sparse table of the tour's depths.  Every vertex
-    needs a singleton node; the first one on the tour stands for it.
+    An edge is charged to the deepest node that holds both its ends, that
+    is, to the node whose children it joins.  Each such edge maps its id to
+    (the position of the child that holds u, that of the child that holds
+    v, w), in edge-id order.  A union-find by size labels each vertex with
+    the largest node visited so far that holds it: at a node, only the
+    edges at the vertices of the children other than the largest are read,
+    and once the node is yielded those vertices take the largest child's
+    label.  A vertex is read only when its set at least doubles, O(m log n)
+    in all.  Needs the sound shape `_shape_violations` checks.
     """
-    euler: list[HierarchyNode] = []
-    depth: list[int] = []
-    first: dict[int, int] = {}  # vertex -> tour position of its leaf
-    stack: list[tuple[HierarchyNode, int, int]] = [(root, 0, 0)]
-    while stack:
-        node, d, child_idx = stack.pop()
-        if child_idx == 0 and len(node.vertex_set) == 1:
-            first.setdefault(next(iter(node.vertex_set)), len(euler))
-        euler.append(node)
-        depth.append(d)
-        if child_idx < len(node.children):
-            stack.append((node, d, child_idx + 1))
-            stack.append((node.children[child_idx], d + 1, 0))
-    # table[j][i]: the shallowest tour position among i .. i + 2^j - 1
-    table = [list(range(len(euler)))]
-    for j in range(1, len(euler).bit_length()):
-        prev = table[-1]
-        table.append(
-            [a if depth[a] <= depth[b] else b for a, b in zip(prev, prev[1 << (j - 1) :])]
-        )
-    edge_node: list[frozenset[int]] = []
-    charged: dict[frozenset[int], int] = {}
-    for u, v, w in graph.edges:
-        i, j = sorted((first[u], first[v]))
-        level = (j - i + 1).bit_length() - 1
-        a, b = table[level][i], table[level][j + 1 - (1 << level)]
-        key = euler[a if depth[a] <= depth[b] else b].vertex_set
-        edge_node.append(key)
-        charged[key] = charged.get(key, 0) + w
-    return edge_node, charged
+    incident: list[list[int]] = [[] for _ in range(graph.n)]
+    for e, (u, v, _) in enumerate(graph.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    label = list(range(graph.n))
+    for node in reversed(nodes):
+        if node.is_leaf:
+            continue
+        kids = node.children
+        slot = {label[next(iter(child.vertex_set))]: i for i, child in enumerate(kids)}
+        big = max(range(len(kids)), key=lambda i: len(kids[i].vertex_set))
+        small = [child.vertex_set for i, child in enumerate(kids) if i != big]
+        read = {e for vertex_set in small for x in vertex_set for e in incident[x]}
+        charged: dict[int, tuple[int, int, int]] = {}
+        for e in sorted(read):
+            u, v, w = graph.edges[e]
+            a, b = slot.get(label[u]), slot.get(label[v])
+            if a != b and a is not None and b is not None:
+                charged[e] = (a, b, w)
+        yield node, charged
+        top = label[next(iter(kids[big].vertex_set))]
+        for vertex_set in small:
+            for x in vertex_set:
+                label[x] = top
+
+
+def _shape_violations(graph: WeightedGraph, nodes: list[HierarchyNode]) -> Iterator[str]:
+    """How the preorder `nodes` fail to be a laminar family over the graph's
+    vertices: the root is the vertex set, leaves are singletons, and every
+    internal node has two children or more that partition it.  Then every
+    vertex has one leaf and every edge one node to be charged to.
+    """
+    if nodes[0].vertex_set != frozenset(range(graph.n)):
+        yield "root does not cover the vertex set"
+    for node in nodes:
+        if node.is_leaf:
+            if len(node.vertex_set) != 1:
+                yield f"leaf {sorted(node.vertex_set)} is not a singleton"
+            continue
+        if len(node.children) < 2:
+            yield f"internal node {sorted(node.vertex_set)} has < 2 children"
+        union: set[int] = set()
+        for child in node.children:
+            if not union.isdisjoint(child.vertex_set):
+                yield f"children of {sorted(node.vertex_set)} overlap"
+            union.update(child.vertex_set)
+        if union != node.vertex_set:
+            yield f"children of {sorted(node.vertex_set)} do not partition it"
 
 
 def _certify_tree(graph: WeightedGraph, root: HierarchyNode) -> list[str]:
     """The tree's violations of the certificate above, empty iff root is the
     canonical cut hierarchy of graph.
 
-    The shape comes first: the root covers the vertices, leaves are
-    singletons without a ratio, and every internal node has a ratio and two
-    children or more that partition it.  Checks (a)-(c) run once the shape
-    is sound, so that every edge has one node to be charged to.  Children
-    come before their parents, and a union-find over the vertices, merged
-    as each node is certified, names the child that holds each end of an
-    edge charged to it.
+    The shape comes first: `_shape_violations`, then a ratio on every
+    internal node and on no leaf.  Checks (a)-(c) run once the shape is
+    sound, as `_charged_edges` needs it, and read each G_X, children first,
+    off that pass.
     """
-    violations: list[str] = []
-    if root.vertex_set != frozenset(range(graph.n)):
-        violations.append("root does not cover the vertex set")
     nodes = list(root.walk())
+    violations = list(_shape_violations(graph, nodes))
     for node in nodes:
-        if node.is_leaf:
-            if len(node.vertex_set) != 1:
-                violations.append(f"leaf {sorted(node.vertex_set)} is not a singleton")
-            if node.sigma is not None:
-                violations.append(f"leaf {sorted(node.vertex_set)} carries a ratio")
-            continue
-        if node.sigma is None:
+        if node.is_leaf and node.sigma is not None:
+            violations.append(f"leaf {sorted(node.vertex_set)} carries a ratio")
+        elif not node.is_leaf and node.sigma is None:
             violations.append(f"internal node {sorted(node.vertex_set)} lacks a ratio")
-        if len(node.children) < 2:
-            violations.append(f"internal node {sorted(node.vertex_set)} has < 2 children")
-        union: set[int] = set()
-        for child in node.children:
-            if not union.isdisjoint(child.vertex_set):
-                violations.append(f"children of {sorted(node.vertex_set)} overlap")
-            union.update(child.vertex_set)
-        if union != node.vertex_set:
-            violations.append(f"children of {sorted(node.vertex_set)} do not partition it")
     if violations:
         return violations
-    edge_node, weight = _charge_edges(graph, root)
-    between: dict[frozenset[int], list[tuple[int, int, int]]] = {}
-    for edge, key in zip(graph.edges, edge_node):
-        between.setdefault(key, []).append(edge)
-    rep = list(range(graph.n))
-
-    def find(v: int) -> int:
-        while rep[v] != v:
-            rep[v] = v = rep[rep[v]]  # path halving
-        return v
-
-    for node in reversed(nodes):
-        if node.is_leaf:
-            continue
-        heads = [find(next(iter(child.vertex_set))) for child in node.children]
-        ratio = Fraction(weight.get(node.vertex_set, 0), len(heads) - 1)
+    for node, charged in _charged_edges(graph, nodes):
+        r = len(node.children)
+        ratio = Fraction(sum(w for _, _, w in charged.values()), r - 1)
         if not ratio:
             violations.append(f"no edge joins the children of {sorted(node.vertex_set)}")
-        elif len(heads) > 2:
-            slot = {head: i for i, head in enumerate(heads)}
-            edges = between[node.vertex_set]
-            g_x = _checked(len(heads), tuple((slot[find(u)], slot[find(v)], w) for u, v, w in edges))
+        elif r > 2:
+            g_x = _checked(r, tuple(charged.values()))
             if _probe(g_x, ratio, g_x.n)[0]:
                 violations.append(
                     f"the children of {sorted(node.vertex_set)} hold a set denser than {ratio}"
                 )
-        for head in heads:
-            rep[head] = heads[0]
         for child in node.children:
             if not child.is_leaf and child.sigma <= node.sigma:
                 violations.append(

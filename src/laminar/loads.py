@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graph import WeightedGraph
-from .hierarchy import HierarchyNode, HierarchyTree, _charge_edges
+from .hierarchy import HierarchyNode, HierarchyTree, _charged_edges, _shape_violations
 
 RECONSTRUCTION_TOL = 1e-9
 
@@ -51,24 +51,21 @@ class IdealLoads:
 
 def ideal_loads(graph: WeightedGraph, tree: HierarchyTree) -> IdealLoads:
     """Exact loads: each edge's weight over the ratio of its LCA node."""
-    for v in range(graph.n):
-        if frozenset({v}) not in tree.node_by_set:
-            raise LoadsError(f"vertex {v} is not a leaf of the tree")
-    edge_node, charged = _charge_edges(graph, tree.root)
+    nodes = list(tree.nodes())
+    for fault in _shape_violations(graph, nodes):
+        raise LoadsError(f"{fault}; the tree does not structurally fit this graph")
+    edge_node: list = [None] * graph.m
     node_sigma: dict[frozenset[int], Fraction] = {}
-    for node in tree.internal_nodes():
+    for node, charged in _charged_edges(graph, nodes):
         key = node.vertex_set
-        if len(node.children) < 2:
-            raise LoadsError(
-                f"internal node {sorted(key)} has one child; the tree does not "
-                "structurally fit this graph"
-            )
-        if key not in charged:
+        if not charged:
             raise LoadsError(
                 f"internal node {sorted(key)} has no crossing edges; the tree "
                 "cannot be a cut hierarchy of this graph"
             )
-        node_sigma[key] = Fraction(charged[key], len(node.children) - 1)
+        for e in charged:
+            edge_node[e] = key
+        node_sigma[key] = Fraction(sum(w for _, _, w in charged.values()), len(node.children) - 1)
     per_edge = tuple(
         Fraction(w) / node_sigma[edge_node[i]]
         for i, (_, _, w) in enumerate(graph.edges)
@@ -117,8 +114,11 @@ def entropy_certificate(graph: WeightedGraph, tree: HierarchyTree) -> DualCertif
         node, acc = stack.pop()
         if node.is_leaf:
             continue
-        sigma = float(loads.node_sigma[node.vertex_set])
-        y_node = math.log(sigma) - acc
+        sigma = loads.node_sigma[node.vertex_set]
+        try:
+            y_node = math.log(sigma) - acc
+        except OverflowError:  # past the float range; math.log takes integers of any size
+            y_node = math.log(sigma.numerator) - math.log(sigma.denominator) - acc
         y[node.vertex_set] = y_node
         prefix[node.vertex_set] = acc + y_node
         for child in node.children:

@@ -272,8 +272,26 @@ class TestFindStar:
         assert _maximal_densest(unit_triangle, Fr(1), [pair], pair) == (pair,)
         with pytest.raises(RuntimeError, match="overlap"):
             _maximal_densest(unit_triangle, Fr(1), [pair, other], pair)
-        with pytest.raises(RuntimeError, match="density"):
-            _maximal_densest(unit_triangle, Fr(3, 2), [pair], pair)
+        # A maximal side beside the witness must have density tau too: on
+        # the path 0 = 1 - 2 - 3 (weights 2, 1, 1) {2, 3} has density 1, not
+        # the witness {0, 1}'s 2.
+        path = WeightedGraph.from_edges(4, [(0, 1, 2), (1, 2, 1), (2, 3, 1)])
+        heavy = frozenset({0, 1})
+        with pytest.raises(RuntimeError, match="density 1, not 2"):
+            _maximal_densest(path, Fr(2), [heavy, frozenset({2, 3})], heavy)
+
+    def test_exact_search_reads_the_witness_density_once(self, monkeypatch):
+        # The search has matched its witness's density to tau when it stops,
+        # and `_maximal_densest` does not read it again: each round of the
+        # rising path's build reads the inside weight of its one set once.
+        inside = WeightedGraph.weight_inside
+        reads: list[int] = []
+        monkeypatch.setattr(
+            WeightedGraph, "weight_inside", lambda *args: reads.append(1) or inside(*args)
+        )
+        n = 30
+        build_hierarchy(rising_path(n))
+        assert len(reads) == n - 1
 
     def test_probe_successes_are_downward_closed(self):
         # Along any binary search, the succeeding thresholds form a prefix of

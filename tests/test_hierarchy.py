@@ -884,6 +884,72 @@ class TestValidate:
         assert any("min-ratio" in v for v in violations)
 
 
+def brute_charges(graph: WeightedGraph, root: HierarchyNode) -> list[tuple[frozenset[int], tuple]]:
+    """Each edge's node, found by walking down from the root while one child
+    holds both ends, with the positions of the children that hold u and v."""
+    found = []
+    for u, v, w in graph.edges:
+        node = root
+        while True:
+            a, b = (next(i for i, c in enumerate(node.children) if x in c.vertex_set) for x in (u, v))
+            if a != b:
+                break
+            node = node.children[a]
+        found.append((node.vertex_set, (a, b, w)))
+    return found
+
+
+class TestChargedEdges:
+    def check(self, graph: WeightedGraph, root: HierarchyNode) -> None:
+        """`_charged_edges` visits the internal nodes children first, charges
+        each edge once, in edge-id order per node, to the brute walk's node
+        and children, and `ideal_loads` reads the same nodes off it."""
+        import laminar.hierarchy as hz
+        from laminar import ideal_loads
+
+        nodes = list(root.walk())
+        charged = {}
+        visited = []
+        for node, edges in hz._charged_edges(graph, nodes):
+            visited.append(node)
+            assert list(edges) == sorted(edges)
+            for e, slots in edges.items():
+                assert e not in charged
+                charged[e] = (node.vertex_set, slots)
+        assert visited == [x for x in reversed(nodes) if not x.is_leaf]
+        expected = brute_charges(graph, root)
+        assert [charged[e] for e in range(graph.m)] == expected
+        loads = ideal_loads(graph, HierarchyTree(root, graph))
+        assert list(loads.edge_node) == [key for key, _ in expected]
+
+    def test_random_canonical_trees(self):
+        rng = random.Random(2501)
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            g = random_connected_graph(rng, n, max_weight=rng.choice((1, 3, 20)))
+            self.check(g, build_hierarchy(g).root)
+
+    def test_rising_path(self):
+        n = 400
+        g = WeightedGraph.from_edges(n, [(i, i + 1, i + 1) for i in range(n - 1)])
+        self.check(g, build_hierarchy(g).root)
+
+    def test_non_canonical_trees(self):
+        # The equal-ratio child of the loads tests, a root sigma moved by
+        # 1/7 and two root children grouped under a new node: the charges
+        # read the shape only.
+        g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        self.check(g, frozen([Fr(1), [[Fr(1), [0, 1]], 2]], g))
+        rng = random.Random(43)
+        g = random_connected_graph(rng, 80, max_weight=20, extra_edges=20)
+        root = build_hierarchy(g).root
+        assert len(root.children) >= 3
+        self.check(g, HierarchyNode(root.vertex_set, root.children, root.sigma - Fr(1, 7)))
+        grouped = nested(root)
+        grouped[1][:2] = [[None, grouped[1][:2]]]
+        self.check(g, frozen(grouped, g))
+
+
 def pairwise_eq(self, other):
     """`HierarchyNode.__eq__` as it was before it compared preorder walks:
     a pairwise stack, kept here as the reference."""

@@ -99,13 +99,38 @@ class TestIdealLoads:
             ideal_loads(trubin_path, tree)
 
     def test_structural_error_for_one_child_node(self):
-        # An edge charged to an internal node with one child has no cut
-        # ratio to divide by: the tree is rejected, not divided by zero.
+        # An internal node with one child has no cut ratio to divide by:
+        # the tree is rejected, not divided by zero.
         g = WeightedGraph.from_edges(2, [(0, 1, 3)])
-        leaf = HierarchyNode(frozenset({1}), (), None)
-        tree = HierarchyTree(HierarchyNode(frozenset({0}), (leaf,), Fr(3)), g)
+        leaves = tuple(HierarchyNode(frozenset({v}), (), None) for v in range(2))
+        only = HierarchyNode(frozenset({0, 1}), leaves, Fr(3))
+        tree = HierarchyTree(HierarchyNode(frozenset({0, 1}), (only,), Fr(3)), g)
         for read in (ideal_loads, entropy_certificate):
-            with pytest.raises(LoadsError, match="structurally fit"):
+            with pytest.raises(LoadsError, match="< 2 children; .* structurally fit"):
+                read(g, tree)
+
+    def test_structural_error_for_a_leaf_outside_the_graph(self):
+        # Every vertex of the unit path 0 - 1 - 2 has its leaf, but the root
+        # also holds a leaf {3} that the graph lacks; loads read off such a
+        # tree would sum to 3, not n - 1 = 2.
+        g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        leaves = tuple(HierarchyNode(frozenset({v}), (), None) for v in range(4))
+        tree = HierarchyTree(HierarchyNode(frozenset(range(4)), leaves, Fr(1)), g)
+        for read in (ideal_loads, entropy_certificate):
+            with pytest.raises(LoadsError, match="root does not cover the vertex set"):
+                read(g, tree)
+
+    def test_structural_error_for_overlapping_children(self):
+        # The root of the unit path 0 - 1 - 2 splits into {0, 1} and {1, 2},
+        # which share vertex 1: no edge has one deepest node, and the tree
+        # is rejected rather than given loads.
+        g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        leaf = [HierarchyNode(frozenset({v}), (), None) for v in range(3)]
+        left = HierarchyNode(frozenset({0, 1}), (leaf[0], leaf[1]), Fr(1))
+        right = HierarchyNode(frozenset({1, 2}), (leaf[1], leaf[2]), Fr(1))
+        tree = HierarchyTree(HierarchyNode(frozenset(range(3)), (left, right), Fr(1)), g)
+        for read in (ideal_loads, entropy_certificate):
+            with pytest.raises(LoadsError, match=r"children of \[0, 1, 2\] overlap"):
                 read(g, tree)
 
 
@@ -176,6 +201,15 @@ class TestCertificate:
                     assert value >= -1e-12
             for i in range(g.m):
                 assert abs(cert.unit_marginals[i] - float(loads.unit_per_edge[i])) <= 1e-9
+
+    def test_ratio_past_the_float_range(self):
+        # The pair {0, 1} has ratio 10^400, which no float holds; its dual
+        # value is still ln(10^400) over the root's ratio 1.
+        g = WeightedGraph.from_edges(3, [(0, 1, 10**400), (1, 2, 1)])
+        cert = entropy_certificate(g, build_hierarchy(g))
+        assert cert.y[frozenset(range(3))] == 0.0
+        assert cert.y[frozenset({0, 1})] == pytest.approx(400 * math.log(10))
+        assert cert.unit_marginals == (0.0, 1.0)
 
 
 class TestEntropyValue:
