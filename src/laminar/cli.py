@@ -55,57 +55,37 @@ def vertex_list(vertices) -> str:
     return ",".join(str(v) for v in sorted(vertices))
 
 
-def hierarchy_to_json(tree: HierarchyTree) -> dict:
-    def encode(node: HierarchyNode) -> dict:
-        data: dict = {"vertices": sorted(node.vertex_set)}
-        if node.sigma is not None:
-            data["sigma"] = rational(node.sigma)
-        data["children"] = []
-        return data
-
-    top = encode(tree.root)
-    stack = [(tree.root, top)]
-    while stack:
-        node, data = stack.pop()
-        for child in node.children:
-            child_data = encode(child)
-            data["children"].append(child_data)
-            stack.append((child, child_data))
-    return top
-
-
-def hierarchy_json_text(tree: HierarchyTree) -> str:
-    """json.dumps(hierarchy_to_json(tree), indent=2), without recursion.
+def hierarchy_to_json(tree: HierarchyTree) -> str:
+    """The tree as nested {"vertices", "sigma", "children"} objects, sigma on
+    internal nodes only, in the bytes json.dumps(..., indent=2) writes.
 
     The standard encoder recurses once per nesting level and fails on
-    hierarchies a few hundred levels deep; this writes the same bytes.
+    hierarchies a few hundred levels deep; this writes the text in one walk.
     """
     out: list[str] = []
-    # Entries are (value, level) to encode, or (text, None) to copy.
-    stack: list[tuple[object, int | None]] = [(hierarchy_to_json(tree), 0)]
+    # Entries are (node, nesting level) to write, or (text, None) to copy.
+    stack: list[tuple[object, int | None]] = [(tree.root, 0)]
     while stack:
-        item, level = stack.pop()
+        node, level = stack.pop()
         if level is None:
-            out.append(item)
-        elif isinstance(item, list) and item and all(type(x) is int for x in item):
-            # A list of vertex ids, written in one join: json.dumps(x) == str(x).
-            inner = "\n" + "  " * (level + 1)
-            ids = ("," + inner).join(map(str, item))
-            out.append("[" + inner + ids + "\n" + "  " * level + "]")
-        elif isinstance(item, (dict, list)) and item:
-            pairs = item.items() if isinstance(item, dict) else ((None, v) for v in item)
-            inner = "\n" + "  " * (level + 1)
-            todo: list[tuple[object, int | None]] = []
-            for i, (key, value) in enumerate(pairs):
-                key_text = "" if key is None else json.dumps(key) + ": "
-                todo.append(("," * (i > 0) + inner + key_text, None))
-                todo.append((value, level + 1))
-            closing = "}" if isinstance(item, dict) else "]"
-            todo.append(("\n" + "  " * level + closing, None))
-            out.append("{" if isinstance(item, dict) else "[")
-            stack.extend(reversed(todo))
-        else:
-            out.append(json.dumps(item))
+            out.append(node)
+            continue
+        pad = "\n" + "  " * level
+        key, item = pad + "  ", pad + "    "
+        out.append("{" + key + '"vertices": [' + item)
+        out.append(("," + item).join(map(str, sorted(node.vertex_set))))
+        out.append(key + "],")
+        if node.sigma is not None:
+            out.append(f'{key}"sigma": "{rational(node.sigma)}",')
+        if not node.children:
+            out.append(key + '"children": []' + pad + "}")
+            continue
+        out.append(key + '"children": [')
+        stack.append((key + "]" + pad + "}", None))
+        first, *rest = node.children
+        for child in reversed(rest):
+            stack += ((child, level + 2), ("," + item, None))
+        stack += ((first, level + 2), (item, None))
     return "".join(out)
 
 
@@ -278,12 +258,9 @@ def _cmd_strength(args) -> int:
 
 
 def _print_tree(args, tree: HierarchyTree) -> None:
-    if args.format == "dot":
-        print(hierarchy_to_dot(tree))
-    elif args.format == "json":
-        print(hierarchy_json_text(tree))
-    else:
-        print(hierarchy_to_text(tree))
+    # Looked up per call, so a renderer rebound on this module (bench/tracer.py) is the one run.
+    render ={"text": hierarchy_to_text, "json": hierarchy_to_json, "dot": hierarchy_to_dot}
+    print(render[args.format](tree))
 
 
 def _cmd_hierarchy(args) -> int:
@@ -357,7 +334,7 @@ def _cmd_entropy_check(args) -> int:
     fw = frank_wolfe_entropy(graph, args.iterations, seed=args.seed)
     tree = _build_tree(args, graph)
     loads = ideal_loads(graph, tree)
-    certificate = entropy_certificate(graph, tree)
+    certificate = entropy_certificate(loads)
     pairs = loads.unit_marginal_pairs()
     ideal_entropy = entropy_value((x for x, _ in pairs), (w for _, w in pairs))
     gap = fw.value - ideal_entropy

@@ -105,11 +105,11 @@ class DualCertificate:
     unit_marginals: tuple[float, ...]
 
 
-def entropy_certificate(graph: WeightedGraph, tree: HierarchyTree) -> DualCertificate:
-    loads = ideal_loads(graph, tree)
+def entropy_certificate(loads: IdealLoads) -> DualCertificate:
+    """The dual certificate of the loads' tree, read from the loads' node ratios."""
     y: dict[frozenset[int], float] = {}
     prefix: dict[frozenset[int], float] = {}
-    stack: list[tuple[HierarchyNode, float]] = [(tree.root, 0.0)]
+    stack: list[tuple[HierarchyNode, float]] = [(loads.tree.root, 0.0)]
     while stack:
         node, acc = stack.pop()
         if node.is_leaf:
@@ -124,7 +124,7 @@ def entropy_certificate(graph: WeightedGraph, tree: HierarchyTree) -> DualCertif
         for child in node.children:
             stack.append((child, acc + y_node))
     marginals = []
-    for i in range(graph.m):
+    for i in range(loads.graph.m):
         key = loads.edge_node[i]
         x = math.exp(-prefix[key])
         expected = float(loads.unit_per_edge[i])

@@ -424,7 +424,7 @@ def test_criterion_10_entropy_optimality():
         g = random_connected_graph(rng, rng.randint(2, 6), max_weight=4)
         tree = build_hierarchy(g)
         loads = ideal_loads(g, tree)
-        cert = entropy_certificate(g, tree)
+        cert = entropy_certificate(loads)
         for key, value in cert.y.items():
             if key != tree.root.vertex_set:
                 assert value >= -1e-12

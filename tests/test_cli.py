@@ -10,7 +10,6 @@ import pytest
 
 from laminar import HierarchyNode, HierarchyTree, WeightedGraph, build_hierarchy
 from laminar.cli import (
-    hierarchy_json_text,
     hierarchy_to_dot,
     hierarchy_to_json,
     hierarchy_to_text,
@@ -127,6 +126,28 @@ class TestCommands:
         assert code == 0 and "sigma=100/1" in out
 
 
+def json_tree(tree: HierarchyTree) -> dict:
+    """The tree as the nested {"vertices", "sigma", "children"} dicts whose
+    json.dumps(..., indent=2) text `hierarchy_to_json` writes, built without
+    recursion; a leaf has no sigma."""
+
+    def entry(node: HierarchyNode) -> dict:
+        data: dict = {"vertices": sorted(node.vertex_set)}
+        if node.sigma is not None:
+            data["sigma"] = rational(node.sigma)
+        data["children"] = []
+        return data
+
+    top = entry(tree.root)
+    stack = [(tree.root, top)]
+    while stack:
+        node, data = stack.pop()
+        for child in node.children:
+            data["children"].append(entry(child))
+            stack.append((child, data["children"][-1]))
+    return top
+
+
 def json_preorder(data: dict) -> list[tuple]:
     """(vertices, sigma, number of children) per node of a JSON hierarchy, in
     preorder, without recursion; a leaf's sigma is None."""
@@ -155,19 +176,35 @@ class TestJsonRoundTrip:
         for trial in range(5):
             g = random_connected_graph(random.Random(trial), 6)
             tree = build_hierarchy(g)
-            assert json_preorder(hierarchy_to_json(tree)) == tree_preorder(tree)
+            assert json_preorder(json.loads(hierarchy_to_json(tree))) == tree_preorder(tree)
 
     def test_json_text_matches_the_standard_encoder(self):
         import random
 
+        rng = random.Random(26)
         trees = [build_hierarchy(WeightedGraph.from_edges(1, []))]
-        for trial in range(8):
-            g = random_connected_graph(random.Random(trial), 7)
+        for trial in range(200):
+            g = random_connected_graph(random.Random(trial), rng.randint(2, 14))
             trees.append(build_hierarchy(g))
-        trees.append(chain_tree(300))
+        # The unit triangle's sigma is 3/2; the path's vertex ids reach 11.
+        triangle = build_hierarchy(WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]))
+        path = build_hierarchy(WeightedGraph.from_edges(12, [(v, v + 1, v + 1) for v in range(11)]))
+        assert triangle.root.sigma == Fr(3, 2) and max(path.root.vertex_set) == 11
+        trees += [triangle, path, chain_tree(300)]
         for tree in trees:
-            expected = json.dumps(hierarchy_to_json(tree), indent=2)
-            assert hierarchy_json_text(tree) == expected
+            assert hierarchy_to_json(tree) == json.dumps(json_tree(tree), indent=2)
+
+    def test_oracle_hierarchy_prints_the_same_json(self, capsys, tmp_path):
+        # The brute-force tree passes through the same writer.
+        import random
+
+        rng = random.Random(2026)
+        target = tmp_path / "graph.txt"
+        for _ in range(20):
+            target.write_text(format_edge_list(random_connected_graph(rng, rng.randint(1, 7))))
+            built = run_cli(capsys, "hierarchy", str(target), "--format", "json")
+            brute = run_cli(capsys, "oracle", "hierarchy", str(target), "--format", "json")
+            assert built[0] == 0 and built == brute
 
     def test_byte_identical_given_seed(self, capsys, path_file):
         first = run_cli(capsys, "hierarchy", path_file, "--seed", "3", "--format", "json")
@@ -213,8 +250,6 @@ class TestDeepHierarchy:
         dot = hierarchy_to_dot(tree).split("\n")
         assert len(dot) == 2 + (2 * depth + 1) + 2 * depth
         assert dot[-2] == "  n0 -> n2;"  # the root's arc to its deep child comes last
-
-        assert json_preorder(hierarchy_to_json(tree)) == tree_preorder(tree)
 
     def test_node_equality_hash_and_repr_at_depth_5000(self):
         depth = self.DEPTH
@@ -265,7 +300,7 @@ class TestDeepHierarchy:
         # json.dumps fails near 500 levels; the indented text of a chain grows
         # with the square of its depth, so 1000 levels keep it near 30 MB.
         depth = 1000
-        lines = hierarchy_json_text(chain_tree(depth)).split("\n")
+        lines = hierarchy_to_json(chain_tree(depth)).split("\n")
         assert lines[-1] == "}"
         assert sum(line.strip() == '"children": []' for line in lines) == depth + 1
 
