@@ -41,7 +41,6 @@ from .goldberg import (
 )
 from .graph import (
     MultiwayCut,
-    Rational,
     WeightedGraph,
     connected_components,
     contract,

@@ -130,23 +130,6 @@ def build_goldberg(graph: WeightedGraph, tau: Fraction) -> GoldbergNetwork:
     )
 
 
-def expected_cut_value(h: GoldbergNetwork, side_vertices, side_edges) -> int | float:
-    """Closed-form cut value of source side {s} + side_edges + side_vertices.
-
-    scale * (c(E) - c(S_E) + tau * |S_V|) when every chosen edge has both
-    endpoints chosen, INF otherwise (an INF arc would cross).
-    """
-    sv = frozenset(side_vertices)
-    se = frozenset(side_edges)
-    for idx in se:
-        u, v, _ = h.graph.edges[idx]
-        if u not in sv or v not in sv:
-            return INF
-    chosen = sum(h.graph.edges[i][2] for i in se)
-    total = h.graph.total_weight()
-    return h.scale * (total - chosen) + h.tau.numerator * len(sv)
-
-
 def min_cut_vertex_side(h: GoldbergNetwork, flow: FlowResult) -> frozenset[int]:
     """Largest maximizer of c(E[X]) - tau|X| from a max flow on h.
 
@@ -245,9 +228,3 @@ def build_modified(h: GoldbergNetwork, flow: FlowResult) -> ModifiedNetwork:
         start=FlowResult(value=0, residual=slots),
     )
 
-
-def expected_modified_cut_value(m: ModifiedNetwork, side_vertices) -> int:
-    """Closed-form cut value in the shortcut network: scale*(tau|X| - c(E[X]))."""
-    sv = frozenset(side_vertices)
-    inside = m.graph.weight_inside(sv)
-    return m.tau.numerator * len(sv) - m.scale * inside

@@ -11,8 +11,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-Rational = Fraction
-
 Edge = tuple[int, int, int]  # (u, v, weight)
 
 

@@ -127,15 +127,28 @@ class HierarchyNode:
 
 @dataclass(frozen=True)
 class HierarchyTree:
+    """A tree over a graph, charged once when it is made.
+
+    `faults` says how the tree fails to be a laminar family over the
+    graph's vertices (`_shape_violations`).  When it is empty, `charge`
+    holds each internal node, children first, with the edges charged to it
+    and its ratio c(G_X)/(r-1) (`_charged_edges`); else it is empty.  The
+    certificate, `validate_hierarchy` and `loads.ideal_loads` read both.
+    """
+
     root: HierarchyNode
     graph: WeightedGraph
-    node_by_set: dict[frozenset[int], HierarchyNode] = field(
+    faults: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    charge: tuple[tuple[HierarchyNode, dict[int, tuple[int, int, int]], Fraction], ...] = field(
         init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        index = {node.vertex_set: node for node in self.root.walk()}
-        object.__setattr__(self, "node_by_set", index)
+        nodes = list(self.root.walk())
+        faults = tuple(_shape_violations(self.graph, nodes))
+        charge = () if faults else tuple(_charged_edges(self.graph, nodes))
+        object.__setattr__(self, "faults", faults)
+        object.__setattr__(self, "charge", charge)
 
     def nodes(self) -> Iterator[HierarchyNode]:
         return self.root.walk()
@@ -186,10 +199,11 @@ def build_hierarchy(
                 frozenset().union(*(c.vertex_set for c in children)), children, sigma
             )
         registry = nodes
-    violations = _certify_tree(graph, registry[0])
+    tree = HierarchyTree(root=registry[0], graph=graph)
+    violations = _certify_tree(tree)
     if violations:
         raise RuntimeError(f"the {mode} hierarchy fails its certificate: {violations[0]}")
-    return HierarchyTree(root=registry[0], graph=graph)
+    return tree
 
 
 def _sweep_sizes(n: int) -> list[int]:
@@ -240,7 +254,8 @@ def _randomized_star(cur: WeightedGraph, rng: random.Random, epsilon: Fraction) 
 
 
 def node_sigma(tree: HierarchyTree, vertex_set) -> Fraction:
-    node = tree.node_by_set.get(frozenset(vertex_set))
+    key = frozenset(vertex_set)
+    node = next((x for x in tree.nodes() if x.vertex_set == key), None)
     if node is None:
         raise KeyError(f"no hierarchy node for {sorted(vertex_set)}")
     if node.sigma is None:
@@ -264,9 +279,9 @@ def maximal_min_ratio_cut(tree: HierarchyTree) -> MultiwayCut:
 
 def _charged_edges(
     graph: WeightedGraph, nodes: list[HierarchyNode]
-) -> Iterator[tuple[HierarchyNode, dict[int, tuple[int, int, int]]]]:
+) -> Iterator[tuple[HierarchyNode, dict[int, tuple[int, int, int]], Fraction]]:
     """Each internal node of the preorder `nodes`, children first, with the
-    edges charged to it.
+    edges charged to it and their weight over one less than its child count.
 
     An edge is charged to the deepest node that holds both its ends, that
     is, to the node whose children it joins.  Each such edge maps its id to
@@ -297,7 +312,7 @@ def _charged_edges(
             a, b = slot.get(label[u]), slot.get(label[v])
             if a != b and a is not None and b is not None:
                 charged[e] = (a, b, w)
-        yield node, charged
+        yield node, charged, Fraction(sum(w for _, _, w in charged.values()), len(kids) - 1)
         top = label[next(iter(kids[big].vertex_set))]
         for vertex_set in small:
             for x in vertex_set:
@@ -328,27 +343,24 @@ def _shape_violations(graph: WeightedGraph, nodes: list[HierarchyNode]) -> Itera
             yield f"children of {sorted(node.vertex_set)} do not partition it"
 
 
-def _certify_tree(graph: WeightedGraph, root: HierarchyNode) -> list[str]:
-    """The tree's violations of the certificate above, empty iff root is the
-    canonical cut hierarchy of graph.
+def _certify_tree(tree: HierarchyTree) -> list[str]:
+    """The tree's violations of the certificate above, empty iff its root is
+    the canonical cut hierarchy of its graph.
 
-    The shape comes first: `_shape_violations`, then a ratio on every
+    The shape comes first: the tree's faults, then a ratio on every
     internal node and on no leaf.  Checks (a)-(c) run once the shape is
-    sound, as `_charged_edges` needs it, and read each G_X, children first,
-    off that pass.
+    sound and read each G_X, children first, off the tree's charge.
     """
-    nodes = list(root.walk())
-    violations = list(_shape_violations(graph, nodes))
-    for node in nodes:
+    violations = list(tree.faults)
+    for node in tree.nodes():
         if node.is_leaf and node.sigma is not None:
             violations.append(f"leaf {sorted(node.vertex_set)} carries a ratio")
         elif not node.is_leaf and node.sigma is None:
             violations.append(f"internal node {sorted(node.vertex_set)} lacks a ratio")
     if violations:
         return violations
-    for node, charged in _charged_edges(graph, nodes):
+    for node, charged, ratio in tree.charge:
         r = len(node.children)
-        ratio = Fraction(sum(w for _, _, w in charged.values()), r - 1)
         if not ratio:
             violations.append(f"no edge joins the children of {sorted(node.vertex_set)}")
         elif r > 2:
@@ -374,11 +386,13 @@ def _certify_tree(graph: WeightedGraph, root: HierarchyNode) -> list[str]:
 def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
     """The tree certificate's violations (see above), at any size; on small
     graphs also compares each internal node's children against the
-    brute-force maximal min-ratio cut.  Returns a list of violation
-    descriptions, empty when the tree is consistent.
+    brute-force maximal min-ratio cut, once the shape is sound.  Returns a
+    list of violation descriptions, empty when the tree is consistent.
     """
-    violations = _certify_tree(graph, tree.root)
-    if graph.n <= ORACLE_LIMIT:
+    if graph != tree.graph:
+        tree = HierarchyTree(tree.root, graph)
+    violations = _certify_tree(tree)
+    if graph.n <= ORACLE_LIMIT and not tree.faults:
         from .graph import induced_subgraph
         from .oracle import brute_min_ratio_cut
 

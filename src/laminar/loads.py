@@ -1,13 +1,13 @@
 """Ideal edge loads from the cut hierarchy, and the max-entropy certificate.
 
 Each edge is charged to the deepest hierarchy node containing both endpoints
-(the LCA of its leaves, which `hierarchy` finds); that node's ratio is the
-total weight charged to it divided by one less than its child count.  The
-load of an edge is its weight over its node's ratio; per unit edge (viewing
-a weight-c edge as c parallel unit edges) the load is the reciprocal of the
-ratio.  These unit loads are exactly the entropy-maximizing point of the
-spanning tree polytope, which the logarithmic dual certificate below
-witnesses.
+(the LCA of its leaves), which a `HierarchyTree` works out once, when it is
+made; that node's ratio is the total weight charged to it divided by one
+less than its child count.  The load of an edge is its weight over its
+node's ratio; per unit edge (viewing a weight-c edge as c parallel unit
+edges) the load is the reciprocal of the ratio.  These unit loads are
+exactly the entropy-maximizing point of the spanning tree polytope, which
+the logarithmic dual certificate below witnesses.
 
 Logs and exponentials are the only floating-point surface of the package;
 everything upstream of them stays rational.
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .graph import WeightedGraph
-from .hierarchy import HierarchyNode, HierarchyTree, _charged_edges, _shape_violations
+from .hierarchy import HierarchyNode, HierarchyTree
 
 RECONSTRUCTION_TOL = 1e-9
 
@@ -50,34 +50,31 @@ class IdealLoads:
 
 
 def ideal_loads(graph: WeightedGraph, tree: HierarchyTree) -> IdealLoads:
-    """Exact loads: each edge's weight over the ratio of its LCA node."""
-    nodes = list(tree.nodes())
-    for fault in _shape_violations(graph, nodes):
+    """Exact loads: each edge's weight over the ratio of its LCA node, read
+    off the tree's charge (on `graph`, where the tree was made on another)."""
+    on_graph = tree if graph == tree.graph else HierarchyTree(tree.root, graph)
+    for fault in on_graph.faults:
         raise LoadsError(f"{fault}; the tree does not structurally fit this graph")
     edge_node: list = [None] * graph.m
+    unit_per_edge: list = [None] * graph.m
     node_sigma: dict[frozenset[int], Fraction] = {}
-    for node, charged in _charged_edges(graph, nodes):
+    for node, charged, ratio in on_graph.charge:
         key = node.vertex_set
         if not charged:
             raise LoadsError(
                 f"internal node {sorted(key)} has no crossing edges; the tree "
                 "cannot be a cut hierarchy of this graph"
             )
+        node_sigma[key] = ratio
+        unit = 1 / ratio
         for e in charged:
             edge_node[e] = key
-        node_sigma[key] = Fraction(sum(w for _, _, w in charged.values()), len(node.children) - 1)
-    per_edge = tuple(
-        Fraction(w) / node_sigma[edge_node[i]]
-        for i, (_, _, w) in enumerate(graph.edges)
-    )
-    unit_per_edge = tuple(
-        per_edge[i] / graph.edges[i][2] for i in range(graph.m)
-    )
+            unit_per_edge[e] = unit
     return IdealLoads(
         graph=graph,
         tree=tree,
-        per_edge=per_edge,
-        unit_per_edge=unit_per_edge,
+        per_edge=tuple(w * unit for (_, _, w), unit in zip(graph.edges, unit_per_edge)),
+        unit_per_edge=tuple(unit_per_edge),
         edge_node=tuple(edge_node),
         node_sigma=node_sigma,
     )

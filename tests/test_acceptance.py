@@ -44,10 +44,11 @@ from laminar import (
     t_mincut_exhaustive,
 )
 from laminar.dircut import _log2_ceil
-from laminar.goldberg import GoldbergError, expected_cut_value, expected_modified_cut_value
+from laminar.goldberg import GoldbergError
 
 from .conftest import network_from_arcs, random_connected_graph, random_digraph
 from .test_densecore import unique_maximum_densest
+from .test_goldberg import expected_cut_value, expected_modified_cut_value
 from .test_hierarchy import tree_shape
 
 GOLDEN_PATH = WeightedGraph.from_edges(4, [(0, 1, 2), (1, 2, 1), (2, 3, 100)])

@@ -219,10 +219,10 @@ class TestJsonRoundTrip:
 def chain_tree(depth: int) -> HierarchyTree:
     """A hierarchy with `depth` internal nodes, each the parent of the next.
 
-    Internal node i has children leaf {i} and internal node i+1.  The index
-    and the renderers do not check that children partition their parent, so
-    each internal node carries one fresh label, which keeps the tree linear
-    in size instead of quadratic.
+    Internal node i has children leaf {i} and internal node i+1.  The
+    renderers do not check that children partition their parent, and the
+    tree only lists that as a fault, so each internal node carries one fresh
+    label, which keeps the tree linear in size instead of quadratic.
     """
     node = HierarchyNode(frozenset({depth}), (), None)
     for level in reversed(range(depth)):
@@ -239,7 +239,8 @@ class TestDeepHierarchy:
     def test_tree_and_renderers_handle_depth_5000(self):
         depth = self.DEPTH
         tree = chain_tree(depth)
-        assert len(tree.node_by_set) == 2 * depth + 1
+        assert sum(1 for _ in tree.nodes()) == 2 * depth + 1
+        assert len(tree.faults) == depth + 1 and not tree.charge
         assert sum(1 for _ in tree.internal_nodes()) == depth
 
         text = hierarchy_to_text(tree).split("\n")

@@ -9,12 +9,7 @@ from itertools import combinations
 import pytest
 
 from laminar import INF, WeightedGraph, build_goldberg, build_modified, max_flow
-from laminar.goldberg import (
-    GoldbergError,
-    expected_cut_value,
-    expected_modified_cut_value,
-    min_cut_vertex_side,
-)
+from laminar.goldberg import GoldbergError, min_cut_vertex_side
 
 from .conftest import random_connected_graph
 
@@ -28,6 +23,30 @@ def subsets(items):
 def saturating_flow(h):
     """The density network's max flow, stopped at the saturation value."""
     return max_flow(h.network, h.s, h.t, limit=h.saturation_target())
+
+
+def expected_cut_value(h, side_vertices, side_edges) -> int | float:
+    """Closed-form cut value of source side {s} + side_edges + side_vertices.
+
+    scale * (c(E) - c(S_E) + tau * |S_V|) when every chosen edge has both
+    endpoints chosen, INF otherwise (an INF arc would cross).
+    """
+    sv = frozenset(side_vertices)
+    se = frozenset(side_edges)
+    for idx in se:
+        u, v, _ = h.graph.edges[idx]
+        if u not in sv or v not in sv:
+            return INF
+    chosen = sum(h.graph.edges[i][2] for i in se)
+    total = h.graph.total_weight()
+    return h.scale * (total - chosen) + h.tau.numerator * len(sv)
+
+
+def expected_modified_cut_value(m, side_vertices) -> int:
+    """Closed-form cut value in the shortcut network: scale*(tau|X| - c(E[X]))."""
+    sv = frozenset(side_vertices)
+    inside = m.graph.weight_inside(sv)
+    return m.tau.numerator * len(sv) - m.scale * inside
 
 
 def network_side(h, side_vertices, side_edges):

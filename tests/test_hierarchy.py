@@ -55,6 +55,10 @@ class TestGoldenPath:
         }
         assert node_sigma(tree, {0, 1}) == Fr(2)
         assert node_sigma(tree, {2, 3}) == Fr(100)
+        with pytest.raises(KeyError):
+            node_sigma(tree, {1, 2})
+        with pytest.raises(ValueError, match="leaves carry no cut ratio"):
+            node_sigma(tree, {3})
         for child in tree.root.children:
             assert all(g.is_leaf for g in child.children)
 
@@ -247,9 +251,9 @@ class TestAcceptStarSet:
             events.append(("verify", verdict))
             return verdict
 
-        def certifying(graph, root):
-            violations = real_certify(graph, root)
-            events.append(("certify", graph.n))
+        def certifying(tree):
+            violations = real_certify(tree)
+            events.append(("certify", tree.graph.n))
             return violations
 
         monkeypatch.setattr(hz, "find_star", logged(hz.find_star))
@@ -652,11 +656,11 @@ class TestTreeCertificate:
                 continue
             nines += g.n == 9
             truth = brute_hierarchy(g).root
-            assert hz._certify_tree(g, truth) == []
+            assert hz._certify_tree(HierarchyTree(truth, g)) == []
             for kind, mutant in tree_mutants(truth, rng):
                 for recompute in (False, True) if kind != "sigma" else (False,):
                     node = frozen(mutant, g, recompute)
-                    violations = hz._certify_tree(g, node)
+                    violations = hz._certify_tree(HierarchyTree(node, g))
                     assert (not violations) == (internal_sets(node) == internal_sets(truth)), (
                         g.edges, kind, node
                     )
@@ -727,7 +731,7 @@ class TestTreeCertificate:
                         trees.append(("added", tree))
                 for kind, tree in trees:
                     for recompute in (False, True) if kind != "tau" else (False,):
-                        violations = hz._certify_tree(g, frozen(tree, g, recompute))
+                        violations = hz._certify_tree(HierarchyTree(frozen(tree, g, recompute), g))
                         assert violations, (g.edges, kind, recompute)
                         mutants += 1
                     if kind == "dropped":
@@ -745,10 +749,11 @@ class TestTreeCertificate:
         triple = frozen([None, [0, 1, 2]], g)
         assert triple.sigma == 7
         root = HierarchyNode(frozenset(range(4)), (triple, frozen(3, g)), Fr(1))
-        assert hz._certify_tree(g, root) == ["the children of [0, 1, 2] hold a set denser than 7"]
+        violations = hz._certify_tree(HierarchyTree(root, g))
+        assert violations == ["the children of [0, 1, 2] hold a set denser than 7"]
         flat = frozen([None, [0, 1, 2, 3]], g)
         assert flat.sigma == 5
-        violations = hz._certify_tree(g, flat)
+        violations = hz._certify_tree(HierarchyTree(flat, g))
         assert violations == ["the children of [0, 1, 2, 3] hold a set denser than 5"]
 
     def test_exact_build_raises_on_a_mutated_round(self, monkeypatch, trubin_path, unit_k4):
@@ -862,10 +867,22 @@ class TestValidate:
         pair = frozen([None, [0, 1]], g)
         root = HierarchyNode(frozenset(range(3)), (pair, frozen(2, g)), Fr(1))
         assert pair.sigma == 1
-        assert hz._certify_tree(g, root) == ["ratio does not rise from [0, 1, 2] to [0, 1]"]
-        violations = validate_hierarchy(g, HierarchyTree(root, g))
+        tree = HierarchyTree(root, g)
+        assert hz._certify_tree(tree) == ["ratio does not rise from [0, 1, 2] to [0, 1]"]
+        violations = validate_hierarchy(g, tree)
         assert violations[0] == "ratio does not rise from [0, 1, 2] to [0, 1]"
         assert any("min-ratio" in v for v in violations[1:])
+
+    def test_a_leaf_outside_the_graph_is_reported(self):
+        # The unit path 0 - 1 - 2 under a root over leaves {0}..{3}: the
+        # shape fault is returned, and the brute-force comparison, which
+        # would need {3} in the graph, does not run.
+        g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        leaves = tuple(HierarchyNode(frozenset({v}), (), None) for v in range(4))
+        root = HierarchyNode(frozenset(range(4)), leaves, Fr(1))
+        assert validate_hierarchy(g, HierarchyTree(root, g)) == [
+            "root does not cover the vertex set"
+        ]
 
     def test_swapped_children_partition_violation(self, trubin_path):
         leaves = [HierarchyNode(frozenset({v}), (), None) for v in range(4)]
@@ -903,15 +920,17 @@ class TestChargedEdges:
     def check(self, graph: WeightedGraph, root: HierarchyNode) -> None:
         """`_charged_edges` visits the internal nodes children first, charges
         each edge once, in edge-id order per node, to the brute walk's node
-        and children, and `ideal_loads` reads the same nodes off it."""
+        and children, with the node's charged ratio, and `ideal_loads` reads
+        the same nodes off it."""
         import laminar.hierarchy as hz
         from laminar import ideal_loads
 
         nodes = list(root.walk())
         charged = {}
         visited = []
-        for node, edges in hz._charged_edges(graph, nodes):
+        for node, edges, ratio in hz._charged_edges(graph, nodes):
             visited.append(node)
+            assert ratio == Fr(sum(w for _, _, w in edges.values()), len(node.children) - 1)
             assert list(edges) == sorted(edges)
             for e, slots in edges.items():
                 assert e not in charged

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as Fr
 from itertools import combinations
 
@@ -129,6 +130,60 @@ class TestIdealLoads:
         tree = HierarchyTree(HierarchyNode(frozenset(range(3)), (left, right), Fr(1)), g)
         with pytest.raises(LoadsError, match=r"children of \[0, 1, 2\] overlap"):
             ideal_loads(g, tree)
+
+
+class TestOneCharge:
+    """A tree is charged once, when it is made: the build's certificate,
+    `ideal_loads` and `entropy_certificate` all read that one charge."""
+
+    @staticmethod
+    def count(monkeypatch) -> Counter:
+        import laminar.hierarchy as hz
+
+        calls: Counter[str] = Counter()
+        for name in ("_charged_edges", "_shape_violations"):
+
+            def counted(*args, _real=getattr(hz, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(hz, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["rising path", "tree plus edges"])
+    def test_one_pass_per_tree(self, monkeypatch, kind):
+        if kind == "rising path":
+            g = WeightedGraph.from_edges(100, [(i, i + 1, i + 1) for i in range(99)])
+        else:
+            g = random_connected_graph(random.Random(2701), 80, max_weight=20, extra_edges=20)
+        calls = self.count(monkeypatch)
+        entropy_certificate(ideal_loads(g, build_hierarchy(g)))
+        assert calls == {"_charged_edges": 1, "_shape_violations": 1}
+
+    def test_an_equal_graph_reads_the_same_charge(self, monkeypatch):
+        rng = random.Random(2702)
+        graphs = [random_connected_graph(rng, rng.randint(2, 30)) for _ in range(20)]
+        trees = [build_hierarchy(g) for g in graphs]
+        calls = self.count(monkeypatch)
+        for g, tree in zip(graphs, trees):
+            twin, loads = WeightedGraph(g.n, tuple(list(g.edges))), ideal_loads(g, tree)
+            again = ideal_loads(twin, tree)
+            assert again.graph is twin and again.per_edge == loads.per_edge
+            assert again.unit_per_edge == loads.unit_per_edge
+        assert not calls
+
+    def test_a_foreign_graph_of_the_same_size_is_charged_afresh(self):
+        # The tree of the path 0 =5= 1 - 2 nests {0, 1}; on the star 0 - 2 - 1
+        # no edge joins {0} and {1}, and on the path with its weights swapped
+        # the loads are those of the tree's charge on that graph.
+        g = WeightedGraph.from_edges(3, [(0, 1, 5), (1, 2, 1)])
+        tree = build_hierarchy(g)
+        star = WeightedGraph.from_edges(3, [(0, 2, 1), (1, 2, 1)])
+        with pytest.raises(LoadsError, match=r"\[0, 1\] has no crossing edges"):
+            ideal_loads(star, tree)
+        swapped = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 5)])
+        loads = ideal_loads(swapped, tree)
+        assert loads.per_edge == (Fr(1), Fr(1)) and loads.tree is tree
 
 
 class TestMinMaxLoads:
