@@ -71,12 +71,30 @@ class WeightedGraph:
         return sum(w for u, v, w in self.edges if (u in inside) != (v in inside))
 
     def merged_edges(self) -> dict[tuple[int, int], int]:
-        """Parallel-merged view: (min(u,v), max(u,v)) -> summed weight."""
-        merged: dict[tuple[int, int], int] = {}
-        for u, v, w in self.edges:
-            key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0) + w
+        """Parallel-merged view: (min(u,v), max(u,v)) -> summed weight.
+
+        The map that `merged_edge_count` built is handed over here, once,
+        instead of being built again.
+        """
+        merged = self.__dict__.pop("_merged", None)
+        if merged is None:
+            merged = {}
+            for u, v, w in self.edges:
+                key = (u, v) if u < v else (v, u)
+                merged[key] = merged.get(key, 0) + w
         return merged
+
+    def merged_edge_count(self) -> int:
+        """Number of merged edges, that is, of vertex pairs joined by an edge.
+
+        The map counted is kept for the next `merged_edges` call: in an
+        exact hierarchy round, the tree test counts and the densest-set
+        search then reads the map.  The graph keeps it no longer, as a map
+        held through the search doubled the young-generation collections
+        of the garbage collector on the rising cycle.
+        """
+        merged = self.__dict__["_merged"] = self.merged_edges()
+        return len(merged)
 
     def is_connected(self) -> bool:
         return self._connected

@@ -9,6 +9,19 @@ internal node whose sigma is the set's skew-density in the graph it was
 contracted from, which equals the cut ratio of the all-singleton min-ratio
 cut of that node's contracted subgraph.
 
+An exact build ends early once the current graph is a tree, its merged
+edges n-1 in number: the rest is single linkage (`_single_linkage`).  Why
+it is exact.  Let w_max be the largest merged weight.  A set X whose
+induced forest has k components holds |X|-k merged edges, so c(E[X]) <=
+w_max(|X|-k) <= w_max(|X|-1), with equality exactly when w_max edges alone
+connect X.  So tau* = w_max, and the maximal densest sets, which the round
+would contract, are the components of the w_max edges with two vertices or
+more.  Contracting connected subtrees of a tree leaves a tree with the same
+merged weights, as no parallel edge forms without a cycle.  So each
+distinct weight w, largest first, is one round, whose nodes are the
+components that its edges join, at sigma w: Kruskal's order, one
+union-find in O(m log m) for all the rounds, and no search.
+
 Every hierarchy, exact or randomized, is checked once, when it is
 complete, by a certificate of the whole tree (`_certify_tree`), so a
 randomized build cannot return a wrong tree silently.  For an
@@ -49,6 +62,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator
 
 from .densecore import _probe, find_star, find_star_full, verify_core
@@ -187,23 +202,62 @@ def build_hierarchy(
     registry = [_leaf(v) for v in range(graph.n)]  # the node of each vertex of cur
     cur = graph
     while cur.n > 1:
+        if mode == "exact" and _is_tree(cur):
+            registry = [_single_linkage(cur, registry)]
+            break
         stars, sigma, cur, forward = _accept_star_sets(cur, mode, rng, epsilon)
         nodes: list = [None] * cur.n  # the node of each vertex of the new cur
         for v, slot in enumerate(forward):
             nodes[slot] = registry[v]  # a slot no star took holds one vertex
         for star in stars:
-            children = tuple(
-                sorted((registry[v] for v in star), key=lambda nd: min(nd.vertex_set))
-            )
-            nodes[forward[min(star)]] = HierarchyNode(
-                frozenset().union(*(c.vertex_set for c in children)), children, sigma
-            )
+            nodes[forward[min(star)]] = _join((registry[v] for v in star), sigma)
         registry = nodes
     tree = HierarchyTree(root=registry[0], graph=graph)
     violations = _certify_tree(tree)
     if violations:
         raise RuntimeError(f"the {mode} hierarchy fails its certificate: {violations[0]}")
     return tree
+
+
+def _join(parts: Iterator[HierarchyNode], sigma: Fraction) -> HierarchyNode:
+    """The node at sigma whose children are parts, sorted by least vertex."""
+    children = tuple(sorted(parts, key=lambda nd: min(nd.vertex_set)))
+    return HierarchyNode(frozenset().union(*(c.vertex_set for c in children)), children, sigma)
+
+
+def _is_tree(cur: WeightedGraph) -> bool:
+    """Whether the merged edges of cur, a connected graph, form a tree."""
+    return cur.merged_edge_count() == cur.n - 1
+
+
+def _single_linkage(cur: WeightedGraph, registry: list[HierarchyNode]) -> HierarchyNode:
+    """The root that the exact rounds would build on cur, whose merged
+    edges form a tree, given the node of each vertex of cur.
+
+    Each distinct merged weight w, largest first, is one round: a union-find
+    joins this weight's edges, and each component they join becomes a node
+    of sigma w whose children are the components it joins.  See the module
+    docstring for why this is exact.
+    """
+    parent = list(range(cur.n))
+    nodes = list(registry)  # the node of each union-find root
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
+    merged = sorted(cur.merged_edges().items(), key=itemgetter(1), reverse=True)
+    for weight, level in groupby(merged, key=itemgetter(1)):
+        pairs = [(find(u), find(v)) for (u, v), _ in level]
+        for a, b in pairs:
+            parent[find(a)] = find(b)
+        joined: dict[int, set[int]] = {}  # new root -> the roots it joins
+        for a, b in pairs:
+            joined.setdefault(find(a), set()).update((a, b))
+        for root, parts in joined.items():
+            nodes[root] = _join((nodes[x] for x in parts), Fraction(weight))
+    return nodes[find(0)]
 
 
 def _sweep_sizes(n: int) -> list[int]:

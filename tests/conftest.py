@@ -72,6 +72,23 @@ def random_connected_graph(
     return WeightedGraph.from_edges(n, edges)
 
 
+def random_cyclic_graph(
+    rng: random.Random, n: int, max_weight: int = 9, extra_edges: int | None = None
+) -> WeightedGraph:
+    """Random Hamiltonian cycle on n >= 3 vertices plus extra parallel
+    copies of its edges, each of a fresh random weight.  Densest sets are
+    connected, so on a cycle they are arcs or the whole cycle; contracting
+    disjoint arcs leaves a cycle, so an exact build on such a graph stays
+    non-tree until it has two vertices or one."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cycle = [(order[i - 1], order[i]) for i in range(n)]
+    if extra_edges is None:
+        extra_edges = rng.randint(0, n)
+    pairs = cycle + [rng.choice(cycle) for _ in range(extra_edges)]
+    return WeightedGraph.from_edges(n, [(u, v, rng.randint(1, max_weight)) for u, v in pairs])
+
+
 def random_graph(
     rng: random.Random, n: int, edge_prob: float = 0.4, max_weight: int = 9
 ) -> WeightedGraph:

@@ -283,15 +283,23 @@ class TestFindStar:
     def test_exact_search_reads_the_witness_density_once(self, monkeypatch):
         # The search has matched its witness's density to tau when it stops,
         # and `_maximal_densest` does not read it again: each round of the
-        # rising path's build reads the inside weight of its one set once.
+        # rising cycle's build reads the inside weight of its one set once.
+        # The cycle stays non-tree to its last round, which contracts a
+        # triangle, so its build runs n - 2 rounds.
+        import laminar.hierarchy as hz
+
         inside = WeightedGraph.weight_inside
         reads: list[int] = []
         monkeypatch.setattr(
             WeightedGraph, "weight_inside", lambda *args: reads.append(1) or inside(*args)
         )
+        search, searches = hz.find_star_full, []
+        monkeypatch.setattr(
+            hz, "find_star_full", lambda *args, **kw: searches.append(1) or search(*args, **kw)
+        )
         n = 30
-        build_hierarchy(rising_path(n))
-        assert len(reads) == n - 1
+        build_hierarchy(rising_cycle(n))
+        assert len(reads) == len(searches) == n - 2
 
     def test_probe_successes_are_downward_closed(self):
         # Along any binary search, the succeeding thresholds form a prefix of
@@ -311,6 +319,12 @@ class TestFindStar:
 
 def rising_path(n: int) -> WeightedGraph:
     return WeightedGraph.from_edges(n, [(i, i + 1, i + 1) for i in range(n - 1)])
+
+
+def rising_cycle(n: int) -> WeightedGraph:
+    """The rising path closed by the edge n-1 -- 0 of weight n: its exact
+    build contracts one pair per round and stays non-tree to the end."""
+    return WeightedGraph.from_edges(n, rising_path(n).edges + ((n - 1, 0, n),))
 
 
 class TestTauCore:
@@ -394,16 +408,21 @@ class TestTauCore:
     def test_exact_hierarchy_on_a_rising_path_scans_at_most_two_flows_per_round(
         self, monkeypatch
     ):
-        # The heaviest pair is the whole core of every round, so the
-        # search's scan has two sources, however long the path.  A round
-        # ends when it contracts; the tree certificate after the last round
-        # probes nothing, as every node of the path has two children.
+        # The path is a tree, so its build runs no round and no search: it
+        # finishes by single linkage, and the tree certificate probes
+        # nothing, as every node of the path has two children.  The rising
+        # cycle runs a round per node: the heaviest pair is the whole core
+        # of every round, so the search's scan has two sources, however long
+        # the cycle.  A round ends when it contracts; after the last one the
+        # certificate probes only the root, the one node with three children.
         import laminar.densecore as dc
         import laminar.hierarchy as hierarchy
 
         flows: list[int] = []
         rounds: list[int] = []
+        searches: list[int] = []
         scan, contract_round = dc.t_cuts_below, hierarchy.contract
+        search = hierarchy.find_star_full
 
         def counting_scan(net, t, **kwargs):
             flows.append(len(set(kwargs["sources"]) - {t}))
@@ -417,9 +436,17 @@ class TestTauCore:
 
         monkeypatch.setattr(dc, "t_cuts_below", counting_scan)
         monkeypatch.setattr(hierarchy, "contract", counting_contract)
+        monkeypatch.setattr(
+            hierarchy,
+            "find_star_full",
+            lambda *args, **kwargs: searches.append(1) or search(*args, **kwargs),
+        )
         tree = build_hierarchy(rising_path(100))
-        assert len(rounds) == 99 == sum(1 for _ in tree.internal_nodes())
-        assert max(rounds) <= 2 and flows == []
+        assert searches == [] and rounds == [] and flows == []
+        assert sum(1 for _ in tree.internal_nodes()) == 99
+        tree = build_hierarchy(rising_cycle(100))
+        assert len(searches) == len(rounds) == 98 == sum(1 for _ in tree.internal_nodes())
+        assert max(rounds) <= 2 and len(flows) == 1 and flows[0] <= 2
 
     def test_verify_core_accepts_each_path_star_without_a_rooted_network(
         self, monkeypatch

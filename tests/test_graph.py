@@ -375,6 +375,17 @@ def test_merged_edges_view():
     assert g.merged_edges() == {(0, 1): 5, (1, 2): 1}
 
 
+def test_merged_edge_count_hands_its_map_to_the_next_view_once():
+    g = WeightedGraph.from_edges(3, [(0, 1, 2), (1, 0, 3), (1, 2, 1)])
+    assert g.merged_edge_count() == 2
+    counted = g.merged_edges()
+    assert counted == {(0, 1): 5, (1, 2): 1}
+    counted[(0, 1)] = 0  # the caller owns it: the graph keeps no copy
+    fresh = g.merged_edges()
+    assert fresh is not counted and fresh == {(0, 1): 5, (1, 2): 1}
+    assert g == WeightedGraph.from_edges(3, g.edges)
+
+
 def test_random_graph_generator_bounds():
     rng = random.Random(0)
     g = random_graph(rng, 6)
