@@ -8,6 +8,7 @@ allowed).  Rationals are printed as `p/q`, never as floats.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -25,7 +26,7 @@ from .graph import (
     parse_edge_list,
     skew_density,
 )
-from .hierarchy import HierarchyNode, HierarchyTree, build_hierarchy, strength
+from .hierarchy import HierarchyTree, build_hierarchy, strength
 from .loads import entropy_certificate, entropy_value, ideal_loads
 from .oracle import (
     SizeGuardError,
@@ -60,67 +61,54 @@ def hierarchy_to_json(tree: HierarchyTree) -> str:
     internal nodes only, in the bytes json.dumps(..., indent=2) writes.
 
     The standard encoder recurses once per nesting level and fails on
-    hierarchies a few hundred levels deep; this writes the text in one walk.
+    hierarchies a few hundred levels deep; this writes the text in one tour.
     """
     out: list[str] = []
-    # Entries are (node, nesting level) to write, or (text, None) to copy.
-    stack: list[tuple[object, int | None]] = [(tree.root, 0)]
-    while stack:
-        node, level = stack.pop()
-        if level is None:
-            out.append(node)
+    for entering, node, depth, first in tree.root.tour():
+        pad = "\n" + "  " * (2 * depth)
+        key = pad + "  "
+        if not entering:
+            out.append((key if node.children else "") + "]" + pad + "}")
             continue
-        pad = "\n" + "  " * level
-        key, item = pad + "  ", pad + "    "
+        if depth:
+            out.append(pad if first else "," + pad)
+        item = key + "  "
         out.append("{" + key + '"vertices": [' + item)
         out.append(("," + item).join(map(str, sorted(node.vertex_set))))
         out.append(key + "],")
         if node.sigma is not None:
             out.append(f'{key}"sigma": "{rational(node.sigma)}",')
-        if not node.children:
-            out.append(key + '"children": []' + pad + "}")
-            continue
         out.append(key + '"children": [')
-        stack.append((key + "]" + pad + "}", None))
-        first, *rest = node.children
-        for child in reversed(rest):
-            stack += ((child, level + 2), ("," + item, None))
-        stack += ((first, level + 2), (item, None))
     return "".join(out)
 
 
 def hierarchy_to_text(tree: HierarchyTree) -> str:
     lines: list[str] = []
-    stack = [(tree.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        label = "{" + vertex_list(node.vertex_set) + "}"
-        if node.sigma is not None:
-            label += f" sigma={rational(node.sigma)}"
-        lines.append("  " * depth + "- " + label)
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+    for entering, node, depth, _ in tree.root.tour():
+        if entering:
+            label = "{" + vertex_list(node.vertex_set) + "}"
+            if node.sigma is not None:
+                label += f" sigma={rational(node.sigma)}"
+            lines.append("  " * depth + "- " + label)
     return "\n".join(lines)
 
 
 def hierarchy_to_dot(tree: HierarchyTree) -> str:
+    """Each node on entering it, and the arc from its parent on leaving it."""
     lines = ["digraph hierarchy {"]
     ids: dict[frozenset, int] = {}
-    # (node, None) visits a node; (node, parent id) writes the parent's arc
-    # to it, and is popped after the node's whole subtree was written.
-    stack: list[tuple[HierarchyNode, int | None]] = [(tree.root, None)]
-    while stack:
-        node, parent = stack.pop()
-        if parent is not None:
-            lines.append(f"  n{parent} -> n{ids[node.vertex_set]};")
+    latest: list[int] = []  # the id of the last node entered at each depth
+    for entering, node, depth, _ in tree.root.tour():
+        if not entering:
+            if depth:
+                lines.append(f"  n{latest[depth - 1]} -> n{ids[node.vertex_set]};")
             continue
         nid = ids.setdefault(node.vertex_set, len(ids))
+        latest[depth:] = [nid]
         label = "{" + vertex_list(node.vertex_set) + "}"
         if node.sigma is not None:
             label += f"\\nsigma={rational(node.sigma)}"
         lines.append(f'  n{nid} [label="{label}"];')
-        for child in reversed(node.children):
-            stack.append((child, nid))
-            stack.append((child, None))
     lines.append("}")
     return "\n".join(lines)
 
@@ -493,9 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built on its first call: argparse leaves a
+    parser as it was after parse_args, so each later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -59,9 +59,6 @@ class GoldbergNetwork:
     tau: Fraction
     scale: int
 
-    def edge_node(self, edge_index: int) -> int:
-        return self.graph.n + edge_index
-
     def saturation_target(self) -> int:
         """Flow value at which every s-arc is saturated: scale * c(E)."""
         return self.scale * self.graph.total_weight()

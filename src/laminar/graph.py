@@ -344,8 +344,3 @@ def parse_edge_list(text: str) -> WeightedGraph:
         raise EdgeListError(1, f"header declares {header[1]} edges, found {len(edges)}")
     return WeightedGraph(header[0], tuple(edges))
 
-
-def format_edge_list(graph: WeightedGraph) -> str:
-    lines = [f"{graph.n} {graph.m}"]
-    lines.extend(f"{u} {v} {w}" for u, v, w in graph.edges)
-    return "\n".join(lines) + "\n"

@@ -74,8 +74,8 @@ from .graph import GraphError, MultiwayCut, WeightedGraph, _checked, contract, s
 #: search takes over for one contraction
 MAX_RESTARTS = 3
 
-#: largest graph on which `validate_hierarchy` also compares every internal
-#: node against the brute-force maximal min-ratio cut
+#: largest graph on which `validate_hierarchy` also compares the tree against
+#: the brute-force hierarchy of maximal min-ratio cuts
 ORACLE_LIMIT = 7
 
 
@@ -92,10 +92,10 @@ class HierarchyNode:
     sigma: Fraction | None
 
     # Equality and repr are what the dataclass would generate, and the hash
-    # agrees with equality; all three walk the tree with a stack instead of
-    # recursing through the children.  A preorder with each node's number of
-    # children fixes an ordered tree, so walks that agree entry by entry end
-    # together, and zip compares whole trees.
+    # agrees with equality; all three walk the tree without recursing through
+    # the children.  A preorder with each node's number of children fixes an
+    # ordered tree, so walks that agree entry by entry end together, and zip
+    # compares whole trees.
 
     def _preorder(self) -> Iterator[tuple]:
         return ((x.__class__, x.vertex_set, x.sigma, len(x.children)) for x in self.walk())
@@ -110,21 +110,14 @@ class HierarchyNode:
 
     def __repr__(self):
         parts: list[str] = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            parts.append(
-                f"{item.__class__.__qualname__}(vertex_set={item.vertex_set!r}, children=("
-            )
-            kids = item.children
-            stack.append(("," if len(kids) == 1 else "") + f"), sigma={item.sigma!r})")
-            for i in reversed(range(len(kids))):
-                stack.append(kids[i])
-                if i:
-                    stack.append(", ")
+        for entering, node, _, first in self.tour():
+            if entering:
+                parts.append(
+                    ("" if first else ", ")
+                    + f"{node.__class__.__qualname__}(vertex_set={node.vertex_set!r}, children=("
+                )
+            else:
+                parts.append(("," if len(node.children) == 1 else "") + f"), sigma={node.sigma!r})")
         return "".join(parts)
 
     @property
@@ -138,6 +131,24 @@ class HierarchyNode:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.children))
+
+    def tour(self) -> Iterator[tuple[bool, "HierarchyNode", int, bool]]:
+        """Each node of this subtree twice, on entering it and on leaving it
+        once its children's subtrees are left, without recursion.
+
+        Yields (entering, node, depth, first): depth counts from this node,
+        at 0, and first says whether the node is its parent's first child
+        (true for this node).  The entering steps are `walk`'s preorder.
+        """
+        stack = [(True, self, 0, True)]
+        while stack:
+            step = stack.pop()
+            yield step
+            entering, node, depth, _ = step
+            if entering:
+                stack.append((False, *step[1:]))
+                kids = node.children
+                stack.extend((True, kids[i], depth + 1, not i) for i in reversed(range(len(kids))))
 
 
 @dataclass(frozen=True)
@@ -439,32 +450,17 @@ def _certify_tree(tree: HierarchyTree) -> list[str]:
 
 def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
     """The tree certificate's violations (see above), at any size; on small
-    graphs also compares each internal node's children against the
-    brute-force maximal min-ratio cut, once the shape is sound.  Returns a
-    list of violation descriptions, empty when the tree is consistent.
+    connected graphs also compares the whole tree against the brute-force
+    hierarchy, every node's children and ratio, once the shape is sound.
+    Returns a list of violation descriptions, empty when the tree is
+    consistent.
     """
     if graph != tree.graph:
         tree = HierarchyTree(tree.root, graph)
     violations = _certify_tree(tree)
-    if graph.n <= ORACLE_LIMIT and not tree.faults:
-        from .graph import induced_subgraph
-        from .oracle import brute_min_ratio_cut
+    if graph.n <= ORACLE_LIMIT and not tree.faults and graph.is_connected():
+        from .oracle import brute_hierarchy
 
-        for node in tree.internal_nodes():
-            sub, to_orig = induced_subgraph(graph, node.vertex_set)
-            if sub.n < 2:
-                continue
-            ratio, cut = brute_min_ratio_cut(sub)
-            expected = {frozenset(to_orig[v] for v in side) for side in cut.sides}
-            actual = {c.vertex_set for c in node.children}
-            if expected != actual:
-                violations.append(
-                    f"children of {sorted(node.vertex_set)} are not the maximal "
-                    "min-ratio cut"
-                )
-            if node.sigma != ratio:
-                violations.append(
-                    f"ratio of {sorted(node.vertex_set)} is {node.sigma}, oracle "
-                    f"says {ratio}"
-                )
+        if tree.root != brute_hierarchy(graph).root:
+            violations.append("the tree is not the oracle's hierarchy of maximal min-ratio cuts")
     return violations

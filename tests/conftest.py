@@ -72,6 +72,13 @@ def random_connected_graph(
     return WeightedGraph.from_edges(n, edges)
 
 
+def format_edge_list(graph: WeightedGraph) -> str:
+    """The graph in the edge-list format `parse_edge_list` reads."""
+    lines = [f"{graph.n} {graph.m}"]
+    lines.extend(f"{u} {v} {w}" for u, v, w in graph.edges)
+    return "\n".join(lines) + "\n"
+
+
 def random_cyclic_graph(
     rng: random.Random, n: int, max_weight: int = 9, extra_edges: int | None = None
 ) -> WeightedGraph:

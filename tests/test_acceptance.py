@@ -241,7 +241,7 @@ def test_criterion_04_goldberg_formula_enumeration():
             ]
             for sv in vertex_sets:
                 for se in edge_sets:
-                    side = {h.s} | set(sv) | {h.edge_node(i) for i in se}
+                    side = {h.s} | set(sv) | {g.n + i for i in se}  # edge i is node n + i
                     assert h.network.cut_value(side) == expected_cut_value(h, sv, se)
                     checked_sides += 1
             flow = max_flow(h.network, h.s, h.t, limit=h.saturation_target())

@@ -10,15 +10,16 @@ import pytest
 
 from laminar import HierarchyNode, HierarchyTree, WeightedGraph, build_hierarchy
 from laminar.cli import (
+    build_parser,
     hierarchy_to_dot,
     hierarchy_to_json,
     hierarchy_to_text,
     main,
     rational,
 )
-from laminar.graph import format_edge_list, parse_edge_list
+from laminar.graph import parse_edge_list
 
-from .conftest import random_connected_graph
+from .conftest import format_edge_list, random_connected_graph
 
 PATH_TEXT = "# golden path\n4 3\n0 1 2\n1 2 1\n2 3 100\n"
 
@@ -168,6 +169,107 @@ def tree_preorder(tree: HierarchyTree) -> list[tuple]:
     ]
 
 
+@pytest.fixture(scope="module")
+def sample_trees() -> list[HierarchyTree]:
+    """The one-vertex tree, 200 trees of seeded random graphs (n 2-14), the
+    unit triangle, a rising path and a chain of 300 internal nodes."""
+    import random
+
+    rng = random.Random(26)
+    trees = [build_hierarchy(WeightedGraph.from_edges(1, []))]
+    for trial in range(200):
+        g = random_connected_graph(random.Random(trial), rng.randint(2, 14))
+        trees.append(build_hierarchy(g))
+    # The unit triangle's sigma is 3/2; the path's vertex ids reach 11.
+    triangle = build_hierarchy(WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]))
+    path = build_hierarchy(WeightedGraph.from_edges(12, [(v, v + 1, v + 1) for v in range(11)]))
+    assert triangle.root.sigma == Fr(3, 2) and max(path.root.vertex_set) == 11
+    return trees + [triangle, path, chain_tree(300)]
+
+
+def text_reference(tree: HierarchyTree) -> str:
+    """What `hierarchy_to_text` writes, by recursion: one line per node in
+    preorder, indented two spaces per level."""
+
+    def lines(node: HierarchyNode, depth: int) -> list[str]:
+        label = "{" + ",".join(map(str, sorted(node.vertex_set))) + "}"
+        if node.sigma is not None:
+            label += f" sigma={node.sigma.numerator}/{node.sigma.denominator}"
+        return ["  " * depth + "- " + label] + [
+            line for child in node.children for line in lines(child, depth + 1)
+        ]
+
+    return "\n".join(lines(tree.root, 0))
+
+
+def dot_reference(tree: HierarchyTree) -> str:
+    """What `hierarchy_to_dot` writes, by recursion: a node's line, then for
+    each child its subtree followed by the arc to it."""
+    out = ["digraph hierarchy {"]
+    ids: dict[frozenset, int] = {}
+
+    def visit(node: HierarchyNode) -> int:
+        nid = ids.setdefault(node.vertex_set, len(ids))
+        label = "{" + ",".join(map(str, sorted(node.vertex_set))) + "}"
+        if node.sigma is not None:
+            label += f"\\nsigma={node.sigma.numerator}/{node.sigma.denominator}"
+        out.append(f'  n{nid} [label="{label}"];')
+        for child in node.children:
+            out.append(f"  n{nid} -> n{visit(child)};")
+        return nid
+
+    visit(tree.root)
+    return "\n".join(out + ["}"])
+
+
+def check_tour(root: HierarchyNode) -> None:
+    """`root.tour()` enters the nodes in `walk()`'s order, closes each enter
+    with its leave in stack order after the node's children, in order, and
+    gives each step its depth and first flag."""
+    steps = list(root.tour())
+    entered = [node for entering, node, _, _ in steps if entering]
+    walked = list(root.walk())
+    assert len(entered) == len(walked) == len(steps) // 2
+    assert all(a is b for a, b in zip(entered, walked))
+    open_nodes: list[list] = []  # [node, next child's position, first flag] per open node
+    for entering, node, depth, first in steps:
+        if entering:
+            if open_nodes:
+                parent = open_nodes[-1]
+                assert parent[0].children[parent[1]] is node and first == (parent[1] == 0)
+                parent[1] += 1
+            else:
+                assert node is root and first
+            assert depth == len(open_nodes)
+            open_nodes.append([node, 0, first])
+        else:
+            top, seen, was_first = open_nodes.pop()
+            assert top is node and seen == len(node.children)
+            assert (depth, first) == (len(open_nodes), was_first)
+    assert not open_nodes
+
+
+class TestTour:
+    def test_tour_on_the_sample_trees_and_a_deep_chain(self, sample_trees):
+        for tree in sample_trees:
+            check_tour(tree.root)
+        chain = chain_tree(5000).root
+        check_tour(chain)
+        assert max(depth for _, _, depth, _ in chain.tour()) == 5000
+
+    def test_tour_of_a_subtree_counts_depth_from_it(self):
+        tree = chain_tree(3)
+        inner = tree.root.children[1]
+        steps = [(entering, sorted(x.vertex_set), depth, first) for entering, x, depth, first in inner.tour()]
+        assert steps[:3] == [(True, [5], 0, True), (True, [1], 1, True), (False, [1], 1, True)]
+        assert steps[-1] == (False, [5], 0, True)
+
+    def test_text_and_dot_match_recursive_references(self, sample_trees):
+        for tree in sample_trees:
+            assert hierarchy_to_text(tree) == text_reference(tree)
+            assert hierarchy_to_dot(tree) == dot_reference(tree)
+
+
 class TestJsonRoundTrip:
     def test_json_is_the_tree_in_preorder(self):
         # A preorder with each node's number of children fixes the tree.
@@ -178,20 +280,8 @@ class TestJsonRoundTrip:
             tree = build_hierarchy(g)
             assert json_preorder(json.loads(hierarchy_to_json(tree))) == tree_preorder(tree)
 
-    def test_json_text_matches_the_standard_encoder(self):
-        import random
-
-        rng = random.Random(26)
-        trees = [build_hierarchy(WeightedGraph.from_edges(1, []))]
-        for trial in range(200):
-            g = random_connected_graph(random.Random(trial), rng.randint(2, 14))
-            trees.append(build_hierarchy(g))
-        # The unit triangle's sigma is 3/2; the path's vertex ids reach 11.
-        triangle = build_hierarchy(WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)]))
-        path = build_hierarchy(WeightedGraph.from_edges(12, [(v, v + 1, v + 1) for v in range(11)]))
-        assert triangle.root.sigma == Fr(3, 2) and max(path.root.vertex_set) == 11
-        trees += [triangle, path, chain_tree(300)]
-        for tree in trees:
+    def test_json_text_matches_the_standard_encoder(self, sample_trees):
+        for tree in sample_trees:
             assert hierarchy_to_json(tree) == json.dumps(json_tree(tree), indent=2)
 
     def test_oracle_hierarchy_prints_the_same_json(self, capsys, tmp_path):
@@ -324,6 +414,40 @@ UNREAD_OPTIONS = [
 
 
 class TestErrors:
+    def test_main_builds_one_parser_and_exits_as_a_fresh_one(self, capsys, path_file, monkeypatch):
+        import laminar.cli as cli
+
+        built = []
+
+        def counting_build():
+            built.append(1)
+            return build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        try:
+            assert run_cli(capsys, "strength", path_file) == (0, "strength: 1/1\n", "")
+            assert run_cli(capsys, "arboricity", path_file)[0] == 0
+            assert len(built) == 1
+            # --help, a bad option and a bad choice exit as a parser built for the call would.
+            for argv in (
+                ["--help"],
+                ["hierarchy", "--help"],
+                ["hierarchy", path_file, "--bogus"],
+                ["hierarchy", path_file, "--format", "xml"],
+                [],
+            ):
+                with pytest.raises(SystemExit) as fresh:
+                    build_parser().parse_args(argv)
+                expected = (fresh.value.code, capsys.readouterr())
+                for _ in range(2):
+                    with pytest.raises(SystemExit) as cached:
+                        main(argv)
+                    assert (cached.value.code, capsys.readouterr()) == expected
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+
     @pytest.mark.parametrize("command,flag,value", UNREAD_OPTIONS)
     def test_unread_option_is_rejected(self, capsys, path_file, command, flag, value):
         argv = {

@@ -50,7 +50,9 @@ def expected_modified_cut_value(m, side_vertices) -> int:
 
 
 def network_side(h, side_vertices, side_edges):
-    return {h.s} | set(side_vertices) | {h.edge_node(i) for i in side_edges}
+    """The source side holding s, the given vertices and the given edges'
+    nodes, which follow the vertices (edge i is node n + i)."""
+    return {h.s} | set(side_vertices) | {h.graph.n + i for i in side_edges}
 
 
 class TestCutValueFormula:

@@ -21,9 +21,9 @@ from laminar import (
     rank,
     skew_density,
 )
-from laminar.graph import EdgeListError, GraphError, component_subgraphs, format_edge_list
+from laminar.graph import EdgeListError, GraphError, component_subgraphs
 
-from .conftest import random_connected_graph, random_graph
+from .conftest import format_edge_list, random_connected_graph, random_graph
 
 
 def all_subset_densities(graph: WeightedGraph):
