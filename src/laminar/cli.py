@@ -13,7 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from .arboricity import ArboricityError, compute_arboricity
 from .densecore import find_star_full, verify_core_explain
@@ -56,6 +56,16 @@ def vertex_list(vertices) -> str:
     return ",".join(str(v) for v in sorted(vertices))
 
 
+def _labeled_tour(tree: HierarchyTree):
+    """The root's tour, each step with the node's vertices on entering it
+    (else None), sliced from one preorder array of the leaves' vertices."""
+    leaves = [x.vertex for x in tree.root.walk() if x.is_leaf]
+    start = 0  # the preorder position of the next node's first leaf
+    for entering, node, depth, first in tree.root.tour():
+        yield entering, node, depth, first, leaves[start : start + node.size] if entering else None
+        start += entering and node.is_leaf
+
+
 def hierarchy_to_json(tree: HierarchyTree) -> str:
     """The tree as nested {"vertices", "sigma", "children"} objects, sigma on
     internal nodes only, in the bytes json.dumps(..., indent=2) writes.
@@ -64,7 +74,7 @@ def hierarchy_to_json(tree: HierarchyTree) -> str:
     hierarchies a few hundred levels deep; this writes the text in one tour.
     """
     out: list[str] = []
-    for entering, node, depth, first in tree.root.tour():
+    for entering, node, depth, first, vertices in _labeled_tour(tree):
         pad = "\n" + "  " * (2 * depth)
         key = pad + "  "
         if not entering:
@@ -74,7 +84,7 @@ def hierarchy_to_json(tree: HierarchyTree) -> str:
             out.append(pad if first else "," + pad)
         item = key + "  "
         out.append("{" + key + '"vertices": [' + item)
-        out.append(("," + item).join(map(str, sorted(node.vertex_set))))
+        out.append(("," + item).join(map(str, sorted(vertices))))
         out.append(key + "],")
         if node.sigma is not None:
             out.append(f'{key}"sigma": "{rational(node.sigma)}",')
@@ -84,9 +94,9 @@ def hierarchy_to_json(tree: HierarchyTree) -> str:
 
 def hierarchy_to_text(tree: HierarchyTree) -> str:
     lines: list[str] = []
-    for entering, node, depth, _ in tree.root.tour():
+    for entering, node, depth, _, vertices in _labeled_tour(tree):
         if entering:
-            label = "{" + vertex_list(node.vertex_set) + "}"
+            label = "{" + vertex_list(vertices) + "}"
             if node.sigma is not None:
                 label += f" sigma={rational(node.sigma)}"
             lines.append("  " * depth + "- " + label)
@@ -96,19 +106,18 @@ def hierarchy_to_text(tree: HierarchyTree) -> str:
 def hierarchy_to_dot(tree: HierarchyTree) -> str:
     """Each node on entering it, and the arc from its parent on leaving it."""
     lines = ["digraph hierarchy {"]
-    ids: dict[frozenset, int] = {}
+    ids = count()  # in the order the nodes are entered
     latest: list[int] = []  # the id of the last node entered at each depth
-    for entering, node, depth, _ in tree.root.tour():
+    for entering, node, depth, _, vertices in _labeled_tour(tree):
         if not entering:
             if depth:
-                lines.append(f"  n{latest[depth - 1]} -> n{ids[node.vertex_set]};")
+                lines.append(f"  n{latest[depth - 1]} -> n{latest[depth]};")
             continue
-        nid = ids.setdefault(node.vertex_set, len(ids))
-        latest[depth:] = [nid]
-        label = "{" + vertex_list(node.vertex_set) + "}"
+        latest[depth:] = [next(ids)]
+        label = "{" + vertex_list(vertices) + "}"
         if node.sigma is not None:
             label += f"\\nsigma={rational(node.sigma)}"
-        lines.append(f'  n{nid} [label="{label}"];')
+        lines.append(f'  n{latest[depth]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)
 
@@ -326,7 +335,7 @@ def _cmd_entropy_check(args) -> int:
     pairs = loads.unit_marginal_pairs()
     ideal_entropy = entropy_value((x for x, _ in pairs), (w for _, w in pairs))
     gap = fw.value - ideal_entropy
-    min_y = min((y for s, y in certificate.y.items() if s != tree.root.vertex_set), default=0.0)
+    min_y = min((y for node, y in certificate.y.items() if node is not tree.root), default=0.0)
     text = "\n".join(
         [
             f"ideal entropy objective: {ideal_entropy:.12f}",

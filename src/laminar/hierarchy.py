@@ -60,10 +60,11 @@ only where r >= 3.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
 from .densecore import _probe, find_star, find_star_full, verify_core
@@ -79,26 +80,37 @@ MAX_RESTARTS = 3
 ORACLE_LIMIT = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HierarchyNode:
-    """A laminar set: its children partition it; leaves are singletons.
+    """A laminar set, fixed by its leaves: a leaf names its vertex and has no
+    sigma; an internal node holds its children, which partition it, and
+    sigma, the cut ratio of the maximal min-ratio cut of the induced
+    subgraph on its vertices.  least, size and the hash are worked out from
+    the children when it is made."""
 
-    sigma is the cut ratio of the maximal min-ratio cut of the induced
-    subgraph on vertex_set; leaves carry None.
-    """
+    vertex: int | None
+    children: tuple["HierarchyNode", ...] = ()
+    sigma: Fraction | None = None
+    least: int = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    vertex_set: frozenset[int]
-    children: tuple["HierarchyNode", ...]
-    sigma: Fraction | None
+    def __post_init__(self):
+        kids = self.children
+        if not (self.vertex is None) == (self.sigma is not None) == bool(kids):
+            raise ValueError("a leaf names a vertex; an internal node has children and a sigma")
+        object.__setattr__(self, "least", min(c.least for c in kids) if kids else self.vertex)
+        object.__setattr__(self, "size", sum(c.size for c in kids) if kids else 1)
+        object.__setattr__(self, "_hash", hash((self.vertex, self.sigma, *(c._hash for c in kids))))
 
     # Equality and repr are what the dataclass would generate, and the hash
-    # agrees with equality; all three walk the tree without recursing through
-    # the children.  A preorder with each node's number of children fixes an
+    # agrees with equality; both walk the tree without recursing through the
+    # children.  A preorder with each node's number of children fixes an
     # ordered tree, so walks that agree entry by entry end together, and zip
     # compares whole trees.
 
     def _preorder(self) -> Iterator[tuple]:
-        return ((x.__class__, x.vertex_set, x.sigma, len(x.children)) for x in self.walk())
+        return ((x.__class__, x.vertex, x.sigma, len(x.children)) for x in self.walk())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -106,7 +118,7 @@ class HierarchyNode:
         return all(a == b for a, b in zip(self._preorder(), other._preorder()))
 
     def __hash__(self):
-        return hash(tuple(self._preorder()))
+        return self._hash
 
     def __repr__(self):
         parts: list[str] = []
@@ -114,11 +126,16 @@ class HierarchyNode:
             if entering:
                 parts.append(
                     ("" if first else ", ")
-                    + f"{node.__class__.__qualname__}(vertex_set={node.vertex_set!r}, children=("
+                    + f"{node.__class__.__qualname__}(vertex={node.vertex!r}, children=("
                 )
             else:
                 parts.append(("," if len(node.children) == 1 else "") + f"), sigma={node.sigma!r})")
         return "".join(parts)
+
+    @property
+    def vertex_set(self) -> frozenset[int]:
+        """The node's vertices, read from its leaves in O(size)."""
+        return frozenset(x.vertex for x in self.walk() if x.is_leaf)
 
     @property
     def is_leaf(self) -> bool:
@@ -183,10 +200,6 @@ class HierarchyTree:
         return (node for node in self.root.walk() if not node.is_leaf)
 
 
-def _leaf(v: int) -> HierarchyNode:
-    return HierarchyNode(frozenset({v}), (), None)
-
-
 def build_hierarchy(
     graph: WeightedGraph,
     *,
@@ -210,7 +223,7 @@ def build_hierarchy(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         rng = random.Random(0)
-    registry = [_leaf(v) for v in range(graph.n)]  # the node of each vertex of cur
+    registry = [HierarchyNode(v) for v in range(graph.n)]  # the node of each vertex of cur
     cur = graph
     while cur.n > 1:
         if mode == "exact" and _is_tree(cur):
@@ -232,8 +245,7 @@ def build_hierarchy(
 
 def _join(parts: Iterator[HierarchyNode], sigma: Fraction) -> HierarchyNode:
     """The node at sigma whose children are parts, sorted by least vertex."""
-    children = tuple(sorted(parts, key=lambda nd: min(nd.vertex_set)))
-    return HierarchyNode(frozenset().union(*(c.vertex_set for c in children)), children, sigma)
+    return HierarchyNode(None, tuple(sorted(parts, key=attrgetter("least"))), sigma)
 
 
 def _is_tree(cur: WeightedGraph) -> bool:
@@ -320,7 +332,7 @@ def _randomized_star(cur: WeightedGraph, rng: random.Random, epsilon: Fraction) 
 
 def node_sigma(tree: HierarchyTree, vertex_set) -> Fraction:
     key = frozenset(vertex_set)
-    node = next((x for x in tree.nodes() if x.vertex_set == key), None)
+    node = next((x for x in tree.nodes() if x.size == len(key) and x.vertex_set == key), None)
     if node is None:
         raise KeyError(f"no hierarchy node for {sorted(vertex_set)}")
     if node.sigma is None:
@@ -367,8 +379,8 @@ def _charged_edges(
         if node.is_leaf:
             continue
         kids = node.children
-        slot = {label[next(iter(child.vertex_set))]: i for i, child in enumerate(kids)}
-        big = max(range(len(kids)), key=lambda i: len(kids[i].vertex_set))
+        slot = {label[child.least]: i for i, child in enumerate(kids)}
+        big = max(range(len(kids)), key=lambda i: kids[i].size)
         small = [child.vertex_set for i, child in enumerate(kids) if i != big]
         read = {e for vertex_set in small for x in vertex_set for e in incident[x]}
         charged: dict[int, tuple[int, int, int]] = {}
@@ -378,7 +390,7 @@ def _charged_edges(
             if a != b and a is not None and b is not None:
                 charged[e] = (a, b, w)
         yield node, charged, Fraction(sum(w for _, _, w in charged.values()), len(kids) - 1)
-        top = label[next(iter(kids[big].vertex_set))]
+        top = label[kids[big].least]
         for vertex_set in small:
             for x in vertex_set:
                 label[x] = top
@@ -386,44 +398,30 @@ def _charged_edges(
 
 def _shape_violations(graph: WeightedGraph, nodes: list[HierarchyNode]) -> Iterator[str]:
     """How the preorder `nodes` fail to be a laminar family over the graph's
-    vertices: the root is the vertex set, leaves are singletons, and every
-    internal node has two children or more that partition it.  Then every
-    vertex has one leaf and every edge one node to be charged to.
+    vertices: the leaves name each vertex once, and every internal node has
+    two children or more.  Then every edge has one node to be charged to.
     """
-    if nodes[0].vertex_set != frozenset(range(graph.n)):
-        yield "root does not cover the vertex set"
+    leaves = Counter(x.vertex for x in nodes if x.is_leaf)
+    for v in sorted(leaves.keys() - range(graph.n)):
+        yield f"leaf {v!r} is not a vertex of the graph"
+    for v in range(graph.n):
+        if leaves[v] != 1:
+            yield f"vertex {v} has {leaves[v]} leaves"
     for node in nodes:
-        if node.is_leaf:
-            if len(node.vertex_set) != 1:
-                yield f"leaf {sorted(node.vertex_set)} is not a singleton"
-            continue
-        if len(node.children) < 2:
+        if len(node.children) == 1:
             yield f"internal node {sorted(node.vertex_set)} has < 2 children"
-        union: set[int] = set()
-        for child in node.children:
-            if not union.isdisjoint(child.vertex_set):
-                yield f"children of {sorted(node.vertex_set)} overlap"
-            union.update(child.vertex_set)
-        if union != node.vertex_set:
-            yield f"children of {sorted(node.vertex_set)} do not partition it"
 
 
 def _certify_tree(tree: HierarchyTree) -> list[str]:
     """The tree's violations of the certificate above, empty iff its root is
     the canonical cut hierarchy of its graph.
 
-    The shape comes first: the tree's faults, then a ratio on every
-    internal node and on no leaf.  Checks (a)-(c) run once the shape is
-    sound and read each G_X, children first, off the tree's charge.
+    The shape comes first: the tree's faults.  Checks (a)-(c) run once the
+    shape is sound and read each G_X, children first, off the tree's charge.
     """
-    violations = list(tree.faults)
-    for node in tree.nodes():
-        if node.is_leaf and node.sigma is not None:
-            violations.append(f"leaf {sorted(node.vertex_set)} carries a ratio")
-        elif not node.is_leaf and node.sigma is None:
-            violations.append(f"internal node {sorted(node.vertex_set)} lacks a ratio")
-    if violations:
-        return violations
+    if tree.faults:
+        return list(tree.faults)
+    violations = []
     for node, charged, ratio in tree.charge:
         r = len(node.children)
         if not ratio:

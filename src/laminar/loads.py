@@ -38,8 +38,8 @@ class IdealLoads:
     tree: HierarchyTree
     per_edge: tuple[Fraction, ...]
     unit_per_edge: tuple[Fraction, ...]  # per_edge / weight = 1 / node ratio
-    edge_node: tuple[frozenset[int], ...]  # LCA vertex set per edge
-    node_sigma: dict[frozenset[int], Fraction]
+    edge_node: tuple[HierarchyNode, ...]  # LCA node per edge
+    node_sigma: dict[HierarchyNode, Fraction]
 
     def unit_marginal_pairs(self) -> list[tuple[float, int]]:
         """(unit load as float, multiplicity c_e) per edge, for entropy sums."""
@@ -57,18 +57,17 @@ def ideal_loads(graph: WeightedGraph, tree: HierarchyTree) -> IdealLoads:
         raise LoadsError(f"{fault}; the tree does not structurally fit this graph")
     edge_node: list = [None] * graph.m
     unit_per_edge: list = [None] * graph.m
-    node_sigma: dict[frozenset[int], Fraction] = {}
+    node_sigma: dict[HierarchyNode, Fraction] = {}
     for node, charged, ratio in on_graph.charge:
-        key = node.vertex_set
         if not charged:
             raise LoadsError(
-                f"internal node {sorted(key)} has no crossing edges; the tree "
+                f"internal node {sorted(node.vertex_set)} has no crossing edges; the tree "
                 "cannot be a cut hierarchy of this graph"
             )
-        node_sigma[key] = ratio
+        node_sigma[node] = ratio
         unit = 1 / ratio
         for e in charged:
-            edge_node[e] = key
+            edge_node[e] = node
             unit_per_edge[e] = unit
     return IdealLoads(
         graph=graph,
@@ -91,39 +90,38 @@ def min_max_loads(loads: IdealLoads) -> tuple[Fraction, Fraction]:
 class DualCertificate:
     """Log-ratio dual variables and the unit marginals they reconstruct.
 
-    y is indexed by internal-node vertex sets: the root carries ln(root
+    y is indexed by the internal nodes: the root carries ln(root
     ratio) and every other internal node the log of its ratio over its
     parent's; ratio monotonicity along root paths makes all non-root entries
     nonnegative.  unit_marginals[i] = exp(-sum of y over nodes containing
     edge i) and equals the unit load up to float rounding.
     """
 
-    y: dict[frozenset[int], float]
+    y: dict[HierarchyNode, float]
     unit_marginals: tuple[float, ...]
 
 
 def entropy_certificate(loads: IdealLoads) -> DualCertificate:
     """The dual certificate of the loads' tree, read from the loads' node ratios."""
-    y: dict[frozenset[int], float] = {}
-    prefix: dict[frozenset[int], float] = {}
+    y: dict[HierarchyNode, float] = {}
+    prefix: dict[HierarchyNode, float] = {}
     stack: list[tuple[HierarchyNode, float]] = [(loads.tree.root, 0.0)]
     while stack:
         node, acc = stack.pop()
         if node.is_leaf:
             continue
-        sigma = loads.node_sigma[node.vertex_set]
+        sigma = loads.node_sigma[node]
         try:
             y_node = math.log(sigma) - acc
         except OverflowError:  # past the float range; math.log takes integers of any size
             y_node = math.log(sigma.numerator) - math.log(sigma.denominator) - acc
-        y[node.vertex_set] = y_node
-        prefix[node.vertex_set] = acc + y_node
+        y[node] = y_node
+        prefix[node] = acc + y_node
         for child in node.children:
             stack.append((child, acc + y_node))
     marginals = []
     for i in range(loads.graph.m):
-        key = loads.edge_node[i]
-        x = math.exp(-prefix[key])
+        x = math.exp(-prefix[loads.edge_node[i]])
         expected = float(loads.unit_per_edge[i])
         if abs(x - expected) > RECONSTRUCTION_TOL:
             raise LoadsError(

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .flow import INF, DirectedNetwork, STCut
 from .graph import MultiwayCut, WeightedGraph, connected_components, induced_subgraph
-from .hierarchy import HierarchyNode, HierarchyTree
+from .hierarchy import HierarchyNode, HierarchyTree, _join
 from .loads import entropy_value
 
 PARTITION_GUARD = 10
@@ -195,15 +195,10 @@ def brute_hierarchy(graph: WeightedGraph) -> HierarchyTree:
 
     def descend(sub: WeightedGraph, to_orig: Sequence[int]) -> HierarchyNode:
         if sub.n == 1:
-            return HierarchyNode(frozenset({to_orig[0]}), (), None)
+            return HierarchyNode(to_orig[0])
         ratio, cut = brute_min_ratio_cut(sub)
-        children = []
-        for side in cut.sides:
-            inner_graph, inner_map = induced_subgraph(sub, side)
-            children.append(descend(inner_graph, [to_orig[v] for v in inner_map]))
-        children.sort(key=lambda node: min(node.vertex_set))
-        vertex_set = frozenset().union(*(c.vertex_set for c in children))
-        return HierarchyNode(vertex_set, tuple(children), ratio)
+        sides = (induced_subgraph(sub, side) for side in cut.sides)
+        return _join((descend(inner, [to_orig[v] for v in back]) for inner, back in sides), ratio)
 
     root = descend(graph, list(range(graph.n)))
     return HierarchyTree(root=root, graph=graph)

@@ -426,8 +426,8 @@ def test_criterion_10_entropy_optimality():
         tree = build_hierarchy(g)
         loads = ideal_loads(g, tree)
         cert = entropy_certificate(loads)
-        for key, value in cert.y.items():
-            if key != tree.root.vertex_set:
+        for node, value in cert.y.items():
+            if node is not tree.root:
                 assert value >= -1e-12
         for i in range(g.m):
             assert abs(cert.unit_marginals[i] - float(loads.unit_per_edge[i])) <= 1e-9

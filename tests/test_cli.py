@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import sys
 import tracemalloc
 from fractions import Fraction as Fr
 
@@ -261,8 +263,8 @@ class TestTour:
         tree = chain_tree(3)
         inner = tree.root.children[1]
         steps = [(entering, sorted(x.vertex_set), depth, first) for entering, x, depth, first in inner.tour()]
-        assert steps[:3] == [(True, [5], 0, True), (True, [1], 1, True), (False, [1], 1, True)]
-        assert steps[-1] == (False, [5], 0, True)
+        assert steps[:3] == [(True, [1, 2, 3], 0, True), (True, [1], 1, True), (False, [1], 1, True)]
+        assert steps[-1] == (False, [1, 2, 3], 0, True)
 
     def test_text_and_dot_match_recursive_references(self, sample_trees):
         for tree in sample_trees:
@@ -306,36 +308,44 @@ class TestJsonRoundTrip:
         assert run_cli(capsys, *args) == run_cli(capsys, *args)
 
 
-def chain_tree(depth: int) -> HierarchyTree:
-    """A hierarchy with `depth` internal nodes, each the parent of the next.
-
-    Internal node i has children leaf {i} and internal node i+1.  The
-    renderers do not check that children partition their parent, and the
-    tree only lists that as a fault, so each internal node carries one fresh
-    label, which keeps the tree linear in size instead of quadratic.
-    """
-    node = HierarchyNode(frozenset({depth}), (), None)
+def chain_root(depth: int, deepest_sigma: Fr | None = None) -> HierarchyNode:
+    """A chain of `depth` internal nodes, each the parent of the next:
+    internal node i has children leaf i and internal node i+1 (the last one,
+    leaf `depth`), so it holds the vertices i..depth, and sigma i+1 (the
+    last one, `deepest_sigma` when given)."""
+    node = HierarchyNode(depth)
     for level in reversed(range(depth)):
-        leaf = HierarchyNode(frozenset({level}), (), None)
-        node = HierarchyNode(frozenset({depth + 1 + level}), (leaf, node), Fr(level + 1))
-    n = 2 * depth + 1
-    graph = WeightedGraph.from_edges(n, [(v, v + 1, 1) for v in range(n - 1)])
-    return HierarchyTree(root=node, graph=graph)
+        sigma = deepest_sigma if deepest_sigma is not None and level == depth - 1 else Fr(level + 1)
+        node = HierarchyNode(None, (HierarchyNode(level), node), sigma)
+    return node
+
+
+def chain_tree(depth: int) -> HierarchyTree:
+    """The chain of `depth` internal nodes over the unit path on its
+    vertices 0..depth: its shape is sound, though not its ratios."""
+    graph = WeightedGraph.from_edges(depth + 1, [(v, v + 1, 1) for v in range(depth)])
+    return HierarchyTree(root=chain_root(depth), graph=graph)
 
 
 class TestDeepHierarchy:
     DEPTH = 5000
+    #: a node lists its vertices, so a chain's text grows with the square of
+    #: its depth; this depth is past the interpreter's recursion limit
+    RENDERED_DEPTH = 1200
 
     def test_tree_and_renderers_handle_depth_5000(self):
         depth = self.DEPTH
         tree = chain_tree(depth)
         assert sum(1 for _ in tree.nodes()) == 2 * depth + 1
-        assert len(tree.faults) == depth + 1 and not tree.charge
+        assert not tree.faults and len(tree.charge) == depth
         assert sum(1 for _ in tree.internal_nodes()) == depth
 
+        depth = self.RENDERED_DEPTH
+        assert depth > sys.getrecursionlimit()
+        tree = chain_tree(depth)
         text = hierarchy_to_text(tree).split("\n")
         assert len(text) == 2 * depth + 1
-        assert text[0] == f"- {{{depth + 1}}} sigma=1/1"
+        assert text[0] == "- {" + ",".join(map(str, range(depth + 1))) + "} sigma=1/1"
         assert text[-1] == "  " * depth + f"- {{{depth}}}"
 
         dot = hierarchy_to_dot(tree).split("\n")
@@ -344,18 +354,9 @@ class TestDeepHierarchy:
 
     def test_node_equality_hash_and_repr_at_depth_5000(self):
         depth = self.DEPTH
-
-        def chain_root(deepest_sigma):
-            node = HierarchyNode(frozenset({depth}), (), None)
-            for level in reversed(range(depth)):
-                leaf = HierarchyNode(frozenset({level}), (), None)
-                sigma = deepest_sigma if level == depth - 1 else Fr(level + 1)
-                node = HierarchyNode(frozenset({depth + 1 + level}), (leaf, node), sigma)
-            return node
-
         tree = chain_tree(depth)
-        same = chain_root(Fr(depth))
-        other = chain_root(Fr(1, 2))  # differs only in the deepest internal node
+        same = chain_root(depth)
+        other = chain_root(depth, Fr(1, 2))  # differs only in the deepest internal node
         assert same is not tree.root
         assert same == tree.root and not same != tree.root
         assert other != tree.root and not other == tree.root
@@ -366,34 +367,49 @@ class TestDeepHierarchy:
         assert text == repr(tree.root)
         assert text.count("HierarchyNode(") == 2 * depth + 1
         assert text.startswith(
-            f"HierarchyNode(vertex_set=frozenset({{{depth + 1}}}), children="
-            "(HierarchyNode(vertex_set=frozenset({0}), children=(), sigma=None), "
+            "HierarchyNode(vertex=None, children="
+            "(HierarchyNode(vertex=0, children=(), sigma=None), "
         )
         assert text.endswith("), sigma=Fraction(2, 1))), sigma=Fraction(1, 1))")
         assert repr(other) != text
 
     def test_node_repr_matches_the_generated_form(self):
-        leaf = HierarchyNode(frozenset({3}), (), None)
-        only = HierarchyNode(frozenset({3, 4}), (leaf,), Fr(5, 3))
-        pair = HierarchyNode(frozenset({0, 3}), (only, leaf), None)
+        leaf = HierarchyNode(3)
+        only = HierarchyNode(None, (leaf,), Fr(5, 3))
+        pair = HierarchyNode(None, (only, leaf), Fr(2))
         assert repr(only) == (
-            "HierarchyNode(vertex_set=frozenset({3, 4}), children=(HierarchyNode("
-            "vertex_set=frozenset({3}), children=(), sigma=None),), sigma=Fraction(5, 3))"
+            "HierarchyNode(vertex=None, children=(HierarchyNode("
+            "vertex=3, children=(), sigma=None),), sigma=Fraction(5, 3))"
         )
         assert repr(pair) == (
-            f"HierarchyNode(vertex_set=frozenset({{0, 3}}), children=({only!r}, "
-            f"{leaf!r}), sigma=None)"
+            f"HierarchyNode(vertex=None, children=({only!r}, {leaf!r}), sigma=Fraction(2, 1))"
         )
-        assert pair != leaf and pair == HierarchyNode(frozenset({0, 3}), (only, leaf), None)
+        assert pair != leaf and pair == HierarchyNode(None, (only, leaf), Fr(2))
         assert (leaf == 3) is False
+        # A leaf names a vertex and carries no sigma; an internal node names
+        # none, and has children and a sigma.
+        for vertex, children, sigma in (
+            (None, (), None), (3, (), Fr(1)), (None, (leaf,), None), (3, (leaf,), Fr(1))
+        ):
+            with pytest.raises(ValueError, match="a leaf names a vertex"):
+                HierarchyNode(vertex, children, sigma)
 
     def test_json_text_past_the_standard_encoder_depth(self):
-        # json.dumps fails near 500 levels; the indented text of a chain grows
-        # with the square of its depth, so 1000 levels keep it near 30 MB.
-        depth = 1000
-        lines = hierarchy_to_json(chain_tree(depth)).split("\n")
-        assert lines[-1] == "}"
-        assert sum(line.strip() == '"children": []' for line in lines) == depth + 1
+        # A node lists each of its vertices on a line indented by its depth,
+        # so a chain's JSON grows with the cube of its depth.  Under a
+        # recursion limit 100 frames above this test's, json.dumps fails on
+        # 200 levels, and the writer, which does not recurse, does not.
+        depth = 200
+        tree = chain_tree(depth)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            with pytest.raises(RecursionError):
+                json.dumps(json_tree(tree), indent=2)
+            text = hierarchy_to_json(tree)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert text == json.dumps(json_tree(tree), indent=2)
 
 
 #: options a subcommand does not read: the search options where no search

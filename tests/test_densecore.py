@@ -1214,5 +1214,5 @@ class TestRandomizedStream:
             covered["several probes"] += len(result.probes) > 1
         assert min(covered.values()) >= 5, covered
         assert digest.hexdigest() == (
-            "40eb877078c864798b132631faeeda582d13b44cd774cfe71254879ffed51118"
+            "24734551c98b22d77c529c49356141679c334b868d922308543c00a60550a97e"
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Fr
@@ -627,7 +628,7 @@ def tied_trees():
 
 class TestSingleLinkage:
     def test_finish_matches_the_rounds_on_tied_trees(self, monkeypatch):
-        # The root's repr, vertex sets in their iteration order included, is
+        # The root's repr, each node's children in their order included, is
         # the same with the finish as with a search round for every level.
         import laminar.hierarchy as hz
 
@@ -703,7 +704,7 @@ def nested(node: HierarchyNode):
     """A tree as nested lists: [sigma, children] per internal node, and the
     vertex per leaf."""
     if node.is_leaf:
-        return next(iter(node.vertex_set))
+        return node.vertex
     return [node.sigma, [nested(child) for child in node.children]]
 
 
@@ -712,10 +713,8 @@ def frozen(item, graph: WeightedGraph, recompute: bool = False) -> HierarchyNode
     sigma with `recompute`, becomes the node's charged ratio: the weight
     between its children over their number less one."""
     if isinstance(item, int):
-        return HierarchyNode(frozenset({item}), (), None)
-    children = tuple(
-        sorted((frozen(kid, graph, recompute) for kid in item[1]), key=lambda c: min(c.vertex_set))
-    )
+        return HierarchyNode(item)
+    children = tuple(sorted((frozen(kid, graph, recompute) for kid in item[1]), key=lambda c: c.least))
     vertex_set = frozenset().union(*(child.vertex_set for child in children))
     sigma = item[0]
     if sigma is None or recompute:
@@ -723,7 +722,7 @@ def frozen(item, graph: WeightedGraph, recompute: bool = False) -> HierarchyNode
             graph.weight_inside(child.vertex_set) for child in children
         )
         sigma = Fr(between, len(children) - 1)
-    return HierarchyNode(vertex_set, children, sigma)
+    return HierarchyNode(None, children, sigma)
 
 
 def internal_items(tree) -> list[tuple[list, list | None]]:
@@ -936,7 +935,7 @@ class TestTreeCertificate:
         g = WeightedGraph.from_edges(4, [(0, 1, 10), (0, 2, 4), (2, 3, 1)])
         triple = frozen([None, [0, 1, 2]], g)
         assert triple.sigma == 7
-        root = HierarchyNode(frozenset(range(4)), (triple, frozen(3, g)), Fr(1))
+        root = HierarchyNode(None, (triple, frozen(3, g)), Fr(1))
         violations = hz._certify_tree(HierarchyTree(root, g))
         assert violations == ["the children of [0, 1, 2] hold a set denser than 7"]
         flat = frozen([None, [0, 1, 2, 3]], g)
@@ -1002,7 +1001,7 @@ class TestValidate:
                 tree = build_hierarchy(g)
                 assert validate_hierarchy(g, tree) == []
                 root = tree.root
-                off = HierarchyNode(root.vertex_set, root.children, root.sigma - Fr(1, 7))
+                off = replace(root, sigma=root.sigma - Fr(1, 7))
                 violations = validate_hierarchy(g, HierarchyTree(off, g))
                 assert len(violations) == 1 and "between its children" in violations[0]
 
@@ -1019,10 +1018,9 @@ class TestValidate:
             chain.append(next(c for c in chain[-1].children if not c.is_leaf))
         deep = chain[-1]
         assert deep.vertex_set == frozenset(range(300, n)) and deep.sigma == 301
-        node = HierarchyNode(deep.vertex_set, deep.children, deep.sigma - Fr(1, 7))
+        node = replace(deep, sigma=deep.sigma - Fr(1, 7))
         for parent, old in zip(reversed(chain[:-1]), reversed(chain[1:])):
-            children = tuple(node if c is old else c for c in parent.children)
-            node = HierarchyNode(parent.vertex_set, children, parent.sigma)
+            node = replace(parent, children=tuple(node if c is old else c for c in parent.children))
         violations = validate_hierarchy(g, HierarchyTree(node, g))
         assert len(violations) == 1
         assert violations[0].startswith("ratio of [300, 301,")
@@ -1051,7 +1049,7 @@ class TestValidate:
 
         g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
         pair = frozen([None, [0, 1]], g)
-        root = HierarchyNode(frozenset(range(3)), (pair, frozen(2, g)), Fr(1))
+        root = HierarchyNode(None, (pair, frozen(2, g)), Fr(1))
         assert pair.sigma == 1
         tree = HierarchyTree(root, g)
         assert hz._certify_tree(tree) == ["ratio does not rise from [0, 1, 2] to [0, 1]"]
@@ -1060,29 +1058,55 @@ class TestValidate:
         assert any("min-ratio" in v for v in violations[1:])
 
     def test_a_leaf_outside_the_graph_is_reported(self):
-        # The unit path 0 - 1 - 2 under a root over leaves {0}..{3}: the
-        # shape fault is returned, and the brute-force comparison, which
-        # would need {3} in the graph, does not run.
+        # The unit path 0 - 1 - 2 under a root over leaves 0..3: the shape
+        # fault is returned, and the brute-force comparison, which would
+        # need vertex 3 in the graph, does not run.
         g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
-        leaves = tuple(HierarchyNode(frozenset({v}), (), None) for v in range(4))
-        root = HierarchyNode(frozenset(range(4)), leaves, Fr(1))
-        assert validate_hierarchy(g, HierarchyTree(root, g)) == [
-            "root does not cover the vertex set"
-        ]
+        root = HierarchyNode(None, tuple(map(HierarchyNode, range(4))), Fr(1))
+        assert validate_hierarchy(g, HierarchyTree(root, g)) == ["leaf 3 is not a vertex of the graph"]
 
     def test_swapped_children_partition_violation(self, trubin_path):
-        leaves = [HierarchyNode(frozenset({v}), (), None) for v in range(4)]
-        bad_side = HierarchyNode(frozenset({0, 1}), (leaves[0], leaves[2]), Fr(2))
-        other = HierarchyNode(frozenset({2, 3}), (leaves[2], leaves[3]), Fr(100))
-        root = HierarchyNode(frozenset(range(4)), (bad_side, other), Fr(1))
+        # Leaf 2 under both root children, where one of them should hold
+        # leaf 1: vertex 1 has no leaf and vertex 2 has two.
+        leaves = [HierarchyNode(v) for v in range(4)]
+        bad_side = HierarchyNode(None, (leaves[0], leaves[2]), Fr(2))
+        other = HierarchyNode(None, (leaves[2], leaves[3]), Fr(100))
+        root = HierarchyNode(None, (bad_side, other), Fr(1))
         violations = validate_hierarchy(trubin_path, HierarchyTree(root, trubin_path))
-        assert any("partition" in v for v in violations)
+        assert violations == ["vertex 1 has 0 leaves", "vertex 2 has 2 leaves"]
+
+    def test_each_shape_fault_is_reported_and_refused(self):
+        # On the unit path 0 - 1 - 2, hand-built trees with a missing
+        # vertex, a vertex with two leaves, a leaf outside the graph and a
+        # one-child node: validate_hierarchy reports each fault alone, and
+        # ideal_loads refuses the tree with it.
+        from laminar import ideal_loads
+        from laminar.loads import LoadsError
+
+        g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
+        leaf = [HierarchyNode(v) for v in range(4)]
+
+        def node(*children):
+            return HierarchyNode(None, children, Fr(1))
+
+        cases = [
+            (node(leaf[0], leaf[1]), "vertex 2 has 0 leaves"),
+            (node(leaf[0], leaf[1], leaf[2], leaf[1]), "vertex 1 has 2 leaves"),
+            (node(leaf[0], leaf[1], leaf[2], leaf[3]), "leaf 3 is not a vertex of the graph"),
+            (node(node(leaf[0], leaf[1]), node(leaf[2])), "internal node [2] has < 2 children"),
+        ]
+        for root, fault in cases:
+            tree = HierarchyTree(root, g)
+            assert tree.faults == (fault,) and not tree.charge
+            assert validate_hierarchy(g, tree) == [fault]
+            with pytest.raises(LoadsError, match=re.escape(fault)):
+                ideal_loads(g, tree)
 
     def test_non_maximal_root_cut_detected(self, unit_triangle):
         # Splitting the triangle 2-1 has ratio 2; the oracle check flags it.
-        leaves = [HierarchyNode(frozenset({v}), (), None) for v in range(3)]
-        pair = HierarchyNode(frozenset({0, 1}), (leaves[0], leaves[1]), Fr(1))
-        root = HierarchyNode(frozenset(range(3)), (pair, leaves[2]), Fr(2))
+        leaves = [HierarchyNode(v) for v in range(3)]
+        pair = HierarchyNode(None, (leaves[0], leaves[1]), Fr(1))
+        root = HierarchyNode(None, (pair, leaves[2]), Fr(2))
         violations = validate_hierarchy(unit_triangle, HierarchyTree(root, unit_triangle))
         assert any("min-ratio" in v for v in violations)
 
@@ -1090,15 +1114,16 @@ class TestValidate:
 def brute_charges(graph: WeightedGraph, root: HierarchyNode) -> list[tuple[frozenset[int], tuple]]:
     """Each edge's node, found by walking down from the root while one child
     holds both ends, with the positions of the children that hold u and v."""
+    sets = {id(node): node.vertex_set for node in root.walk()}
     found = []
     for u, v, w in graph.edges:
         node = root
         while True:
-            a, b = (next(i for i, c in enumerate(node.children) if x in c.vertex_set) for x in (u, v))
+            a, b = (next(i for i, c in enumerate(node.children) if x in sets[id(c)]) for x in (u, v))
             if a != b:
                 break
             node = node.children[a]
-        found.append((node.vertex_set, (a, b, w)))
+        found.append((sets[id(node)], (a, b, w)))
     return found
 
 
@@ -1125,7 +1150,7 @@ class TestChargedEdges:
         expected = brute_charges(graph, root)
         assert [charged[e] for e in range(graph.m)] == expected
         loads = ideal_loads(graph, HierarchyTree(root, graph))
-        assert list(loads.edge_node) == [key for key, _ in expected]
+        assert [node.vertex_set for node in loads.edge_node] == [key for key, _ in expected]
 
     def test_random_canonical_trees(self):
         rng = random.Random(2501)
@@ -1149,7 +1174,7 @@ class TestChargedEdges:
         g = random_connected_graph(rng, 80, max_weight=20, extra_edges=20)
         root = build_hierarchy(g).root
         assert len(root.children) >= 3
-        self.check(g, HierarchyNode(root.vertex_set, root.children, root.sigma - Fr(1, 7)))
+        self.check(g, replace(root, sigma=root.sigma - Fr(1, 7)))
         grouped = nested(root)
         grouped[1][:2] = [[None, grouped[1][:2]]]
         self.check(g, frozen(grouped, g))
@@ -1211,7 +1236,7 @@ def copied(root: HierarchyNode, edit=None, at: int = -1) -> HierarchyNode:
     position = {id(node): i for i, node in enumerate(root.walk())}
 
     def copy_node(node):
-        new = node.__class__(node.vertex_set, tuple(map(copy_node, node.children)), node.sigma)
+        new = node.__class__(node.vertex, tuple(map(copy_node, node.children)), node.sigma)
         return edit(new) if position[id(node)] == at else new
 
     return copy_node(root)
@@ -1237,7 +1262,7 @@ class TestNodeEquality:
                 return replace(x, children=tuple(rng.sample(x.children, len(x.children))))
 
             def subclassed(x):
-                return SubNode(x.vertex_set, x.children, x.sigma)
+                return SubNode(x.vertex, x.children, x.sigma)
 
             def lifted(x):
                 *rest, last = x.children

@@ -88,11 +88,29 @@ class TestIdealLoads:
             stack = [tree.root]
             while stack:
                 node = stack.pop()
-                assert loads.node_sigma[node.vertex_set] == node.sigma
+                assert loads.node_sigma[node] == node.sigma
                 for child in node.children:
                     if not child.is_leaf:
                         assert child.sigma >= node.sigma
                         stack.append(child)
+
+    def test_rising_path_of_3000_vertices_stays_small(self):
+        # A node holds its children, not its vertex set, so the path's
+        # 2999 nested nodes take O(n) memory, not n^2/2 stored vertices;
+        # and two builds of the tree compare equal and hash equal.
+        n = 3000
+        g = WeightedGraph.from_edges(n, [(i, i + 1, i + 1) for i in range(n - 1)])
+        tracemalloc.start()
+        try:
+            tree = build_hierarchy(g)
+            loads = ideal_loads(g, tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 << 20, peak
+        assert sum(loads.per_edge) == n - 1
+        again = build_hierarchy(g).root
+        assert again is not tree.root and again == tree.root and hash(again) == hash(tree.root)
 
     def test_structural_error_for_foreign_tree(self, trubin_path, unit_triangle):
         tree = build_hierarchy(unit_triangle)
@@ -103,32 +121,30 @@ class TestIdealLoads:
         # An internal node with one child has no cut ratio to divide by:
         # the tree is rejected, not divided by zero.
         g = WeightedGraph.from_edges(2, [(0, 1, 3)])
-        leaves = tuple(HierarchyNode(frozenset({v}), (), None) for v in range(2))
-        only = HierarchyNode(frozenset({0, 1}), leaves, Fr(3))
-        tree = HierarchyTree(HierarchyNode(frozenset({0, 1}), (only,), Fr(3)), g)
+        only = HierarchyNode(None, (HierarchyNode(0), HierarchyNode(1)), Fr(3))
+        tree = HierarchyTree(HierarchyNode(None, (only,), Fr(3)), g)
         with pytest.raises(LoadsError, match="< 2 children; .* structurally fit"):
             ideal_loads(g, tree)
 
     def test_structural_error_for_a_leaf_outside_the_graph(self):
         # Every vertex of the unit path 0 - 1 - 2 has its leaf, but the root
-        # also holds a leaf {3} that the graph lacks; loads read off such a
+        # also holds a leaf 3 that the graph lacks; loads read off such a
         # tree would sum to 3, not n - 1 = 2.
         g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
-        leaves = tuple(HierarchyNode(frozenset({v}), (), None) for v in range(4))
-        tree = HierarchyTree(HierarchyNode(frozenset(range(4)), leaves, Fr(1)), g)
-        with pytest.raises(LoadsError, match="root does not cover the vertex set"):
+        tree = HierarchyTree(HierarchyNode(None, tuple(map(HierarchyNode, range(4))), Fr(1)), g)
+        with pytest.raises(LoadsError, match="leaf 3 is not a vertex of the graph"):
             ideal_loads(g, tree)
 
     def test_structural_error_for_overlapping_children(self):
         # The root of the unit path 0 - 1 - 2 splits into {0, 1} and {1, 2},
-        # which share vertex 1: no edge has one deepest node, and the tree
-        # is rejected rather than given loads.
+        # which share vertex 1, so it has two leaves: no edge has one deepest
+        # node, and the tree is rejected rather than given loads.
         g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
-        leaf = [HierarchyNode(frozenset({v}), (), None) for v in range(3)]
-        left = HierarchyNode(frozenset({0, 1}), (leaf[0], leaf[1]), Fr(1))
-        right = HierarchyNode(frozenset({1, 2}), (leaf[1], leaf[2]), Fr(1))
-        tree = HierarchyTree(HierarchyNode(frozenset(range(3)), (left, right), Fr(1)), g)
-        with pytest.raises(LoadsError, match=r"children of \[0, 1, 2\] overlap"):
+        leaf = [HierarchyNode(v) for v in range(3)]
+        left = HierarchyNode(None, (leaf[0], leaf[1]), Fr(1))
+        right = HierarchyNode(None, (leaf[1], leaf[2]), Fr(1))
+        tree = HierarchyTree(HierarchyNode(None, (left, right), Fr(1)), g)
+        with pytest.raises(LoadsError, match="vertex 1 has 2 leaves"):
             ideal_loads(g, tree)
 
 
@@ -214,18 +230,25 @@ class TestMinMaxLoads:
             assert 1 / unit_min == compute_arboricity(g).fractional
 
 
+def duals_by_set(cert) -> dict[frozenset[int], float]:
+    """The certificate's dual values keyed by their nodes' vertex sets."""
+    return {node.vertex_set: value for node, value in cert.y.items()}
+
+
 class TestCertificate:
     def test_path_dual_values(self, trubin_path):
         tree = build_hierarchy(trubin_path)
         cert = entropy_certificate(ideal_loads(trubin_path, tree))
-        assert cert.y[frozenset(range(4))] == pytest.approx(0.0, abs=1e-12)
-        assert cert.y[frozenset({0, 1})] == pytest.approx(math.log(2))
-        assert cert.y[frozenset({2, 3})] == pytest.approx(math.log(100))
+        y = duals_by_set(cert)
+        assert y[frozenset(range(4))] == pytest.approx(0.0, abs=1e-12)
+        assert y[frozenset({0, 1})] == pytest.approx(math.log(2))
+        assert y[frozenset({2, 3})] == pytest.approx(math.log(100))
+        assert cert.y[tree.root] == y[frozenset(range(4))]
         assert cert.unit_marginals[0] == pytest.approx(0.5)
 
     def test_triangle_certificate(self, unit_triangle):
         cert = entropy_certificate(ideal_loads(unit_triangle, build_hierarchy(unit_triangle)))
-        assert cert.y[frozenset(range(3))] == pytest.approx(math.log(1.5))
+        assert duals_by_set(cert)[frozenset(range(3))] == pytest.approx(math.log(1.5))
         assert all(x == pytest.approx(2 / 3) for x in cert.unit_marginals)
 
     def test_equal_ratio_child_gets_zero_dual(self):
@@ -233,11 +256,11 @@ class TestCertificate:
         # absorbed by the maximal cut), so exercise the boundary case on a
         # hand-built tree: both levels of this one have ratio 1.
         g = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
-        leaves = [HierarchyNode(frozenset({v}), (), None) for v in range(3)]
-        pair = HierarchyNode(frozenset({0, 1}), (leaves[0], leaves[1]), Fr(1))
-        root = HierarchyNode(frozenset(range(3)), (pair, leaves[2]), Fr(1))
+        leaves = [HierarchyNode(v) for v in range(3)]
+        pair = HierarchyNode(None, (leaves[0], leaves[1]), Fr(1))
+        root = HierarchyNode(None, (pair, leaves[2]), Fr(1))
         cert = entropy_certificate(ideal_loads(g, HierarchyTree(root, g)))
-        assert cert.y[frozenset({0, 1})] == pytest.approx(0.0, abs=1e-12)
+        assert cert.y[pair] == pytest.approx(0.0, abs=1e-12)
 
     def test_duals_nonnegative_and_reconstruction_tight(self):
         rng = random.Random(9)
@@ -248,8 +271,8 @@ class TestCertificate:
                 continue
             loads = ideal_loads(g, tree)
             cert = entropy_certificate(loads)
-            for key, value in cert.y.items():
-                if key != tree.root.vertex_set:
+            for node, value in cert.y.items():
+                if node is not tree.root:
                     assert value >= -1e-12
             for i in range(g.m):
                 assert abs(cert.unit_marginals[i] - float(loads.unit_per_edge[i])) <= 1e-9
@@ -259,8 +282,9 @@ class TestCertificate:
         # value is still ln(10^400) over the root's ratio 1.
         g = WeightedGraph.from_edges(3, [(0, 1, 10**400), (1, 2, 1)])
         cert = entropy_certificate(ideal_loads(g, build_hierarchy(g)))
-        assert cert.y[frozenset(range(3))] == 0.0
-        assert cert.y[frozenset({0, 1})] == pytest.approx(400 * math.log(10))
+        y = duals_by_set(cert)
+        assert y[frozenset(range(3))] == 0.0
+        assert y[frozenset({0, 1})] == pytest.approx(400 * math.log(10))
         assert cert.unit_marginals == (0.0, 1.0)
 
 
