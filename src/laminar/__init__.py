@@ -56,7 +56,6 @@ from .hierarchy import (
     maximal_min_ratio_cut,
     node_sigma,
     strength,
-    validate_hierarchy,
 )
 from .loads import (
     DualCertificate,
@@ -76,6 +75,7 @@ from .oracle import (
     brute_one_respecting,
     brute_t_mincut,
     frank_wolfe_entropy,
+    validate_hierarchy,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -216,10 +216,7 @@ def _cmd_arboricity(args) -> int:
 
 
 def _build_tree(args, graph: WeightedGraph) -> HierarchyTree:
-    rng = random.Random(args.seed)
-    return build_hierarchy(
-        graph, mode=args.mode, rng=rng, epsilon=Fraction(args.epsilon)
-    )
+    return build_hierarchy(graph, mode=args.mode, rng=random.Random(args.seed))
 
 
 def _cmd_strength(args) -> int:
@@ -300,10 +297,7 @@ def _cmd_densest(args) -> int:
     graph = _read_graph(args.file)
     _require_connected(graph, "densest set search")
     k = args.k if args.k is not None else max(1, graph.n)
-    rng = random.Random(args.seed)
-    result = find_star_full(
-        graph, k, mode=args.mode, rng=rng, epsilon=Fraction(args.epsilon)
-    )
+    result = find_star_full(graph, k, mode=args.mode, rng=random.Random(args.seed))
     density = skew_density(graph, result.candidate)
     _emit(
         args,
@@ -402,12 +396,7 @@ def _add_search(parser: argparse.ArgumentParser):
         "--mode",
         choices=("exact", "randomized"),
         default="exact",
-        help="exact subroutines or the randomized sampling pipeline",
-    )
-    parser.add_argument(
-        "--epsilon",
-        default="0.1",
-        help="accuracy parameter of the randomized pipeline (default 0.1)",
+        help="exact subroutines or the randomized sampling pipeline (accuracy 1/10)",
     )
 
 

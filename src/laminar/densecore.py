@@ -80,7 +80,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dircut import EPSILON, find_small_cut, size_bounded_t_mincut
+from .dircut import find_small_cut, size_bounded_t_mincut
 from .flow import FlowResult, max_flow, t_cuts_below
 from .goldberg import (
     GoldbergNetwork,
@@ -210,7 +210,6 @@ def probe(
     *,
     mode: str = "exact",
     rng: random.Random | None = None,
-    epsilon: Fraction = EPSILON,
     sides: list[frozenset[int]] | None = None,
 ) -> tuple[bool, frozenset[int] | None]:
     """Is some vertex set skew-denser than tau?
@@ -241,7 +240,7 @@ def probe(
     tau = Fraction(tau)
     if tau <= 0:
         raise GraphError("tau must be positive")
-    return _probe(graph, tau, k, mode, rng, epsilon, sides)
+    return _probe(graph, tau, k, mode, rng, sides)
 
 
 def _probe(
@@ -250,7 +249,6 @@ def _probe(
     k: int,
     mode: str = "exact",
     rng: random.Random | None = None,
-    epsilon: Fraction = EPSILON,
     sides: list[frozenset[int]] | None = None,
     *,
     root: int | None = None,
@@ -301,7 +299,7 @@ def _probe(
     elif mode == "randomized":
         if rng is None:
             raise GraphError("randomized mode needs an RNG stream")
-        cut = find_small_cut(shortcut.one_way(), shortcut.t, threshold, k, rng, epsilon=epsilon)
+        cut = find_small_cut(shortcut.one_way(), shortcut.t, threshold, k, rng)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if cut is not None and cut.value < threshold:
@@ -344,7 +342,6 @@ def find_star_full(
     *,
     mode: str = "exact",
     rng: random.Random | None = None,
-    epsilon: Fraction = EPSILON,
 ) -> FindStarResult:
     """The maximum skew-density and the largest set attaining it.
 
@@ -376,9 +373,7 @@ def find_star_full(
     while True:
         threshold = _below(tau, graph.n) if mode == "exact" else tau
         sides: list[frozenset[int]] = []
-        ok, found = probe(
-            graph, threshold, k, mode=mode, rng=rng, epsilon=epsilon, sides=sides
-        )
+        ok, found = probe(graph, threshold, k, mode=mode, rng=rng, sides=sides)
         if not ok and threshold < tau:  # an exact probe below the witness cannot miss
             raise RuntimeError(f"probe at {threshold} missed a witness of density {tau}")
         density = skew_density(graph, found) if ok else tau  # a miss finds nothing denser
@@ -395,7 +390,7 @@ def find_star_full(
     # the density network's own min cut then carries a denser set.
     candidate, shortcut = _saturate(graph, _below(tau, graph.n))
     if shortcut is not None:
-        cut = size_bounded_t_mincut(shortcut.one_way(), shortcut.t, k, rng, epsilon=epsilon)
+        cut = size_bounded_t_mincut(shortcut.one_way(), shortcut.t, k, rng)
         candidate = frozenset(cut.source_side)
     if not candidate or skew_density(graph, candidate) < tau:
         candidate = witness
@@ -403,14 +398,9 @@ def find_star_full(
 
 
 def find_star(
-    graph: WeightedGraph,
-    k: int,
-    *,
-    mode: str = "exact",
-    rng: random.Random | None = None,
-    epsilon: Fraction = EPSILON,
+    graph: WeightedGraph, k: int, *, mode: str = "exact", rng: random.Random | None = None
 ) -> frozenset[int]:
-    return find_star_full(graph, k, mode=mode, rng=rng, epsilon=epsilon).candidate
+    return find_star_full(graph, k, mode=mode, rng=rng).candidate
 
 
 def _denser_subset(graph: WeightedGraph, s_set: frozenset[int], rho: Fraction) -> str | None:

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .flow import INF, DirectedNetwork, STCut, _derived, min_st_cut
 
-#: default accuracy parameter of the pipeline
+#: accuracy parameter of the sampling pipeline that find_small_cut runs
 EPSILON = Fraction(1, 10)
 #: default multiplier in the packing iteration count C * k * log2(n)
 PACKING_CONSTANT = 64
@@ -471,30 +471,22 @@ def one_respecting_mincut(
 
 
 def find_small_cut(
-    net: DirectedNetwork,
-    t: int,
-    threshold: Fraction | int,
-    k: int,
-    rng: random.Random,
-    *,
-    epsilon: Fraction = EPSILON,
+    net: DirectedNetwork, t: int, threshold: Fraction | int, k: int, rng: random.Random
 ) -> STCut | None:
     """Look for a t-cut of value strictly below threshold.
 
-    Runs the sparsify/pack/sample pipeline and evaluates every candidate
-    against the original network, returning the first hit, which need not
-    be the smallest cut below threshold; an empty result is legal (the
-    caller retries, descends no further, or falls back).
+    Runs the sparsify/pack/sample pipeline at accuracy EPSILON and evaluates
+    every candidate against the original network, returning the first hit,
+    which need not be the smallest cut below threshold; an empty result is
+    legal (the caller retries, descends no further, or falls back).
     """
     if net.n < 2:
         raise DircutError("need at least 2 nodes")
-    params = SparsifierParams.derive(
-        Fraction(threshold), k, epsilon, net.n, rng.getrandbits(64)
-    )
+    params = SparsifierParams.derive(Fraction(threshold), k, EPSILON, net.n, rng.getrandbits(64))
     sparse = sparsify(net, t, params)
     level = _log2_ceil(net.n)
     packing = pack_arborescences(
-        sparse, t, k, epsilon, iterations=PIPELINE_PACKING_CONSTANT * k * level
+        sparse, t, k, EPSILON, iterations=PIPELINE_PACKING_CONSTANT * k * level
     )
     trees = [tree for tree, _ in packing.items]
     weights = [float(w) for _, w in packing.items]
@@ -511,14 +503,7 @@ def find_small_cut(
     return None
 
 
-def size_bounded_t_mincut(
-    net: DirectedNetwork,
-    t: int,
-    k: int,
-    rng: random.Random,
-    *,
-    epsilon: Fraction = EPSILON,
-) -> STCut:
+def size_bounded_t_mincut(net: DirectedNetwork, t: int, k: int, rng: random.Random) -> STCut:
     """Minimum t-cut by the sampling pipeline, descending from the trivial cut.
 
     Starting from every node but t, it asks the small-cut finder for a cut
@@ -533,7 +518,7 @@ def size_bounded_t_mincut(
     everything = frozenset(v for v in range(net.n) if v != t)
     best = STCut(source_side=everything, value=net.cut_value(everything))
     while best.value > 0:
-        cut = find_small_cut(net, t, best.value, k, rng, epsilon=epsilon)
+        cut = find_small_cut(net, t, best.value, k, rng)
         if cut is None:
             break
         best = cut

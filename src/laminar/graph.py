@@ -159,6 +159,11 @@ class MultiwayCut:
         return f"MultiwayCut(sides={sides}, ratio={self.ratio})"
 
 
+def _unheld(graph: WeightedGraph) -> GraphError:
+    """The refusal of a graph whose per-vertex tables do not fit in memory."""
+    return GraphError(f"the graph declares {graph.n} vertices, more than fit in memory")
+
+
 def _within(graph: WeightedGraph, inside: Iterable[int]) -> bool:
     """Whether every member of `inside` is a vertex of graph."""
     vertices = range(graph.n)
@@ -189,7 +194,11 @@ def contract(
     """
     if not sets:
         raise GraphError("no set to contract")
-    rep_of = list(range(graph.n))  # the smallest vertex of v's set
+    try:
+        rep_of = list(range(graph.n))  # the smallest vertex of v's set
+        forward = [0] * graph.n
+    except (OverflowError, MemoryError):
+        raise _unheld(graph) from None
     claimed: set[int] = set()
     for s in sets:
         inside = frozenset(s)
@@ -203,7 +212,6 @@ def contract(
         rep = min(inside)
         for v in inside:
             rep_of[v] = rep
-    forward = [0] * graph.n
     next_id = 0
     for v in range(graph.n):
         if rep_of[v] == v:
@@ -279,8 +287,11 @@ def component_subgraphs(graph: WeightedGraph) -> Iterator[tuple[WeightedGraph, t
     roots, _ = _component_roots(graph)
     index: dict[int, int] = {}  # component root -> position in the list
     members: list[list[int]] = []
-    comp_of = [0] * graph.n
-    local = [0] * graph.n
+    try:
+        comp_of = [0] * graph.n
+        local = [0] * graph.n
+    except (OverflowError, MemoryError):
+        raise _unheld(graph) from None
     for v in range(graph.n):
         c = index.setdefault(roots.get(v, v), len(members))
         if c == len(members):
@@ -302,9 +313,10 @@ def rank(graph: WeightedGraph, edge_subset: Iterable[int] | None = None) -> int:
 def parse_edge_list(text: str) -> WeightedGraph:
     """Parse the edge-list format: header `n m`, then m lines `u v w`.
 
-    Vertices are 0-indexed, weights are positive integers, and lines starting
-    with `#` are ignored.  Raises EdgeListError with the offending 1-based
-    line number.
+    Vertices are 0-indexed, weights are positive integers, every value is
+    ASCII decimal digits with an optional sign, and lines starting with `#`
+    are ignored.  Raises EdgeListError with the offending 1-based line
+    number.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
@@ -313,10 +325,14 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        # int() also reads `1_000` and digits of other scripts, which the format does not
+        decimal = line.isascii() and "_" not in line
         if header is None:
             if len(parts) != 2:
                 raise EdgeListError(lineno, "expected header `n m`")
             try:
+                if not decimal:
+                    raise ValueError(line)
                 n, m = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListError(lineno, "header values must be integers") from None
@@ -327,6 +343,8 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if len(parts) != 3:
             raise EdgeListError(lineno, "expected edge line `u v w`")
         try:
+            if not decimal:
+                raise ValueError(line)
             u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise EdgeListError(lineno, "edge values must be integers") from None

@@ -68,16 +68,11 @@ from operator import attrgetter, itemgetter
 from typing import Iterator
 
 from .densecore import _probe, find_star, find_star_full, verify_core
-from .dircut import EPSILON
 from .graph import GraphError, MultiwayCut, WeightedGraph, _checked, contract, skew_density
 
 #: full randomized size sweeps, each on fresh RNG streams, before the exact
 #: search takes over for one contraction
 MAX_RESTARTS = 3
-
-#: largest graph on which `validate_hierarchy` also compares the tree against
-#: the brute-force hierarchy of maximal min-ratio cuts
-ORACLE_LIMIT = 7
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +171,7 @@ class HierarchyTree:
     graph's vertices (`_shape_violations`).  When it is empty, `charge`
     holds each internal node, children first, with the edges charged to it
     and its ratio c(G_X)/(r-1) (`_charged_edges`); else it is empty.  The
-    certificate, `validate_hierarchy` and `loads.ideal_loads` read both.
+    certificate, `oracle.validate_hierarchy` and `loads.ideal_loads` read both.
     """
 
     root: HierarchyNode
@@ -201,11 +196,7 @@ class HierarchyTree:
 
 
 def build_hierarchy(
-    graph: WeightedGraph,
-    *,
-    mode: str = "exact",
-    rng: random.Random | None = None,
-    epsilon: Fraction = EPSILON,
+    graph: WeightedGraph, *, mode: str = "exact", rng: random.Random | None = None
 ) -> HierarchyTree:
     """Build the canonical cut hierarchy by star-set contraction.
 
@@ -226,10 +217,16 @@ def build_hierarchy(
     registry = [HierarchyNode(v) for v in range(graph.n)]  # the node of each vertex of cur
     cur = graph
     while cur.n > 1:
-        if mode == "exact" and _is_tree(cur):
+        if mode == "randomized":
+            star = _randomized_star(cur, rng)
+            stars, sigma = (star,), skew_density(cur, star)
+        elif _is_tree(cur):
             registry = [_single_linkage(cur, registry)]
             break
-        stars, sigma, cur, forward = _accept_star_sets(cur, mode, rng, epsilon)
+        else:
+            search = find_star_full(cur, cur.n, mode="exact")
+            stars, sigma = search.sets, search.tau_star
+        cur, forward = contract(cur, *stars)
         nodes: list = [None] * cur.n  # the node of each vertex of the new cur
         for v, slot in enumerate(forward):
             nodes[slot] = registry[v]  # a slot no star took holds one vertex
@@ -294,25 +291,7 @@ def _sweep_sizes(n: int) -> list[int]:
     return sizes
 
 
-def _accept_star_sets(
-    cur: WeightedGraph, mode: str, rng: random.Random, epsilon: Fraction
-) -> tuple[tuple[frozenset[int], ...], Fraction, WeightedGraph, tuple[int, ...]]:
-    """One outer iteration: the disjoint dense cores of cur to contract.
-
-    Returns them, their common skew-density in cur, and cur with each of
-    them contracted, with the contraction's forward map.  Exact mode takes
-    every maximal densest set of one exact search, which the tree
-    certificate checks once the hierarchy is complete; randomized mode
-    takes one set (see `_randomized_star`).
-    """
-    if mode == "exact":
-        search = find_star_full(cur, cur.n, mode="exact", epsilon=epsilon)
-        return search.sets, search.tau_star, *contract(cur, *search.sets)
-    star = _randomized_star(cur, rng, epsilon)
-    return (star,), skew_density(cur, star), *contract(cur, star)
-
-
-def _randomized_star(cur: WeightedGraph, rng: random.Random, epsilon: Fraction) -> frozenset[int]:
+def _randomized_star(cur: WeightedGraph, rng: random.Random) -> frozenset[int]:
     """A dense core of cur from the sampling pipeline, else from the exact search.
 
     Sweeps doubling sizes k, accepting a candidate of more than k/2 and at
@@ -324,7 +303,7 @@ def _randomized_star(cur: WeightedGraph, rng: random.Random, epsilon: Fraction) 
     for _ in range(MAX_RESTARTS):
         for k in _sweep_sizes(cur.n):
             sub_rng = random.Random(rng.getrandbits(64))
-            candidate = find_star(cur, k, mode="randomized", rng=sub_rng, epsilon=epsilon)
+            candidate = find_star(cur, k, mode="randomized", rng=sub_rng)
             if k // 2 < len(candidate) <= k and verify_core(cur, k, candidate):
                 return candidate
     return find_star(cur, cur.n, mode="exact")
@@ -445,20 +424,3 @@ def _certify_tree(tree: HierarchyTree) -> list[str]:
             )
     return violations
 
-
-def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
-    """The tree certificate's violations (see above), at any size; on small
-    connected graphs also compares the whole tree against the brute-force
-    hierarchy, every node's children and ratio, once the shape is sound.
-    Returns a list of violation descriptions, empty when the tree is
-    consistent.
-    """
-    if graph != tree.graph:
-        tree = HierarchyTree(tree.root, graph)
-    violations = _certify_tree(tree)
-    if graph.n <= ORACLE_LIMIT and not tree.faults and graph.is_connected():
-        from .oracle import brute_hierarchy
-
-        if tree.root != brute_hierarchy(graph).root:
-            violations.append("the tree is not the oracle's hierarchy of maximal min-ratio cuts")
-    return violations

@@ -19,13 +19,16 @@ from typing import Iterable, Iterator, Sequence
 
 from .flow import INF, DirectedNetwork, STCut
 from .graph import MultiwayCut, WeightedGraph, connected_components, induced_subgraph
-from .hierarchy import HierarchyNode, HierarchyTree, _join
+from .hierarchy import HierarchyNode, HierarchyTree, _certify_tree, _join
 from .loads import entropy_value
 
 PARTITION_GUARD = 10
 SUBSET_GUARD = 20
 UNIT_EDGE_GUARD = 200
 FW_CLIP = 1e-12
+#: largest graph on which `validate_hierarchy` also compares the tree against
+#: the brute-force hierarchy of maximal min-ratio cuts
+ORACLE_LIMIT = 7
 
 
 class SizeGuardError(ValueError):
@@ -202,6 +205,22 @@ def brute_hierarchy(graph: WeightedGraph) -> HierarchyTree:
 
     root = descend(graph, list(range(graph.n)))
     return HierarchyTree(root=root, graph=graph)
+
+
+def validate_hierarchy(graph: WeightedGraph, tree: HierarchyTree) -> list[str]:
+    """The tree certificate's violations (see `hierarchy`), at any size; on
+    small connected graphs also compares the whole tree against the
+    brute-force hierarchy, every node's children and ratio, once the shape
+    is sound.  Returns a list of violation descriptions, empty when the tree
+    is consistent.
+    """
+    if graph != tree.graph:
+        tree = HierarchyTree(tree.root, graph)
+    violations = _certify_tree(tree)
+    if graph.n <= ORACLE_LIMIT and not tree.faults and graph.is_connected():
+        if tree.root != brute_hierarchy(graph).root:
+            violations.append("the tree is not the oracle's hierarchy of maximal min-ratio cuts")
+    return violations
 
 
 def _node_masks(net: DirectedNetwork, t: int) -> list[int]:

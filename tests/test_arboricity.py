@@ -26,6 +26,7 @@ from laminar.arboricity import ArboricityError
 from laminar.graph import GraphError
 
 from .conftest import network_from_arcs, random_connected_graph, random_digraph
+from .test_densecore import rising_cycle
 
 
 class TestTBarMincut:
@@ -140,9 +141,17 @@ class TestComputeArboricity:
     def test_consistent_with_hierarchy_loads(self):
         # Arboricity is the reciprocal ceiling of the minimum unit load, and
         # the fractional value is the maximum node ratio of the hierarchy.
+        # Past the brute-force guards the certified tree checks the search:
+        # random trees with none, n/4 or 2n extra edges for n from 11 to 60,
+        # and the rising cycle n=100.
         rng = random.Random(111)
-        for _ in range(12):
-            g = random_connected_graph(rng, rng.randint(2, 7))
+        graphs = [random_connected_graph(rng, rng.randint(2, 7)) for _ in range(12)]
+        for trial in range(105):
+            n = rng.randint(11, 60)
+            extra = (0, n // 4, 2 * n)[trial % 3]
+            graphs.append(random_connected_graph(rng, n, max_weight=20, extra_edges=extra))
+        graphs.append(rising_cycle(100))
+        for g in graphs:
             tree = build_hierarchy(g)
             if tree.root.is_leaf:
                 continue

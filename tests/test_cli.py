@@ -412,19 +412,25 @@ class TestDeepHierarchy:
         assert text == json.dumps(json_tree(tree), indent=2)
 
 
+COMMANDS = (
+    "arboricity", "strength", "hierarchy", "ideal-loads", "densest", "verify-core",
+    "entropy-check", "oracle",
+)
+
 #: options a subcommand does not read: the search options where no search
-#: runs, and the dot format where no tree is printed
+#: runs, --epsilon anywhere (the sampling pipeline's is 1/10, not an option),
+#: and the dot format where no tree is printed
 UNREAD_OPTIONS = [
     *(
         (command, flag, value)
         for command in ("arboricity", "verify-core", "oracle")
-        for flag, value in (("--seed", "1"), ("--mode", "randomized"), ("--epsilon", "0.2"))
+        for flag, value in (("--seed", "1"), ("--mode", "randomized"))
     ),
+    *((command, "--epsilon", "0.2") for command in COMMANDS),
     *(
         (command, "--format", "dot")
-        for command in (
-            "arboricity", "strength", "ideal-loads", "densest", "verify-core", "entropy-check"
-        )
+        for command in COMMANDS
+        if command not in ("hierarchy", "oracle")
     ),
 ]
 
@@ -543,6 +549,20 @@ class TestErrors:
         assert code == 2
         assert "999999 components: {0,1}; {2};" in err and "{10}; ... (999989 more)" in err
         assert "{11}" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["arboricity", "--per-component"], ["strength", "--per-component"],
+         ["verify-core", "--set", "0,1"]],
+    )
+    def test_header_past_the_index_range_is_refused(self, capsys, tmp_path, argv):
+        # 10^30 vertices cannot index a per-vertex table; 36 bytes of input
+        # must end in a one-line refusal that names the count, not a traceback.
+        target = tmp_path / "huge.txt"
+        target.write_text(f"{10**30} 1\n0 1 1\n")
+        code, out, err = run_cli(capsys, argv[0], str(target), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"error: the graph declares {10**30} vertices, more than fit in memory\n"
 
     def test_size_guard_exit_code(self, capsys, tmp_path):
         g = random_connected_graph(__import__("random").Random(1), 11)

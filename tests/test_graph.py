@@ -308,6 +308,24 @@ class TestEdgeList:
             parse_edge_list(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize(
+        "text,line,value",
+        [
+            ("2 1\n0 1 1_000\n", 2, "1_000"),
+            ("2 1\n0 1 \uff12\n", 2, "\uff12"),  # full-width 2
+            ("2 1\n0 \u0661 1\n", 2, "\u0661"),  # Arabic-Indic 1
+            ("2 1\n0 1 \U0001d7d0\n", 2, "\U0001d7d0"),  # mathematical bold 2
+            ("1_0 1\n0 1 1\n", 1, "1_0"),
+            ("\u0662 1\n0 1 1\n", 1, "\u0662"),  # Arabic-Indic 2
+        ],
+    )
+    def test_values_are_ascii_decimal_only(self, text, line, value):
+        # int() reads each of these values; the format takes ASCII digits alone.
+        assert int(value) > 0
+        with pytest.raises(EdgeListError, match="values must be integers") as err:
+            parse_edge_list(text)
+        assert err.value.line == line
+
     def test_header_alone_allocates_nothing_per_vertex(self):
         # A graph keeps only its edge tuple, so a header announcing a million
         # vertices costs no per-vertex storage before any edge is read.

@@ -194,7 +194,7 @@ class TestOracleEquivalence:
         fresh = [True]
         searches = []
 
-        def first_call_only(net, t, threshold, k, rng, *, epsilon=None):
+        def first_call_only(net, t, threshold, k, rng):
             if not fresh[0]:
                 return None
             fresh[0] = False
@@ -443,7 +443,7 @@ class TestAcceptStarSet:
         # of rising, so the end certificate refuses the randomized tree.
         import laminar.hierarchy as hz
 
-        monkeypatch.setattr(hz, "_randomized_star", lambda cur, rng, eps: frozenset(range(2)))
+        monkeypatch.setattr(hz, "_randomized_star", lambda cur, rng: frozenset(range(2)))
         with pytest.raises(RuntimeError, match="randomized hierarchy fails its certificate"):
             build_hierarchy(unit_triangle, mode="randomized", rng=random.Random(0))
 
