@@ -1,8 +1,10 @@
 """Command-line frontend: parse edge lists, run the algorithms, emit results.
 
 Input is the edge-list format (header `n m`, then `u v w` lines, `#` comments
-allowed).  Rationals are printed as `p/q`, never as floats.  Exit codes:
-0 success, 2 malformed or unusable input, 3 brute-force size-guard refusal.
+allowed).  Rationals are printed as `p/q`, never as floats.  Each command
+returns its text; `main` writes it and maps errors to exit codes: 0 success,
+2 malformed or unusable input, 3 brute-force size-guard refusal, 141 a
+closed stdout.
 """
 
 from __future__ import annotations
@@ -10,19 +12,20 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 from itertools import count, islice
 
-from .arboricity import ArboricityError, compute_arboricity
+from .arboricity import compute_arboricity
 from .densecore import find_star_full, verify_core_explain
 from .graph import (
     EdgeListError,
-    GraphError,
     WeightedGraph,
     _component_roots,
     component_subgraphs,
+    decimal,
     parse_edge_list,
     skew_density,
 )
@@ -40,12 +43,11 @@ from .oracle import (
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_SIZE_GUARD = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe killed
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Input the command cannot use, beyond what the graph layer checks."""
 
 
 def rational(x: Fraction) -> str:
@@ -152,7 +154,7 @@ def _require_connected(graph: WeightedGraph, what: str):
 
 def _parse_set(text: str, n: int) -> frozenset[int]:
     try:
-        vertices = frozenset(int(part) for part in text.split(",") if part != "")
+        vertices = frozenset(decimal(part) for part in text.split(",") if part != "")
     except ValueError:
         raise CliError(f"--set must be a comma-separated vertex list, got {text!r}") from None
     if not vertices:
@@ -163,108 +165,96 @@ def _parse_set(text: str, n: int) -> frozenset[int]:
     return vertices
 
 
-def _emit(args, text_value: str, json_value) -> None:
-    if args.format == "json":
-        print(json.dumps(json_value, indent=2, sort_keys=False))
-    else:
-        print(text_value)
+def _render(args, text: str, json_value) -> str:
+    return json.dumps(json_value, indent=2) if args.format == "json" else text
 
 
-def _cmd_arboricity(args) -> int:
+def _json(value):
+    """A measured value as JSON writes it: a rational as `p/q`, else as it is."""
+    return rational(value) if isinstance(value, Fraction) else value
+
+
+def _per_component(args, graph: WeightedGraph, measure, best) -> str:
+    """`measure`'s fields on each component (None where undefined), under a
+    head that holds each field's `best` over the components."""
+    bests: dict = {}
+    lines = []
+    comp_json = []
+    for sub, comp in component_subgraphs(graph):
+        fields = measure(sub)
+        shown = {key: _json(v) for key, v in fields.items()}
+        pairs = ", ".join(f"{key} {'undefined' if v is None else v}" for key, v in shown.items())
+        lines.append(f"component {{{vertex_list(comp)}}}: {pairs}")
+        comp_json.append({"vertices": sorted(comp), **shown})
+        for key, v in fields.items():
+            if v is not None:
+                bests[key] = best(bests.get(key, v), v)
+    if not bests:
+        raise CliError("no component has 2 or more vertices")
+    head = {key: _json(v) for key, v in bests.items()}
+    return _render(
+        args,
+        "\n".join([*(f"{key}: {v}" for key, v in head.items()), *lines]),
+        {**head, "components": comp_json},
+    )
+
+
+def _cmd_arboricity(args) -> str:
     graph = _read_graph(args.file)
     if graph.m == 0:
-        _emit(
+        return _render(
             args,
             "arboricity: 0\nfractional: 0/1\n# edgeless input: zero forests cover it",
             {"arboricity": 0, "fractional": "0/1", "note": "edgeless input"},
         )
-        return EXIT_OK
     if args.per_component:
-        pieces = []
-        for sub, comp in component_subgraphs(graph):
-            pieces.append((comp, compute_arboricity(sub)))
-        arb = max(result.arboricity for _, result in pieces)
-        frac = max(result.fractional for _, result in pieces)
-        lines = [f"arboricity: {arb}", f"fractional: {rational(frac)}"]
-        comp_json = []
-        for comp, result in pieces:
-            lines.append(
-                f"component {{{vertex_list(comp)}}}: arboricity {result.arboricity}, "
-                f"fractional {rational(result.fractional)}"
-            )
-            comp_json.append(
-                {
-                    "vertices": sorted(comp),
-                    "arboricity": result.arboricity,
-                    "fractional": rational(result.fractional),
-                }
-            )
-        _emit(
-            args,
-            "\n".join(lines),
-            {"arboricity": arb, "fractional": rational(frac), "components": comp_json},
-        )
-        return EXIT_OK
+
+        def measure(sub):
+            result = compute_arboricity(sub)
+            return {"arboricity": result.arboricity, "fractional": result.fractional}
+
+        return _per_component(args, graph, measure, max)
     _require_connected(graph, "arboricity")
     result = compute_arboricity(graph)
-    _emit(
+    return _render(
         args,
         f"arboricity: {result.arboricity}\nfractional: {rational(result.fractional)}",
         {"arboricity": result.arboricity, "fractional": rational(result.fractional)},
     )
-    return EXIT_OK
 
 
 def _build_tree(args, graph: WeightedGraph) -> HierarchyTree:
     return build_hierarchy(graph, mode=args.mode, rng=random.Random(args.seed))
 
 
-def _cmd_strength(args) -> int:
+def _cmd_strength(args) -> str:
     graph = _read_graph(args.file)
     if args.per_component:
-        lines = []
-        values = []
-        comp_json = []
-        for sub, comp in component_subgraphs(graph):
-            if sub.n < 2:
-                lines.append(f"component {{{vertex_list(comp)}}}: strength undefined")
-                comp_json.append({"vertices": sorted(comp), "strength": None})
-                continue
-            value = strength(_build_tree(args, sub))
-            values.append(value)
-            lines.append(f"component {{{vertex_list(comp)}}}: strength {rational(value)}")
-            comp_json.append({"vertices": sorted(comp), "strength": rational(value)})
-        if not values:
-            raise CliError("no component has 2 or more vertices")
-        head = f"strength: {rational(min(values))}"
-        _emit(
-            args,
-            "\n".join([head] + lines),
-            {"strength": rational(min(values)), "components": comp_json},
-        )
-        return EXIT_OK
+
+        def measure(sub):
+            return {"strength": strength(_build_tree(args, sub)) if sub.n >= 2 else None}
+
+        return _per_component(args, graph, measure, min)
     _require_connected(graph, "strength")
     if graph.n < 2:
         raise CliError("strength needs at least 2 vertices")
     value = strength(_build_tree(args, graph))
-    _emit(args, f"strength: {rational(value)}", {"strength": rational(value)})
-    return EXIT_OK
+    return _render(args, f"strength: {rational(value)}", {"strength": rational(value)})
 
 
-def _print_tree(args, tree: HierarchyTree) -> None:
+def _render_tree(args, tree: HierarchyTree) -> str:
     # Looked up per call, so a renderer rebound on this module (bench/tracer.py) is the one run.
-    render ={"text": hierarchy_to_text, "json": hierarchy_to_json, "dot": hierarchy_to_dot}
-    print(render[args.format](tree))
+    render = {"text": hierarchy_to_text, "json": hierarchy_to_json, "dot": hierarchy_to_dot}
+    return render[args.format](tree)
 
 
-def _cmd_hierarchy(args) -> int:
+def _cmd_hierarchy(args) -> str:
     graph = _read_graph(args.file)
     _require_connected(graph, "hierarchy")
-    _print_tree(args, _build_tree(args, graph))
-    return EXIT_OK
+    return _render_tree(args, _build_tree(args, graph))
 
 
-def _cmd_ideal_loads(args) -> int:
+def _cmd_ideal_loads(args) -> str:
     graph = _read_graph(args.file)
     _require_connected(graph, "ideal loads")
     tree = _build_tree(args, graph)
@@ -287,11 +277,10 @@ def _cmd_ideal_loads(args) -> int:
         )
     total = sum(loads.per_edge, Fraction(0))
     lines.append(f"sum: {rational(total)}")
-    _emit(args, "\n".join(lines), {"edges": edges_json, "sum": rational(total)})
-    return EXIT_OK
+    return _render(args, "\n".join(lines), {"edges": edges_json, "sum": rational(total)})
 
 
-def _cmd_densest(args) -> int:
+def _cmd_densest(args) -> str:
     if args.k is not None and args.mode == "exact":
         raise CliError("--k sizes the randomized search only; exact mode takes no --k")
     graph = _read_graph(args.file)
@@ -299,26 +288,23 @@ def _cmd_densest(args) -> int:
     k = args.k if args.k is not None else max(1, graph.n)
     result = find_star_full(graph, k, mode=args.mode, rng=random.Random(args.seed))
     density = skew_density(graph, result.candidate)
-    _emit(
+    return _render(
         args,
         f"densest: {vertex_list(result.candidate)}\ndensity: {rational(density)}",
         {"vertices": sorted(result.candidate), "density": rational(density)},
     )
-    return EXIT_OK
 
 
-def _cmd_verify_core(args) -> int:
+def _cmd_verify_core(args) -> str:
     graph = _read_graph(args.file)
     candidate = _parse_set(args.set, graph.n)
     ok, reason = verify_core_explain(graph, graph.n, candidate)
     if ok:
-        _emit(args, "true", {"dense_core": True})
-    else:
-        _emit(args, f"false ({reason})", {"dense_core": False, "reason": reason})
-    return EXIT_OK
+        return _render(args, "true", {"dense_core": True})
+    return _render(args, f"false ({reason})", {"dense_core": False, "reason": reason})
 
 
-def _cmd_entropy_check(args) -> int:
+def _cmd_entropy_check(args) -> str:
     graph = _read_graph(args.file)
     _require_connected(graph, "entropy check")
     # The oracle runs first: its size guard refuses before any hierarchy work.
@@ -338,7 +324,7 @@ def _cmd_entropy_check(args) -> int:
             f"min non-root dual value: {min_y:.3e}",
         ]
     )
-    _emit(
+    return _render(
         args,
         text,
         {
@@ -348,10 +334,9 @@ def _cmd_entropy_check(args) -> int:
             "min_dual": min_y,
         },
     )
-    return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> str:
     sub = args.oracle_command
     if args.format == "dot" and sub != "hierarchy":
         raise CliError(f"oracle {sub} has no dot format; --format dot prints a hierarchy")
@@ -362,26 +347,21 @@ def _cmd_oracle(args) -> int:
         text = f"ratio: {rational(ratio)}\nsides: " + "; ".join(
             "{" + vertex_list(side) + "}" for side in sides
         )
-        _emit(args, text, {"ratio": rational(ratio), "sides": sides})
-    elif sub == "max-skew-density":
+        return _render(args, text, {"ratio": rational(ratio), "sides": sides})
+    if sub == "max-skew-density":
         density, vertices = brute_max_skew_density(graph)
-        _emit(
+        return _render(
             args,
             f"density: {rational(density)}\nvertices: {vertex_list(vertices)}",
             {"density": rational(density), "vertices": sorted(vertices)},
         )
-    elif sub == "dense-core":
+    if sub == "dense-core":
         if args.set is None:
             raise CliError("oracle dense-core needs --set")
-        candidate = _parse_set(args.set, graph.n)
-        verdict = brute_dense_core(graph, candidate)
-        _emit(args, "true" if verdict else "false", {"dense_core": verdict})
-    elif sub == "hierarchy":
-        _require_connected(graph, "hierarchy oracle")
-        _print_tree(args, brute_hierarchy(graph))
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown oracle subcommand {sub!r}")
-    return EXIT_OK
+        verdict = brute_dense_core(graph, _parse_set(args.set, graph.n))
+        return _render(args, "true" if verdict else "false", {"dense_core": verdict})
+    _require_connected(graph, "hierarchy oracle")
+    return _render_tree(args, brute_hierarchy(graph))
 
 
 def _add_input(parser: argparse.ArgumentParser, formats=("text", "json")):
@@ -391,7 +371,7 @@ def _add_input(parser: argparse.ArgumentParser, formats=("text", "json")):
 
 def _add_search(parser: argparse.ArgumentParser):
     """The options of the commands that run the densest-set search."""
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=decimal, default=0, help="RNG seed (default 0)")
     parser.add_argument(
         "--mode",
         choices=("exact", "randomized"),
@@ -444,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search(p)
     p.add_argument(
         "--k",
-        type=int,
+        type=decimal,
         help=(
             "set size the randomized sampler searches for (default n); it does "
             "not bound the printed set, which can be larger"
@@ -463,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     _add_search(p)
     p.add_argument(
-        "--iterations", type=int, default=4000, help="Frank-Wolfe iterations"
+        "--iterations", type=decimal, default=4000, help="Frank-Wolfe iterations"
     )
     p.set_defaults(func=_cmd_entropy_check)
 
@@ -489,16 +469,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        text = args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
-    except (GraphError, ArboricityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_SIZE_GUARD if isinstance(exc, SizeGuardError) else EXIT_BAD_INPUT
+    try:
+        # Flushed here, so a short output's closed pipe raises here, not at exit.
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; a quiet sink keeps that from failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -175,9 +175,6 @@ class Arborescence:
     def n(self) -> int:
         return len(self.parent)
 
-    def arcs(self) -> list[tuple[int, int]]:
-        return [(v, self.parent[v]) for v in range(self.n) if v != self.t]
-
 
 @dataclass(frozen=True)
 class ArborescencePacking:

@@ -310,13 +310,23 @@ def rank(graph: WeightedGraph, edge_subset: Iterable[int] | None = None) -> int:
     return graph.n - _component_roots(graph, edge_subset)[1]
 
 
+def decimal(text: str) -> int:
+    """The integer `text` writes in ASCII decimal digits with an optional sign
+    (and any surrounding whitespace, which int() ignores).
+
+    int() alone also reads `1_000` and the digits of other scripts.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_edge_list(text: str) -> WeightedGraph:
     """Parse the edge-list format: header `n m`, then m lines `u v w`.
 
     Vertices are 0-indexed, weights are positive integers, every value is
-    ASCII decimal digits with an optional sign, and lines starting with `#`
-    are ignored.  Raises EdgeListError with the offending 1-based line
-    number.
+    read by `decimal`, and lines starting with `#` are ignored.  Raises
+    EdgeListError with the offending 1-based line number.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
@@ -325,15 +335,11 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        # int() also reads `1_000` and digits of other scripts, which the format does not
-        decimal = line.isascii() and "_" not in line
         if header is None:
             if len(parts) != 2:
                 raise EdgeListError(lineno, "expected header `n m`")
             try:
-                if not decimal:
-                    raise ValueError(line)
-                n, m = int(parts[0]), int(parts[1])
+                n, m = map(decimal, parts)
             except ValueError:
                 raise EdgeListError(lineno, "header values must be integers") from None
             if n < 0 or m < 0:
@@ -343,9 +349,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if len(parts) != 3:
             raise EdgeListError(lineno, "expected edge line `u v w`")
         try:
-            if not decimal:
-                raise ValueError(line)
-            u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
+            u, v, w = map(decimal, parts)
         except ValueError:
             raise EdgeListError(lineno, "edge values must be integers") from None
         n = header[0]

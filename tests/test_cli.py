@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
 
+import laminar
 from laminar import HierarchyNode, HierarchyTree, WeightedGraph, build_hierarchy
 from laminar.cli import (
     build_parser,
@@ -482,6 +485,45 @@ class TestErrors:
         err = capsys.readouterr().err
         assert flag in err and value in err
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0662"], ids=["underscore", "arabic-indic-2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-core", "{file}", "--set", "3,{value}"],
+            ["hierarchy", "{file}", "--seed", "{value}"],
+            ["densest", "{file}", "--mode", "randomized", "--k", "{value}"],
+            ["entropy-check", "{file}", "--iterations", "{value}"],
+        ],
+        ids=["set", "seed", "k", "iterations"],
+    )
+    def test_integer_option_takes_ascii_decimal_only(self, capsys, path_file, argv, value):
+        argv = [arg.format(file=path_file, value=value) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the options it reads
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and argv[-1] in err
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # About 250 KB of loads; the reader closes its end after one line.
+        target = tmp_path / "path.txt"
+        n = 5000
+        target.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1} {i + 1}\n" for i in range(n - 1)))
+        src = os.path.dirname(os.path.dirname(laminar.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "laminar.cli", "ideal-loads", str(target)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.stdout.readline().startswith(b"edge 0 1 weight 1: load ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
     @pytest.mark.parametrize("oracle", ["min-ratio-cut", "max-skew-density", "dense-core"])
     def test_oracle_without_a_tree_refuses_dot(self, capsys, path_file, oracle):
         argv = ["oracle", oracle, path_file, "--set", "2,3", "--format", "dot"]
@@ -631,10 +673,26 @@ class TestPerComponent:
             "component {3,8,9}: strength 13/2\n"
             "component {10}: strength undefined\n"
         )
+        # The JSON is compared as text, so its key order and indentation are pinned too.
+        code, out, _ = run_cli(
+            capsys, "arboricity", str(target), "--per-component", "--format", "json"
+        )
+        expected = {
+            "arboricity": 7,
+            "fractional": "13/2",
+            "components": [
+                {"vertices": [0, 4, 7], "arboricity": 3, "fractional": "3/1"},
+                {"vertices": [1, 5], "arboricity": 6, "fractional": "6/1"},
+                {"vertices": [2, 6], "arboricity": 4, "fractional": "4/1"},
+                {"vertices": [3, 8, 9], "arboricity": 7, "fractional": "13/2"},
+                {"vertices": [10], "arboricity": 0, "fractional": "0/1"},
+            ],
+        }
+        assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
         code, out, _ = run_cli(
             capsys, "strength", str(target), "--per-component", "--format", "json"
         )
-        assert code == 0 and json.loads(out) == {
+        expected = {
             "strength": "3/1",
             "components": [
                 {"vertices": [0, 4, 7], "strength": "3/1"},
@@ -644,3 +702,4 @@ class TestPerComponent:
                 {"vertices": [10], "strength": None},
             ],
         }
+        assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
