@@ -216,7 +216,8 @@ def min_cost_arborescence(
     if len(costs) != net.arc_count:
         raise DircutError("costs must hold one value per arc")
     arcs = _in_arcs(net, t, range(net.arc_count))
-    return _tree(net, t, _edmonds(net, t, costs, arcs=arcs))
+    cheapest = [min(out, key=costs.__getitem__) if out else -1 for out in arcs]
+    return _tree(net, t, _edmonds(net, t, costs, arcs=arcs, cheapest=cheapest))
 
 
 def _edmonds(
@@ -225,9 +226,11 @@ def _edmonds(
     costs: Sequence[float | Fraction],
     *,
     arcs: Sequence[Sequence[int]],
+    cheapest: Sequence[int],
 ) -> tuple[int, ...]:
     """`min_cost_arborescence` on checked input, as arc_of: node v's arc in
-    the tree (-1 for t), not yet checked to form one."""
+    the tree (-1 for t), not yet checked to form one.  cheapest[v] is v's
+    cheapest arc in arcs[v], the lowest id among equals (-1 when it has none)."""
     n = net.n
     tails, heads = net.tails, net.heads
     # Nodes n, n+1, ... are contracted cycles.  Per node: its chosen arc;
@@ -240,9 +243,7 @@ def _edmonds(
     # the largest, so each node is relabelled O(log n) times.  Per cycle
     # node: the reduced cost of its choice and its (reduced cost, arc id)
     # candidates.
-    key = costs.__getitem__
-    choice = [min(out, key=key) if out else -1 for out in arcs]
-    choice[t] = -1
+    choice = list(cheapest)
     if choice.count(-1) > 1:
         raise DircutError(_NO_ARBORESCENCE)
     up = [-1] * n
@@ -343,6 +344,13 @@ def _in_arcs(net: DirectedNetwork, t: int, arc_ids: Iterable[int]) -> list[list[
     return lists
 
 
+def _cost_heaps(arcs: Sequence[Sequence[int]], costs: list[float]) -> tuple[list, list[int]]:
+    """Per node, its arcs' (cost, arc id) pairs sorted, which is a heap, and
+    its cheapest arc (-1 when it has none)."""
+    heaps = [sorted((costs[a], a) for a in out) for out in arcs]
+    return heaps, [heap[0][1] if heap else -1 for heap in heaps]
+
+
 def _young_iterations(epsilon: float, arcs: int, k: int) -> int:
     """Iteration count guaranteeing a (1+eps)-approximate packing ratio."""
     delta = (1 + epsilon) * math.log1p(epsilon) - epsilon
@@ -370,6 +378,10 @@ def pack_arborescences(
     appear.  Rounds repeat trees often, so after the loop each distinct
     tuple becomes one `Arborescence`, checked for cycles once.
     """
+    # Imported here, as only randomized mode packs: at the top, every CLI
+    # start would load it.
+    from heapq import heappop, heappush, heapreplace
+
     if net.n < 2:
         raise DircutError("packing needs at least 2 nodes")
     if not 0 <= t < net.n:
@@ -398,21 +410,34 @@ def pack_arborescences(
         growth[i] = 1.0 + eps * (1.0 / caps[i]) / omega
         costs[i] = y[i] / caps[i]
     arcs = _in_arcs(net, t, usable)
+    heaps, cheapest = _cost_heaps(arcs, costs)
     counts: dict[tuple[int, ...], int] = {}
     for _ in range(iterations):
-        arc_of = _edmonds(net, t, costs, arcs=arcs)
+        arc_of = _edmonds(net, t, costs, arcs=arcs, cheapest=cheapest)
         counts[arc_of] = counts.get(arc_of, 0) + 1
         top = 1.0
-        for a in arc_of:
+        for v, a in enumerate(arc_of):
             if a >= 0:
                 y[a] *= growth[a]
-                costs[a] = y[a] / caps[a]
+                c = costs[a] = y[a] / caps[a]
                 if y[a] > top:
                     top = y[a]
+                # Costs only rise, so an entry whose cost is no longer its
+                # arc's is stale, and v's cheapest can change only when its
+                # own tree arc was the cheapest.
+                heap = heaps[v]
+                if cheapest[v] == a:
+                    heapreplace(heap, (c, a))
+                    while heap[0][0] != costs[heap[0][1]]:
+                        heappop(heap)
+                    cheapest[v] = heap[0][1]
+                else:
+                    heappush(heap, (c, a))
         if top > 1e250:  # argmin is scale-invariant; renormalize before overflow
             for i in usable:
                 y[i] /= top
                 costs[i] = y[i] / caps[i]
+            heaps, cheapest = _cost_heaps(arcs, costs)
     arc_counts: Counter[int] = Counter()
     for arc_of, cnt in counts.items():
         for a in arc_of:
@@ -432,7 +457,12 @@ def pack_arborescences(
 
 
 def one_respecting_mincut(
-    net: DirectedNetwork, tree: Arborescence, t: int, *, limit: int | Fraction | None = None
+    net: DirectedNetwork,
+    tree: Arborescence,
+    t: int,
+    *,
+    limit: int | Fraction | None = None,
+    _missed: set[tuple] | None = None,
 ) -> STCut | None:
     """Minimum t-cut whose boundary contains exactly one arborescence arc.
 
@@ -440,30 +470,64 @@ def one_respecting_mincut(
     other node force min u-t cut source sides to be closed under tree
     parents except at u, which makes them exactly the cuts 1-respecting the
     tree at that arc.  Minimizing over the n-1 designated arcs is exact.
-    One network carries an arc v->parent(v) per node, all infinite in its
-    engine; each designated arc is lowered to 0 for its flow and restored.
-    Each flow stops at the best cut so far (at first at `limit`), so a cut
-    is kept only when strictly smaller and the earliest arc wins ties.  With
-    `limit`, returns None when no 1-respecting cut is below it.
+    A node outside u's subtree reaches t along those arcs without passing
+    u, so no finite cut holds it: u's flow runs on its subtree, the rest
+    merged into t, and a one-node subtree needs no flow.  Each flow stops
+    at the best cut so far (at first at `limit`), so a cut is kept only
+    when strictly smaller and the earliest arc wins ties.  With `limit`,
+    returns None when no 1-respecting cut is below it.  When every cut is
+    infinite, the side is the first arc's on the whole pinned network.
+
+    `_missed` is `find_small_cut`'s record, for one network and limit, of
+    the subtrees (nodes from u, their parents) whose cut is not below it:
+    those are skipped, and new ones added.
     """
     if tree.n != net.n or tree.t != t:
         raise DircutError("arborescence does not match the network")
     if net.n < 2:
         raise DircutError("need at least 2 nodes")
+    parent, heads, caps = tree.parent, net.heads, net.caps
+    out: list[list[int]] = [[] for _ in range(net.n)]
+    children: list[list[int]] = [[] for _ in range(net.n)]
+    for a, (v, h) in enumerate(zip(net.tails, heads)):
+        if v != h:
+            out[v].append(a)
     nodes = [v for v in range(net.n) if v != t]
-    pinned = net.extended((v, tree.parent[v], INF) for v in nodes)
-    engine = pinned.engine()
-    first = net.arc_count
+    for v in nodes:
+        children[parent[v]].append(v)
     best: STCut | None = None
     bound = limit  # what the next cut must be strictly below
-    for i, u in enumerate(nodes):
-        engine.set_cap(first + i, 0)
-        cut = min_st_cut(pinned, u, t, limit=bound)
-        engine.set_cap(first + i, INF)
+    for u in nodes:
+        if not children[u]:
+            cut = STCut(source_side=frozenset((u,)), value=sum(caps[a] for a in out[u]))
+        else:
+            sub = [u]
+            for v in sub:
+                sub += children[v]
+            key = (tuple(sub), tuple(parent[v] for v in sub[1:]))
+            if _missed is not None and key in _missed:
+                continue
+            k = len(sub)
+            local = dict(zip(sub, range(k)))
+            # the pins inside the subtree, then the arcs leaving its nodes
+            arcs = [(i, local[parent[v]], INF) for i, v in enumerate(sub) if i]
+            arcs += [(i, local.get(heads[a], k), caps[a]) for i, v in enumerate(sub) for a in out[v]]
+            cut = min_st_cut(_derived(k + 1, *map(list, zip(*arcs))), 0, k, limit=bound)
+            if cut is None:
+                if _missed is not None and best is None:
+                    _missed.add(key)
+                continue
+            cut = STCut(frozenset(sub[i] for i in cut.source_side), cut.value)
         # A flow that stops below a bound past every finite cut may still
         # cross an infinite arc, so the value is compared too.
-        if cut is not None and (bound is None or cut.value < bound):
+        if bound is None or cut.value < bound:
             best, bound = cut, cut.value
+    if best is not None and best.value == INF:
+        # Which infinite side is minimal depends on the INF substitute, which
+        # a subtree network sets lower than the whole network does.
+        u = nodes[0]
+        pinned = net.extended((v, parent[v], INF) for v in nodes if v != u)
+        best = min_st_cut(pinned, u, t)
     return best
 
 
@@ -490,11 +554,14 @@ def find_small_cut(
     samples = SAMPLE_CONSTANT * level
     drawn = rng.choices(trees, weights=weights, k=samples)
     seen: set[Arborescence] = set()
+    # Each tree before the first hit missed, so a subtree whose cut one of
+    # them found not below threshold is not below it in a later tree either.
+    missed: set[tuple] = set()
     for tree in drawn:
         if tree in seen:
             continue
         seen.add(tree)
-        cut = one_respecting_mincut(net, tree, t, limit=threshold)
+        cut = one_respecting_mincut(net, tree, t, limit=threshold, _missed=missed)
         if cut is not None:
             return cut
     return None

@@ -9,9 +9,7 @@ Each network builds its engine once, on first use: residual arrays `to`,
 `base_cap` and `adj` in which arc 2i is network arc i and arc 2i+1 its
 reverse.  A flow is one array over those arcs: `FlowResult.residual` is what
 the engine's run left, so the flow on arc i is residual[2i+1].  Min-cut sides
-are read by walking `adj`/`to` over that array.  `_Engine.set_cap` edits a
-capacity in place between runs: the 1-respecting cut search in `dircut`
-lowers one tree arc at a time.
+are read by walking `adj`/`to` over that array.
 
 The engine is plain Dinic (blocking flows along shortest augmenting paths,
 strongly polynomial).  Each phase's BFS stops at the level of the nearest
@@ -148,7 +146,7 @@ class STCut:
 class _Engine:
     """Residual arrays for one network; arc 2i is forward, 2i+1 back."""
 
-    __slots__ = ("n", "to", "base_cap", "adj", "big")
+    __slots__ = ("n", "to", "base_cap", "adj")
 
     def __init__(self, net: DirectedNetwork):
         big = net.finite_total() + 1
@@ -168,23 +166,6 @@ class _Engine:
         self.to = to
         self.base_cap = base_cap
         self.adj = adj
-        self.big = big
-
-    def set_cap(self, arc: int, cap: int | float) -> None:
-        """Give network arc `arc` capacity `cap` in every later run.
-
-        INF stands for the engine's substitute.  A finite cap may not exceed
-        the arc's current one: a raise could lift a finite cut above the
-        substitute.  The network's own arcs, caps and finite total are left
-        as they were, so edit only engines of networks private to the caller.
-        """
-        if cap == INF:
-            c = self.big
-        elif not 0 <= cap <= self.base_cap[2 * arc]:
-            raise FlowError("a finite capacity can only be lowered, to 0 at least")
-        else:
-            c = cap
-        self.base_cap[2 * arc] = c
 
     def run(self, s: int, sink: list[bool], limit: int | None, cap: list[int]) -> tuple[int, bool]:
         """Blocking flows from s into the marked sinks, augmenting the residual
@@ -417,19 +398,23 @@ def t_cuts_below(
         raise FlowError("t-mincut needs at least 2 nodes")
     if not 0 <= t < net.n:
         raise FlowError("t out of range")
-    if sources is None:
-        sources = range(net.n)
-    retired = {t}
+    sources = range(net.n) if sources is None else list(sources)
+    if min(sources, default=0) < 0 or max(sources, default=0) >= net.n:
+        raise FlowError("source or sink out of range")
+    # One sink array for the whole scan: t, then each scanned source.
+    sink = [False] * net.n
+    sink[t] = True
+    engine = net.engine()
+    cap = engine.base_cap.copy() if start is None else _residual_of(net, start)
     cuts: list[STCut] = []
-    flow = start
     for s in sources:
-        if s in retired:
+        if sink[s]:
             continue
-        flow = max_flow(net, s, t, limit=limit, sinks=retired, start=flow)
-        if not flow.reached_limit:
-            side = min_source_side(net, flow, s)
-            cuts.append(STCut(source_side=side, value=_as_cut_value(net, flow.value)))
-        retired.add(s)
+        value, reached = engine.run(s, sink, limit, cap)
+        if not reached:
+            side = min_source_side(net, FlowResult(value=value, residual=cap), s)
+            cuts.append(STCut(source_side=side, value=_as_cut_value(net, value)))
+        sink[s] = True
     return cuts
 
 

@@ -326,7 +326,9 @@ def parse_edge_list(text: str) -> WeightedGraph:
 
     Vertices are 0-indexed, weights are positive integers, every value is
     read by `decimal`, and lines starting with `#` are ignored.  Raises
-    EdgeListError with the offending 1-based line number.
+    EdgeListError with the offending 1-based line number.  An ASCII line
+    without `_` is checked once and its values read by int(), which is
+    `decimal` on each of them.
     """
     header: tuple[int, int] | None = None
     edges: list[Edge] = []
@@ -335,11 +337,12 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        read = int if line.isascii() and "_" not in line else decimal
         if header is None:
             if len(parts) != 2:
                 raise EdgeListError(lineno, "expected header `n m`")
             try:
-                n, m = map(decimal, parts)
+                n, m = map(read, parts)
             except ValueError:
                 raise EdgeListError(lineno, "header values must be integers") from None
             if n < 0 or m < 0:
@@ -349,7 +352,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if len(parts) != 3:
             raise EdgeListError(lineno, "expected edge line `u v w`")
         try:
-            u, v, w = map(decimal, parts)
+            u, v, w = map(read, parts)
         except ValueError:
             raise EdgeListError(lineno, "edge values must be integers") from None
         n = header[0]

@@ -486,11 +486,20 @@ class TestOneRespecting:
             with pytest.raises(DircutError, match="at least 2 nodes"):
                 one_respecting_mincut(net, tree, 0, limit=limit)
 
-    def test_one_network_and_engine_per_call(self, engine_builds):
+    def test_one_network_per_subtree_of_two_nodes_or_more(self, engine_builds):
+        # Each tree arc's flow runs on its subtree plus one sink, in node
+        # order; a one-node subtree has the one side {u} and builds nothing.
         net = random_digraph(random.Random(45), 7, ensure_sink_path=6)
         tree = min_cost_arborescence(net, 6, [1.0] * net.arc_count)
+        subtree = Counter()
+        for v in range(6):
+            while v != 6:
+                subtree[v] += 1
+                v = tree.parent[v]
         one_respecting_mincut(net, tree, 6)
-        assert len(engine_builds) == 1
+        sizes = [subtree[u] for u in range(6)]
+        assert 1 in sizes and max(sizes) > 2
+        assert [built.n for built in engine_builds] == [s + 1 for s in sizes if s > 1]
 
 
 class TestFindSmallCut:
@@ -901,3 +910,155 @@ class TestIntegerSparsify:
             assert out.caps[: net.arc_count] == want
             assert all(type(c) is int for c in out.caps)
             assert streams[-1].getrandbits(32) == ref.getrandbits(32)
+
+
+# `one_respecting_mincut` as it was before each flow ran on its subtree: one
+# network with a pin v->parent(v) per node, the designated pin lowered to 0
+# in its engine for its flow and raised back to the engine's INF substitute.
+# The differential tests below hold the current code to it.
+
+
+def reference_one_respecting_mincut(net, tree, t, *, limit=None):
+    from laminar import min_st_cut
+
+    nodes = [v for v in range(net.n) if v != t]
+    pinned = net.extended((v, tree.parent[v], INF) for v in nodes)
+    caps = pinned.engine().base_cap
+    first = net.arc_count
+    best = None
+    bound = limit
+    for i, u in enumerate(nodes):
+        caps[2 * (first + i)] = 0
+        cut = min_st_cut(pinned, u, t, limit=bound)
+        caps[2 * (first + i)] = pinned.finite_total() + 1
+        if cut is not None and (bound is None or cut.value < bound):
+            best, bound = cut, cut.value
+    return best
+
+
+def random_tree(rng, n, t):
+    order = [v for v in range(n) if v != t]
+    rng.shuffle(order)
+    parent = [-1] * n
+    for i, v in enumerate(order):
+        parent[v] = rng.choice([t, *order[:i]])
+    return Arborescence(t=t, parent=tuple(parent), arc_ids=tuple(parent))
+
+
+class TestAgainstOneNetworkPerCall:
+    def test_cuts_match_on_random_networks_trees_and_limits(self):
+        # Parallel arcs, loops, zero and INF arcs, small capacities for
+        # ties; limits none, around the least cut, fractional and past every
+        # finite cut.  Value, side and None-ness must all match.
+        from laminar import min_st_cut
+
+        rng = random.Random(150)
+        seen: Counter[str] = Counter()
+        for _ in range(800):
+            n = rng.randint(2, 9)
+            t = rng.randrange(n)
+            net = random_digraph(
+                rng, n, arc_prob=rng.choice((0.2, 0.4, 0.7)), max_cap=rng.choice((1, 3, 9))
+            )
+            extra = [
+                (rng.randrange(n), rng.randrange(n), rng.choice((0, 0, 1, INF)))
+                for _ in range(rng.randint(0, 3))
+            ]
+            if rng.random() < 0.1:  # often no finite 1-respecting cut at all
+                extra += [(v, rng.choice([w for w in range(n) if w != v]), INF) for v in range(n)]
+            net = net.extended(extra)
+            tree = random_tree(rng, n, t)
+            want = reference_one_respecting_mincut(net, tree, t)
+            assert one_respecting_mincut(net, tree, t) == want
+            values = [
+                min_st_cut(
+                    net.extended((v, tree.parent[v], INF) for v in range(n) if v not in (t, u)),
+                    u,
+                    t,
+                ).value
+                for u in range(n)
+                if u != t
+            ]
+            seen["infinite" if want.value == INF else "finite"] += 1
+            seen["tie"] += values.count(want.value) > 1
+            finite = want.value if want.value != INF else net.finite_total()
+            past = net.finite_total() + 5
+            limits = {0, finite - 1, finite, finite + 1, Fr(2 * finite + 1, 2), past}
+            limits.add(rng.randint(0, past))
+            for limit in limits:
+                want = reference_one_respecting_mincut(net, tree, t, limit=limit)
+                assert one_respecting_mincut(net, tree, t, limit=limit) == want
+                seen["limited"] += 1
+                seen["none"] += want is None
+        assert min(seen.values()) >= 50, seen
+        assert seen["limited"] >= 3000
+
+    def test_miss_record_skips_only_repeated_subtrees(self, engine_builds):
+        # find_small_cut's loop: drawn trees in turn, one record for the
+        # network and threshold, stopping at the first hit.  Random trees on
+        # few nodes share subtrees, and often give one node different ones.
+        rng = random.Random(152)
+        built = {"shared": 0, "fresh": 0}
+        hits = 0
+        for _ in range(300):
+            n = rng.randint(3, 8)
+            t = rng.randrange(n)
+            net = random_digraph(rng, n, arc_prob=0.4, max_cap=rng.choice((1, 3, 9)))
+            threshold = t_mincut_exhaustive(net, t).value + rng.randint(0, 2)
+            trees = [random_tree(rng, n, t) for _ in range(8)]
+            want = None
+            for tree in trees:
+                want = reference_one_respecting_mincut(net, tree, t, limit=threshold)
+                if want is not None:
+                    break
+            hits += want is not None
+            for record in built:
+                missed = set()
+                before = len(engine_builds)
+                for tree in trees:
+                    if record == "fresh":
+                        missed = set()
+                    cut = one_respecting_mincut(net, tree, t, limit=threshold, _missed=missed)
+                    if cut is not None:
+                        break
+                assert cut == want
+                built[record] += len(engine_builds) - before
+        assert 50 <= hits <= 250, hits
+        assert built["shared"] < built["fresh"], built
+
+    def test_find_small_cut_skips_only_repeated_misses(self, monkeypatch):
+        # The pipeline skips a subtree whose flow an earlier drawn tree
+        # already found not below the threshold.  Against the one-network
+        # reference, which runs every flow, the cut and the next RNG draw
+        # must match, and two runs on one input must agree.
+        rng = random.Random(151)
+        inputs = []
+        for _ in range(100):
+            n = rng.randint(3, 9)
+            t = rng.randrange(n)
+            net = random_digraph(rng, n, arc_prob=rng.choice((0.3, 0.6)), ensure_sink_path=t)
+            least = t_mincut_exhaustive(net, t).value
+            everything = net.cut_value(v for v in range(n) if v != t)
+            threshold = rng.choice((least, least + 1, least + rng.randint(2, 9), everything))
+            inputs.append((net, t, threshold, rng.randint(1, 2), rng.getrandbits(64)))
+
+        def run_all():
+            results = []
+            for net, t, threshold, k, seed in inputs:
+                rng = random.Random(seed)
+                cut = find_small_cut(net, t, threshold, k, rng)
+                results.append((cut, rng.getrandbits(64)))
+            return results
+
+        got = run_all()
+        assert run_all() == got
+        monkeypatch.setattr(
+            dircut,
+            "one_respecting_mincut",
+            lambda net, tree, t, *, limit=None, _missed=None: reference_one_respecting_mincut(
+                net, tree, t, limit=limit
+            ),
+        )
+        assert got == run_all()
+        hits = sum(cut is not None for cut, _ in got)
+        assert 20 <= hits <= 80, hits

@@ -394,42 +394,6 @@ class TestPastTheOracleGuards:
 
 
 class TestEngineReuse:
-    def test_set_cap_equals_a_fresh_network(self):
-        rng = random.Random(75)
-        for _ in range(30):
-            n = rng.randint(3, 9)
-            net = random_digraph(rng, n)
-            if not net.arc_count:
-                continue
-            engine = net.engine()
-            edited = list(net.caps)
-            for _ in range(3):
-                arc = rng.randrange(net.arc_count)
-                # Finite edits only lower: the original cap bounds an INF arc.
-                ceiling = net.caps[arc] if edited[arc] == INF else edited[arc]
-                edited[arc] = rng.choice([0, INF, rng.randint(0, ceiling)])
-                engine.set_cap(arc, edited[arc])
-                fresh = network_from_arcs(n, list(zip(net.tails, net.heads, edited)))
-                s, t = rng.sample(range(n), 2)
-                # The substitute for INF differs (fresh totals are smaller), so
-                # compare finite answers and sides only.
-                got, want = max_flow(net, s, t), max_flow(fresh, s, t)
-                if want.value <= fresh.finite_total():
-                    assert got.value == want.value
-                    assert min_source_side(net, got, s) == min_source_side(fresh, want, s)
-                    assert max_source_side(net, got, t) == max_source_side(fresh, want, t)
-
-    def test_set_cap_only_lowers_finite_caps(self):
-        net = network_from_arcs(3, [(0, 1, 5), (1, 2, 3)])
-        engine = net.engine()
-        engine.set_cap(0, 2)
-        for cap in (3, -1):
-            with pytest.raises(FlowError, match="only be lowered"):
-                engine.set_cap(0, cap)
-        engine.set_cap(0, INF)
-        engine.set_cap(0, 4)
-        assert max_flow(net, 0, 2).value == 3
-
     def test_flow_results_compare_by_identity(self):
         net = network_from_arcs(2, [(0, 1, 5)])
         a, b = max_flow(net, 0, 1), max_flow(net, 0, 1)

@@ -326,6 +326,22 @@ class TestEdgeList:
             parse_edge_list(text)
         assert err.value.line == line
 
+    def test_unicode_whitespace_separates_ascii_values(self):
+        # split() cuts at any Unicode whitespace, so ASCII digits between
+        # such spaces are values.  A line holding one is read value by value,
+        # and a bad value on it is still refused with its line number.
+        plain = parse_edge_list("3 2\n0 1 5\n1 2 7\n")
+        spaced = parse_edge_list("3\u00a02\n0\u20031\u30005\n1 2\u00a07\n")
+        assert (spaced.n, spaced.edges) == (plain.n, plain.edges)
+        for text, line in (
+            ("3 1\n0\u00a01 1_0\n", 2),
+            ("3\u00a01_0\n0 1 1\n", 1),
+            ("3 1\n0\u00a0\u0661 1\n", 2),
+        ):
+            with pytest.raises(EdgeListError, match="values must be integers") as err:
+                parse_edge_list(text)
+            assert err.value.line == line
+
     def test_header_alone_allocates_nothing_per_vertex(self):
         # A graph keeps only its edge tuple, so a header announcing a million
         # vertices costs no per-vertex storage before any edge is read.
