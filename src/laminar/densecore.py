@@ -317,22 +317,28 @@ def _maximal_densest(
     set that contains it and avoids every source scanned before it; the
     first source scanned inside a maximal densest set yields that set, and
     every later one a proper subset of it.  The witness, the earliest
-    largest side, comes first.  Raises RuntimeError unless the sides kept
-    have density tau, the witness leads them, and they are disjoint; the
-    search has already matched the witness's own density to tau.
+    largest side, comes first.  Raises RuntimeError unless the witness leads
+    the sides kept, they are disjoint, and they have density tau, read from
+    one labelled pass over the edges; the search has already matched the
+    witness's own density to tau.
     """
     top = [side for side in sides if not any(side < other for other in sides)]
-    for side in top:
-        if side == witness:
-            continue
-        density = skew_density(graph, side)
-        if density != tau:
-            raise RuntimeError(f"a maximal scanned side has density {density}, not {tau}")
     top.sort(key=len, reverse=True)
     if top[:1] != [witness]:
         raise RuntimeError("the search's witness is not the first maximal densest set")
-    if sum(map(len, top)) != len(frozenset().union(*top)):
+    label = {v: i for i, side in enumerate(top) for v in side}
+    if len(label) != sum(map(len, top)):
         raise RuntimeError("the maximal densest sets overlap")
+    if len(top) > 1:
+        inside = [0] * len(top)
+        for u, v, w in graph.edges:
+            i = label.get(u)
+            if i is not None and i == label.get(v):
+                inside[i] += w
+        for side, weight in zip(top[1:], inside[1:]):
+            density = Fraction(weight, len(side) - 1) if len(side) > 1 else 0
+            if density != tau:
+                raise RuntimeError(f"a maximal scanned side has density {density}, not {tau}")
     return tuple(top)
 
 

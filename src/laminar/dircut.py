@@ -33,6 +33,10 @@ PACKING_CONSTANT = 64
 PIPELINE_PACKING_CONSTANT = 8
 #: trees drawn per find_small_cut call: SAMPLE_CONSTANT * log2(n)
 SAMPLE_CONSTANT = 8
+#: solves a packing keeps to replay, and by how many rounds those that no
+#: replay served may outnumber those one did before the packing stops trying
+REPLAY_SLOTS = 4
+REPLAY_SLACK = 4
 #: granularity factor for capacity rounding; 1/(2*C_MU) is the union-bound
 #: exponent, and 1/8 is the largest power of two keeping it >= 3
 C_MU = Fraction(1, 8)
@@ -183,14 +187,6 @@ class ArborescencePacking:
     items: tuple[tuple[Arborescence, Fraction], ...]
     value: Fraction
 
-    def arc_usage(self) -> dict[int, Fraction]:
-        usage: dict[int, Fraction] = {}
-        for tree, weight in self.items:
-            for a in tree.arc_ids:
-                if a >= 0:
-                    usage[a] = usage.get(a, Fraction(0)) + weight
-        return usage
-
 
 _NO_ARBORESCENCE = "no t-arborescence exists: a node cannot reach t"
 
@@ -227,10 +223,12 @@ def _edmonds(
     *,
     arcs: Sequence[Sequence[int]],
     cheapest: Sequence[int],
+    plan: list | None = None,
 ) -> tuple[int, ...]:
     """`min_cost_arborescence` on checked input, as arc_of: node v's arc in
     the tree (-1 for t), not yet checked to form one.  cheapest[v] is v's
-    cheapest arc in arcs[v], the lowest id among equals (-1 when it has none)."""
+    cheapest arc in arcs[v], the lowest id among equals (-1 when it has none).
+    Each contraction is appended to `plan`, when given, as `_replays` reads it."""
     n = net.n
     tails, heads = net.tails, net.heads
     # Nodes n, n+1, ... are contracted cycles.  Per node: its chosen arc;
@@ -306,6 +304,17 @@ def _edmonds(
             if not entering:
                 raise DircutError(_NO_ARBORESCENCE)
             c, a = min(entering)
+            if plan is not None:
+                # Per member, the candidates kept above: arc ids for a plain
+                # node, positions in its own candidates for a cycle.
+                parts = [
+                    (m, [arc for arc in arcs[m] if lead[heads[arc]] != g])
+                    if m < n
+                    else (m, [p for p, arc in enumerate(plan[m - n][2]) if lead[heads[arc]] != g])
+                    for m in cycle
+                ]
+                order = [arc for _, arc in entering]
+                plan.append((parts, order.index(a), order))
             choice.append(a)
             cycle_cost.append(c)
             candidates.append(entering)
@@ -327,6 +336,30 @@ def _edmonds(
                 entered[v] = True
                 v = up[v]
     return tuple(arc_of)
+
+
+def _replays(plan: list, n: int, costs: Sequence[float], cheapest: Sequence[int]) -> bool:
+    """Whether `_edmonds` on these costs, from the cheapest vector `plan` was
+    recorded at, makes the recorded run: whether every contraction's reduced
+    costs have their minimum, lowest arc id first, at its recorded arc."""
+    done: list[list[float]] = []  # per contraction, its candidates' reduced costs
+    for parts, i, order in plan:
+        reduced: list[float] = []
+        for m, kept in parts:
+            if m < n:
+                b = costs[cheapest[m]]
+                reduced += [costs[a] - b for a in kept]
+            else:
+                inner = done[m - n]
+                b = inner[plan[m - n][1]]
+                reduced += [inner[p] - b for p in kept]
+        low = min(reduced)
+        if reduced[i] != low:
+            return False
+        if reduced.count(low) > 1 and min(a for c, a in zip(reduced, order) if c == low) != order[i]:
+            return False
+        done.append(reduced)
+    return True
 
 
 def _in_arcs(net: DirectedNetwork, t: int, arc_ids: Iterable[int]) -> list[list[int]]:
@@ -377,6 +410,16 @@ def pack_arborescences(
     A round's tree is its tuple of arc ids, counted in the order trees first
     appear.  Rounds repeat trees often, so after the loop each distinct
     tuple becomes one `Arborescence`, checked for cycles once.
+
+    Rounds also repeat cheapest vectors (each node's cheapest arc).  A round
+    whose vector is one of the last REPLAY_SLOTS solves' replays that
+    solve's contractions, newest first, and takes its tree when each would
+    choose its recorded arc again.  That is exact, across ties and
+    renormalizations: Edmonds' walk and each contraction's members and
+    candidates follow from the choices alone, and the replay finds the
+    reduced costs by the same float subtractions.  A packing stops replaying
+    once its failed replays and fresh solves outnumber its replayed rounds
+    by more than REPLAY_SLACK.
     """
     # Imported here, as only randomized mode packs: at the top, every CLI
     # start would load it.
@@ -412,8 +455,28 @@ def pack_arborescences(
     arcs = _in_arcs(net, t, usable)
     heaps, cheapest = _cost_heaps(arcs, costs)
     counts: dict[tuple[int, ...], int] = {}
+    # The last REPLAY_SLOTS solves as (cheapest, arc_of, plan), None once
+    # replaying stops; balance is replayed rounds less failed replays and solves.
+    solves: list | None = []
+    balance = 0
     for _ in range(iterations):
-        arc_of = _edmonds(net, t, costs, arcs=arcs, cheapest=cheapest)
+        arc_of = None
+        for key, tree, plan in reversed(solves or ()):
+            if key == cheapest:
+                if _replays(plan, net.n, costs, cheapest):
+                    arc_of = tree
+                    balance += 1
+                    break
+                balance -= 1
+        if arc_of is None:
+            plan = None if solves is None else []
+            arc_of = _edmonds(net, t, costs, arcs=arcs, cheapest=cheapest, plan=plan)
+            if solves is not None:
+                solves.append((cheapest[:], arc_of, plan))
+                del solves[:-REPLAY_SLOTS]
+                balance -= 1
+                if balance < -REPLAY_SLACK:
+                    solves = None
         counts[arc_of] = counts.get(arc_of, 0) + 1
         top = 1.0
         for v, a in enumerate(arc_of):

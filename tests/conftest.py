@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +71,16 @@ def random_connected_graph(
         if u != v:
             edges.append((min(u, v), max(u, v), rng.randint(1, max_weight)))
     return WeightedGraph.from_edges(n, edges)
+
+
+def arc_usage(packing) -> dict[int, Fraction]:
+    """Per arc, the total weight of the packing's trees that use it."""
+    usage: dict[int, Fraction] = {}
+    for tree, weight in packing.items:
+        for a in tree.arc_ids:
+            if a >= 0:
+                usage[a] = usage.get(a, Fraction(0)) + weight
+    return usage
 
 
 def format_edge_list(graph: WeightedGraph) -> str:

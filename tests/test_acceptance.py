@@ -46,7 +46,7 @@ from laminar import (
 from laminar.dircut import _log2_ceil
 from laminar.goldberg import GoldbergError
 
-from .conftest import network_from_arcs, random_connected_graph, random_digraph
+from .conftest import arc_usage, network_from_arcs, random_connected_graph, random_digraph
 from .test_densecore import unique_maximum_densest
 from .test_goldberg import expected_cut_value, expected_modified_cut_value
 from .test_hierarchy import tree_shape
@@ -328,7 +328,7 @@ def test_criterion_07_packing_and_one_respecting():
         lam = brute_t_mincut(net, t).value
         packing = pack_arborescences(net, t, k=max(1, lam), epsilon=epsilon)
         assert packing.value >= (1 - epsilon) * lam, (trial, packing.value, lam)
-        for arc, used in packing.arc_usage().items():
+        for arc, used in arc_usage(packing).items():
             assert used <= net.caps[arc]
         costs = [rng.random() for _ in range(net.arc_count)]
         tree = min_cost_arborescence(net, t, costs)

@@ -17,6 +17,7 @@ from laminar import (
     DirectedNetwork,
     STCut,
     SparsifierParams,
+    build_hierarchy,
     brute_one_respecting,
     brute_t_mincut,
     find_small_cut,
@@ -30,7 +31,7 @@ from laminar import (
 from laminar import dircut
 from laminar.dircut import Arborescence, DircutError, _log2_ceil
 
-from .conftest import network_from_arcs, random_digraph
+from .conftest import arc_usage, network_from_arcs, random_connected_graph, random_digraph
 
 
 def all_arborescences(net: DirectedNetwork, t: int):
@@ -312,7 +313,7 @@ class TestPacking:
             n = rng.randint(3, 6)
             net = random_digraph(rng, n, arc_prob=0.4, max_cap=3, ensure_sink_path=n - 1)
             packing = pack_arborescences(net, n - 1, k=2, epsilon=0.3, iterations=40)
-            for arc, used in packing.arc_usage().items():
+            for arc, used in arc_usage(packing).items():
                 assert used <= net.caps[arc]
 
     def test_value_guarantee_with_true_bound(self):
@@ -327,7 +328,7 @@ class TestPacking:
     def test_small_k_still_feasible(self):
         net = network_from_arcs(3, [(0, 2, 5), (1, 2, 5), (0, 1, 5)])
         packing = pack_arborescences(net, 2, k=1, epsilon=0.3)
-        for arc, used in packing.arc_usage().items():
+        for arc, used in arc_usage(packing).items():
             assert used <= net.caps[arc]
 
     def test_unreachable_node_propagates(self):
@@ -343,7 +344,7 @@ class TestPacking:
     def test_zero_capacity_arcs_both_conventions(self):
         net = network_from_arcs(3, [(0, 1, 0), (0, 2, 2), (1, 2, 2)])
         packing = pack_arborescences(net, 2, k=2, epsilon=0.3, iterations=60)
-        usage = packing.arc_usage()
+        usage = arc_usage(packing)
         assert 0 not in usage
         for arc, used in usage.items():
             assert used <= net.caps[arc]
@@ -500,6 +501,43 @@ class TestOneRespecting:
         sizes = [subtree[u] for u in range(6)]
         assert 1 in sizes and max(sizes) > 2
         assert [built.n for built in engine_builds] == [s + 1 for s in sizes if s > 1]
+
+
+class TestReplay:
+    def test_a_randomized_build_replays_recent_plans(self, monkeypatch):
+        # A benchmark-size graph: n=12, a tree plus 21 random pairs.  Most
+        # MWU rounds replay one of the last four plans their packing
+        # recorded, and no older plan is ever replayed.
+        graph = random_connected_graph(random.Random(12), 12, extra_edges=21)
+        pack, edmonds, replays = dircut.pack_arborescences, dircut._edmonds, dircut._replays
+        rounds = solves = 0
+        plans: list[list] = []  # the current packing's recorded plans, in order
+        depths: Counter[int] = Counter()
+
+        def packing(*args, iterations, **kwargs):
+            nonlocal rounds
+            rounds += iterations
+            plans.clear()
+            return pack(*args, iterations=iterations, **kwargs)
+
+        def solving(*args, plan=None, **kwargs):
+            nonlocal solves
+            solves += 1
+            if plan is not None:
+                plans.append(plan)
+            return edmonds(*args, plan=plan, **kwargs)
+
+        def replaying(plan, *args):
+            depths[next(i for i, kept in enumerate(reversed(plans)) if kept is plan)] += 1
+            return replays(plan, *args)
+
+        monkeypatch.setattr(dircut, "pack_arborescences", packing)
+        monkeypatch.setattr(dircut, "_edmonds", solving)
+        monkeypatch.setattr(dircut, "_replays", replaying)
+        for seed in range(2):
+            build_hierarchy(graph, mode="randomized", rng=random.Random(seed))
+        assert 2 * solves < rounds, (solves, rounds)
+        assert max(depths) == dircut.REPLAY_SLOTS - 1, depths
 
 
 class TestFindSmallCut:
@@ -835,6 +873,39 @@ class TestAgainstPreviousEdmonds:
             packed += 1
         assert packed >= 250
 
+    def test_packings_match_across_replays(self, monkeypatch):
+        # Long packings repeat cheapest vectors, and a replay is taken only
+        # when every contraction still picks its recorded arc: both outcomes
+        # must occur, and either way the packing is the reference's.
+        replays, served = dircut._replays, Counter()
+
+        def counting(*args):
+            ok = replays(*args)
+            served[ok] += 1
+            return ok
+
+        monkeypatch.setattr(dircut, "_replays", counting)
+        rng = random.Random(144)
+        packed = 0
+        for _ in range(300):
+            n = rng.randint(2, 14)
+            t = rng.randrange(n)
+            net = tie_prone_network(rng, n, t)
+            k = rng.randint(1, 3)
+            epsilon = rng.choice((0.1, 0.3, 0.5, Fr(1, 10)))
+            iterations = rng.randint(40, 400)
+            got = solve_or_error(pack_arborescences, net, t, k, epsilon, iterations=iterations)
+            want = solve_or_error(
+                reference_pack_arborescences, net, t, k, epsilon, iterations=iterations
+            )
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert packing_rows(got) == packing_rows(want)
+            packed += 1
+        assert packed >= 250
+        assert served[True] > 0 and served[False] > 0, served
+
     def test_packings_across_renormalizations(self):
         # With epsilon 0.9 an arc of the least capacity grows by 1.9 per
         # use and passes 1e250 after about 900 uses; the costs are then
@@ -859,7 +930,7 @@ class TestAgainstPreviousEdmonds:
             wmin = min(c for c in net.caps if c >= 1)
             exponent = max(
                 float(used * iterations / got.value) * math.log1p(0.9 * wmin / net.caps[a])
-                for a, used in got.arc_usage().items()
+                for a, used in arc_usage(got).items()
             )
             assert exponent > math.log(1e250)
 
